@@ -28,14 +28,13 @@ from .filters import (
     filter_symbol,
     _helmholtz_x,
 )
-from .solvers import ExperimentOutput, energy_weight
+from .solvers import ExperimentOutput, energy_weight, _tau_norm
 from .spectral import (
     SpectralField,
     WaveLattice,
     random_solenoidal,
     sobolev_norm,
-    _forward,
-    _inverse,
+    _half,
 )
 
 __all__ = [
@@ -101,15 +100,8 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     ksq = lattice.k_squared
     rho = np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)) \
         * np.asarray(filter_symbol(spec, ksq))
-    n = lattice.n
-    u_grid = _inverse(np.asarray(u.coeffs), n)
-    d_grid = _inverse(rho * u.coeffs, n)
-    mask = lattice.dealias_mask
-    total = 0.0
-    for i in range(3):
-        prod = _forward(u_grid * u_grid[i] - d_grid * d_grid[i], n) * mask
-        total += float(np.sum(np.abs(prod) ** 2))
-    return math.sqrt(total)
+    u_half = _half(u.coeffs)
+    return _tau_norm(lattice, u_half, _half(rho) * u_half)
 
 
 def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:

@@ -57,6 +57,10 @@ def load_field(path) -> SpectralField:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
+    try:
+        lattice = WaveLattice(n=int(n), L=float(L))
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: bad header: {exc}") from exc
     expected = _HEADER.size + 3 * n ** 3 * 16
     if len(raw) != expected:
         raise SnapshotFormatError(
@@ -65,7 +69,6 @@ def load_field(path) -> SpectralField:
         )
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     coeffs = coeffs.reshape(3, n, n, n).astype(np.complex128)
-    lattice = WaveLattice(n=int(n), L=float(L))
     return SpectralField(lattice, coeffs, divergence_free=bool(flags & 1))
 
 

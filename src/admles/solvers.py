@@ -48,8 +48,16 @@ from .spectral import (
     to_physical,
     truncate_field,
     validate_field,
-    _forward,
-    _inverse,
+    _SYM_ROWS,
+    _SYM_WEIGHTS,
+    _contract,
+    _half,
+    _hermitian_fill,
+    _hermitian_weights,
+    _k_over_ksq,
+    _leray,
+    _rinverse,
+    _sym_products,
 )
 
 __all__ = [
@@ -144,6 +152,8 @@ class SimConfig:
         object.__setattr__(self, "N_list", tuple(int(N) for N in self.N_list))
         if any(N < 0 for N in self.N_list) or not self.N_list:
             raise ValueError(f"N_list must be nonempty, all >= 0: {self.N_list}")
+        if len(set(self.N_list)) != len(self.N_list):
+            raise ValueError(f"N_list has duplicate orders: {self.N_list}")
         WaveLattice(self.n, self.L)  # validates n and L
 
     # -- JSON round trip ----------------------------------------------------
@@ -320,10 +330,12 @@ def check_cfl(cfg: SimConfig, u0: SpectralField) -> None:
 
 
 class _Stepper:
-    """Shared integrating-factor SSP-RK3 stepper over raw coefficients.
+    """Shared integrating-factor SSP-RK3 stepper over raw half-spectrum
+    coefficients of shape (3, n, n, n/2+1).
 
-    pre/post are per-mode symbol arrays (or None for identity); forcing is a
-    coefficient array already multiplied by post and projected.
+    pre/post are full-layout per-mode symbol arrays (or None for identity);
+    forcing is a full-layout coefficient array already multiplied by post
+    and projected.  All of them are sliced to the half spectrum once here.
     """
 
     def __init__(self, lattice: WaveLattice, nu: float, dt: float,
@@ -331,41 +343,25 @@ class _Stepper:
         self.lattice = lattice
         self.n = lattice.n
         self.dt = dt
-        ksq = lattice.k_squared
+        ksq = np.ascontiguousarray(_half(lattice.k_squared))
         self.E1 = np.exp(-nu * ksq * dt)
         self.Eh = np.exp(-nu * ksq * (0.5 * dt))
         self.Ehi = np.exp(nu * ksq * (0.5 * dt))
-        self.pre = pre
-        self.post = post
-        self.forcing = forcing
-        k1, k2, k3 = lattice.wavevectors
-        self._ik = (1j * k1, 1j * k2, 1j * k3)
-        self._mask = lattice.dealias_mask
-        denom = np.where(ksq > 0.0, ksq, 1.0)
-        self._kov = (k1 / denom, k2 / denom, k3 / denom)
-        self._k = (k1, k2, k3)
-
-    def _project(self, c: np.ndarray) -> np.ndarray:
-        k1, k2, k3 = self._k
-        q1, q2, q3 = self._kov
-        kdotc = k1 * c[0] + k2 * c[1] + k3 * c[2]
-        c[0] -= q1 * kdotc
-        c[1] -= q2 * kdotc
-        c[2] -= q3 * kdotc
-        return c
+        self.pre = _half_or_none(pre)
+        self.forcing = _half_or_none(forcing)
+        self._k = tuple(_half(k) for k in lattice.wavevectors)
+        self._kov = tuple(_half(k) for k in _k_over_ksq(lattice))
+        # -i post: the divergence's factor i, the sign of the transport
+        # term and the filter, applied after the projection they commute
+        # with.
+        self._scale = -1j if post is None else -1j * _half_or_none(post)
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         q = c if self.pre is None else self.pre * c
-        grid = _inverse(q, self.n)
-        ik1, ik2, ik3 = self._ik
-        out = np.empty_like(c)
-        for i in range(3):
-            prod = _forward(grid * grid[i], self.n)
-            out[i] = (ik1 * prod[0] + ik2 * prod[1] + ik3 * prod[2]) \
-                * self._mask
-        if self.post is not None:
-            out *= self.post
-        out = self._project(-out)
+        products = _sym_products(self.lattice, _rinverse(q, self.n))
+        out = _leray(_contract(products, self._k, _SYM_ROWS),
+                     self._k, self._kov)
+        out *= self._scale
         if self.forcing is not None:
             out += self.forcing
         return out
@@ -377,6 +373,10 @@ class _Stepper:
         return (self.E1 * c + 2.0 * self.Eh * (q2 + dt * self.rhs(q2))) / 3.0
 
 
+def _half_or_none(a):
+    return None if a is None else np.ascontiguousarray(_half(a))
+
+
 def _forcing_coeffs(cfg: SimConfig, lattice: WaveLattice, post=None):
     if cfg.forcing is None:
         return None
@@ -386,28 +386,33 @@ def _forcing_coeffs(cfg: SimConfig, lattice: WaveLattice, post=None):
             f"forcing lattice {f.lattice} does not match config lattice "
             f"{lattice}"
         )
+    # The half-spectrum stepper would silently drop a non-Hermitian part;
+    # divergence is not required, the projection below removes it.
+    validate_field(f, require_divergence_free=False)
     coeffs = f.coeffs * lattice.dealias_mask
     if post is not None:
         coeffs = coeffs * post
     # Project once; the projection commutes with the per-mode symbols.
-    k1, k2, k3 = lattice.wavevectors
-    ksq = lattice.k_squared
-    denom = np.where(ksq > 0.0, ksq, 1.0)
-    kdot = (k1 * coeffs[0] + k2 * coeffs[1] + k3 * coeffs[2]) / denom
-    out = np.empty_like(coeffs)
-    out[0] = coeffs[0] - k1 * kdot
-    out[1] = coeffs[1] - k2 * kdot
-    out[2] = coeffs[2] - k3 * kdot
-    return out
+    return _leray(coeffs, lattice.wavevectors, _k_over_ksq(lattice))
+
+
+def _step(stepper: _Stepper, c: np.ndarray, step_index: int,
+          t: float) -> np.ndarray:
+    """Advance half-spectrum coefficients to step `step_index` at time t."""
+    c = stepper.advance(c)
+    if not np.all(np.isfinite(c)):
+        raise BlowUpError(step_index, t)
+    return c
 
 
 def _advance_state(state: SolverState, stepper: _Stepper,
                    dt: float) -> SolverState:
-    c = stepper.advance(np.array(state.field.coeffs))
-    if not np.all(np.isfinite(c)):
-        raise BlowUpError(state.step_index + 1, state.t + dt)
+    c = _step(stepper, _half(state.field.coeffs), state.step_index + 1,
+              state.t + dt)
     return SolverState(
-        field=SpectralField(state.field.lattice, c, divergence_free=True),
+        field=SpectralField(state.field.lattice,
+                            _hermitian_fill(c, stepper.n),
+                            divergence_free=True),
         t=state.t + dt,
         step_index=state.step_index + 1,
     )
@@ -544,15 +549,17 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
                            forcing=_forcing_coeffs(cfg, lattice))
     sample_set = set(samples)
     u_samples = {0: np.array(u0.coeffs)}
-    state = SolverState(field=u0)
+    c, t = np.array(_half(u0.coeffs)), 0.0
     for step in range(1, n_steps + 1):
-        state = _advance_state(state, dns_stepper, cfg.dt)
+        t += cfg.dt
+        c = _step(dns_stepper, c, step, t)
         if step in sample_set:
-            u_samples[step] = np.array(state.field.coeffs)
+            u_samples[step] = _hermitian_fill(c, cfg.n)
         if progress and (step % report_every == 0 or step == n_steps):
-            _progress("dns", step, state.t,
-                      _coeff_energy(state.field.coeffs))
-    u_final = state.field
+            _progress("dns", step, t,
+                      _coeff_energy(_hermitian_fill(c, cfg.n)))
+    u_final = SpectralField(lattice, u_samples[n_steps],
+                            divergence_free=True)
     u_stack = [u_samples[s] for s in samples]
     dns = DnsSeries(
         times=times,
@@ -560,11 +567,6 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         u_h1=np.array([_weighted_norm(c, ksq) for c in u_stack]),
         energy=np.array([_coeff_energy(c) for c in u_stack]),
     )
-    ubar_stack = [g_sym * c for c in u_stack]
-    # Physical-space reference samples shared by every residual-stress
-    # evaluation below.
-    u_grids = [_inverse(c, cfg.n) for c in u_stack]
-
     is_helmholtz = isinstance(cfg.spec, Helmholtz)
     if is_helmholtz:
         x_sym = np.asarray(inverse_of_symbol(g_sym))
@@ -578,7 +580,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             lattice, cfg.nu, cfg.dt, pre=d_sym, post=g_sym,
             forcing=_forcing_coeffs(cfg, lattice, post=g_sym),
         )
-        rho = d_sym * g_sym
+        rho_half = _half(d_sym * g_sym)
         if is_helmholtz:
             half_weight = kernels.ratio_power(x_sym, 2.0 * (N + 1)) * kmag
 
@@ -593,14 +595,14 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
 
         def record(idx: int, c: np.ndarray) -> None:
             nonlocal div_max
-            eps = ubar_stack[idx] - c
+            eps = g_sym * u_stack[idx] - c
             eps_l2[idx] = _weighted_norm(eps, w_0)
             eps_hs[idx] = _weighted_norm(eps, w_s)
             eps_g0[idx] = _weighted_norm(eps, ksq)
             eps_gs[idx] = _weighted_norm(eps, w_s1)
             w_l2[idx] = _weighted_norm(c, w_0)
-            tau_l2[idx] = _tau_norm(u_grids[idx], rho * u_stack[idx],
-                                    cfg.n, lattice.dealias_mask)
+            u_half = _half(u_stack[idx])
+            tau_l2[idx] = _tau_norm(lattice, u_half, rho_half * u_half)
             if is_helmholtz:
                 half[idx] = float(np.sqrt(np.sum(
                     half_weight * np.abs(u_stack[idx]) ** 2)))
@@ -616,22 +618,23 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         if samples[cursor] == 0:
             record(0, c)
             cursor += 1
-        st = SolverState(field=SpectralField(lattice, c,
-                                             divergence_free=True))
+        c, t = np.array(_half(c)), 0.0
         for step in range(1, n_steps + 1):
-            st = _advance_state(st, stepper, cfg.dt)
+            t += cfg.dt
+            c = _step(stepper, c, step, t)
             if cursor < len(samples) and samples[cursor] == step:
-                record(cursor, st.field.coeffs)
+                record(cursor, _hermitian_fill(c, cfg.n))
                 cursor += 1
             if progress and threads == 1 and (
                     step % report_every == 0 or step == n_steps):
-                _progress(f"adm N={N}", step, st.t,
-                          _coeff_energy(st.field.coeffs))
+                _progress(f"adm N={N}", step, t,
+                          _coeff_energy(_hermitian_fill(c, cfg.n)))
         return RunSeries(
             N=N, times=times, eps_l2=eps_l2, eps_hs=eps_hs,
             eps_grad_l2=eps_g0, eps_grad_hs=eps_gs, tau_l2=tau_l2,
             half_norm=half, w_l2=w_l2, div_ratio_max=div_max,
-            final_field=st.field,
+            final_field=SpectralField(lattice, _hermitian_fill(c, cfg.n),
+                                      divergence_free=True),
         )
 
     if threads > 1 and len(cfg.N_list) > 1:
@@ -653,15 +656,20 @@ def inverse_of_symbol(g_sym: np.ndarray) -> np.ndarray:
     return 1.0 / g_sym - 1.0
 
 
-def _tau_norm(u_grid: np.ndarray, d_coeffs: np.ndarray, n: int,
-              mask: np.ndarray) -> float:
-    """Frobenius coefficient norm of u(x)u - Du(x)Du, dealiased, mean kept."""
-    d_grid = _inverse(d_coeffs, n)
-    total = 0.0
-    for i in range(3):
-        prod = _forward(u_grid * u_grid[i] - d_grid * d_grid[i], n) * mask
-        total += float(np.sum(np.abs(prod) ** 2))
-    return float(np.sqrt(total))
+def _tau_norm(lattice: WaveLattice, u_half: np.ndarray,
+              d_half: np.ndarray) -> float:
+    """Frobenius coefficient norm of u(x)u - Du(x)Du, dealiased, mean kept.
+
+    u_half and d_half are the half-spectrum coefficients of u and Du; both
+    go to the grid in one inverse transform.  The tensor is symmetric, so
+    its 6 distinct components are formed and transformed once; the mode
+    sum uses the Hermitian and off-diagonal weights of the half layout.
+    """
+    u_grid, d_grid = _rinverse(np.stack([u_half, d_half]), lattice.n)
+    prod = _sym_products(lattice, u_grid, minus=d_grid)
+    weight = _SYM_WEIGHTS[:, None, None, None] \
+        * _hermitian_weights(lattice.n)
+    return float(np.sqrt(np.sum(weight * np.abs(prod) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,20 @@ always zeroed so that every retained mode has its conjugate partner and
 inverse transforms of Hermitian data are exactly real.  The quadratic
 nonlinearity is dealiased by the 2/3 rule: modes with any |m_axis| > n/3
 are zeroed after the pointwise product.
+
+Internally the products and the time stepper work on the real-to-complex
+half spectrum: coefficients of shape (..., n, n, n/2+1) holding the modes
+m3 = 0..n/2 of the last axis (numpy.fft.rfftn layout).  The other half is
+the complex conjugate of its partner, u_hat_{-k} = conj(u_hat_k), and is
+restored by a Hermitian fill only where a full SpectralField is needed.
+Half-layout symbol arrays are last-axis slices of the full ones, so the
+m3 = n/2 plane carries the sign of -n/2; that plane lies outside the 2/3
+keep-set and is always zero, so the sign never matters.  A mode sum over
+the full spectrum equals the half-spectrum sum with weight 1 on the m3 = 0
+and m3 = n/2 planes and weight 2 on the planes between.  The products of a
+field with itself form a symmetric tensor, so only the 6 components
+g_i g_j with i <= j are transformed; in a Frobenius sum the 3 off-diagonal
+ones count twice.
 """
 
 from __future__ import annotations
@@ -150,6 +164,104 @@ def _clean(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _half(a: np.ndarray) -> np.ndarray:
+    """The m3 = 0..n/2 part of a full-layout array (a view).
+
+    Also slices broadcastable arrays whose last axis has length 1.
+    """
+    return a[..., : a.shape[-1] // 2 + 1]
+
+
+def _rforward(samples: np.ndarray) -> np.ndarray:
+    """Half-spectrum series coefficients of real samples (..., n, n, n)."""
+    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
+
+
+def _rinverse(half: np.ndarray, n: int) -> np.ndarray:
+    """Real samples of Hermitian-filled half-spectrum coefficients."""
+    return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1),
+                         norm="forward")
+
+
+def _hermitian_fill(half: np.ndarray, n: int) -> np.ndarray:
+    """Full-layout coefficients (..., n, n, n) from the half spectrum.
+
+    The missing m3 = -(n/2-1)..-1 planes are conj(u_hat) at the partner
+    mode -k; the m3 = -n/2 plane takes the (zero) m3 = n/2 half plane.
+    """
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    partner = half[..., ::-1, ::-1, n // 2 - 1: 0: -1]
+    full[..., n // 2 + 1:] = np.conj(
+        np.roll(partner, shift=(1, 1), axis=(-3, -2)))
+    return full
+
+
+def _hermitian_weights(n: int) -> np.ndarray:
+    """Per-m3 weights turning a half-spectrum mode sum into a full one."""
+    w = np.ones(n // 2 + 1)
+    w[1: n // 2] = 2.0
+    return w
+
+
+# The symmetric products g_i g_j (i <= j) in stacking order, the stack
+# index of g_i g_j for every (i, j), and each component's Frobenius weight.
+_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SYM_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+_SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+
+
+def _sym_products(lattice: WaveLattice, grid: np.ndarray,
+                  minus: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased half-spectrum coefficients of the 6 products g_i g_j.
+
+    grid holds collocation samples (3, n, n, n); with `minus` the products
+    minus_i minus_j are subtracted on the grid before the one transform.
+    Returns shape (6, n, n, n/2+1) in _SYM_PAIRS order, 2/3-rule masked.
+    """
+    prod = np.empty((6,) + grid.shape[1:])
+    for p, (i, j) in enumerate(_SYM_PAIRS):
+        np.multiply(grid[i], grid[j], out=prod[p])
+        if minus is not None:
+            prod[p] -= minus[i] * minus[j]
+    out = _rforward(prod)
+    out *= _half(lattice.dealias_mask)
+    return out
+
+
+def _contract(products: np.ndarray, k, rows) -> np.ndarray:
+    """Component i of sum_j k_j products[rows[i][j]].
+
+    With k the wavevector components this is the divergence of the tensor
+    without its factor i.
+    """
+    out = np.empty((3,) + products.shape[1:], dtype=np.complex128)
+    for o, (r1, r2, r3) in zip(out, rows):
+        np.multiply(k[0], products[r1], out=o)
+        o += k[1] * products[r2]
+        o += k[2] * products[r3]
+    return out
+
+
+def _k_over_ksq(lattice: WaveLattice) -> tuple:
+    """k / |k|^2 per component, 0 at k = 0 (full layout)."""
+    ksq = lattice.k_squared
+    denom = np.where(ksq > 0.0, ksq, 1.0)
+    return tuple(k / denom for k in lattice.wavevectors)
+
+
+def _leray(c: np.ndarray, k, kov) -> np.ndarray:
+    """Leray projection c -= k (k.c)/|k|^2 of raw coefficients, in place.
+
+    k and kov = k/|k|^2 (_k_over_ksq) belong to the mode layout of c, full
+    or half spectrum; the k = 0 mode is left unchanged.
+    """
+    kdotc = k[0] * c[0] + k[1] * c[1] + k[2] * c[2]
+    for j in range(3):
+        c[j] -= kov[j] * kdotc
+    return c
+
+
 def to_physical(f: SpectralField) -> PhysicalField:
     return PhysicalField(f.lattice, _inverse(f.coeffs, f.lattice.n))
 
@@ -182,23 +294,19 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
 def leray_project(f: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: u_hat -= k (k.u_hat)/|k|^2."""
-    k1, k2, k3 = f.lattice.wavevectors
-    ksq = f.lattice.k_squared
-    denom = np.where(ksq > 0.0, ksq, 1.0)
-    c = f.coeffs
-    kdotu = (k1 * c[0] + k2 * c[1] + k3 * c[2]) / denom
-    out = np.empty_like(c)
-    out[0] = c[0] - k1 * kdotu
-    out[1] = c[1] - k2 * kdotu
-    out[2] = c[2] - k3 * kdotu
-    return SpectralField(f.lattice, out, divergence_free=True)
+    lat = f.lattice
+    return SpectralField(
+        lat, _leray(np.array(f.coeffs), lat.wavevectors, _k_over_ksq(lat)),
+        divergence_free=True,
+    )
 
 
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     """Dealiased spectral coefficients of div(u (x) v).
 
-    Component i is sum_j i k_j F[u_j v_i], with the nine products formed on
-    the collocation grid and the result masked by the 2/3 rule.
+    Component i is sum_j i k_j F[u_j v_i], with the products formed on the
+    collocation grid, transformed to the half spectrum and masked by the
+    2/3 rule.
     """
     if u.lattice != v.lattice:
         raise LatticeMismatchError(
@@ -207,15 +315,14 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
         )
     lat = u.lattice
     n = lat.n
-    k1, k2, k3 = lat.wavevectors
-    ug = _inverse(u.coeffs, n)
-    vg = _inverse(v.coeffs, n)
-    out = np.empty_like(u.coeffs)
-    for i in range(3):
-        prod = _forward(ug * vg[i], n)
-        out[i] = (1j * k1 * prod[0] + 1j * k2 * prod[1]
-                  + 1j * k3 * prod[2]) * lat.dealias_mask
-    return SpectralField(lat, out)
+    k = tuple(_half(kj) for kj in lat.wavevectors)
+    ug = _rinverse(_half(u.coeffs), n)
+    vg = _rinverse(_half(v.coeffs), n)
+    prod = _rforward((vg[:, None] * ug[None, :]).reshape(9, n, n, n))
+    prod *= _half(lat.dealias_mask)
+    out = _contract(prod, k, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    out *= 1j
+    return SpectralField(lat, _hermitian_fill(out, n))
 
 
 def truncate_field(f: SpectralField) -> SpectralField:

@@ -143,3 +143,22 @@ def taylor_green_2d(lattice, amplitude=1.0):
         np.zeros_like(x),
     ])
     return from_physical(PhysicalField(lattice, samples))
+
+
+def residual_stress_norm_full(lattice, u_coeffs, d_coeffs) -> float:
+    """Frobenius coefficient norm of u (x) u - d (x) d over the full
+    spectrum: all nine components, each transformed on its own with
+    complex FFTs and masked by the 2/3 rule, mean mode kept."""
+    n = lattice.n
+    m = mode_numbers(n)
+    keep_axis = np.abs(m) <= n // 3
+    mask = (keep_axis.reshape(-1, 1, 1) & keep_axis.reshape(1, -1, 1)
+            & keep_axis.reshape(1, 1, -1))
+    u = [np.real(np.fft.ifftn(u_coeffs[j])) * n ** 3 for j in range(3)]
+    d = [np.real(np.fft.ifftn(d_coeffs[j])) * n ** 3 for j in range(3)]
+    total = 0.0
+    for i in range(3):
+        for j in range(3):
+            t = np.fft.fftn(u[i] * u[j] - d[i] * d[j]) / n ** 3
+            total += float(np.sum(np.abs(t[mask]) ** 2))
+    return float(np.sqrt(total))

@@ -109,3 +109,13 @@ def test_read_csv_requires_stamp(tmp_path):
     empty.write_text("")
     with pytest.raises(io.SnapshotFormatError):
         io.read_csv(empty)
+
+
+@pytest.mark.parametrize("n,L", [(5, 1.0), (2, 1.0), (4, 0.0), (4, -1.0)])
+def test_load_rejects_bad_lattice_header(tmp_path, n, L):
+    # a payload of the size the header implies, so only n or L is wrong
+    path = tmp_path / "lattice.admf"
+    header = struct.pack("<4sIIdB", b"ADMF", 1, n, L, 0)
+    path.write_bytes(header + b"\x00" * (3 * n ** 3 * 16))
+    with pytest.raises(io.SnapshotFormatError, match="header"):
+        io.load_field(path)

@@ -425,3 +425,36 @@ def test_written_csvs_carry_config_stamp(tmp_path):
     for name in ("dns.csv", "series.csv"):
         first = (tmp_path / name).read_text().splitlines()[0]
         assert first == stamp
+
+
+def test_config_rejects_duplicate_orders():
+    # a repeated order would be read back as one doubled series
+    with pytest.raises(ValueError, match="N_list"):
+        small_cfg(N_list=(1, 1))
+    with pytest.raises(ValueError, match="N_list"):
+        SimConfig.from_dict({"n": 16, "nu": 0.1, "T": 1.0, "dt": 0.5,
+                             "filter": {"kind": "helmholtz", "alpha": 1.0},
+                             "N_list": [0, 2, 0]})
+
+
+def test_forcing_snapshot_is_validated(tmp_path):
+    from admles.spectral import FieldInvariantError
+
+    lat = WaveLattice(8)
+    c = np.array(random_solenoidal(lat, decay=1.0, seed=9).coeffs)
+    # not divergence-free: accepted, the forcing is projected
+    c[0, 1, 0, 0] += 0.5
+    c[0, -1, 0, 0] += 0.5
+    path = tmp_path / "force.admf"
+    admio.save_field(SpectralField(lat, c.copy()), path)
+    cfg = small_cfg(n=8, forcing=SnapshotForcing(path=str(path)),
+                    N_list=(0,))
+    dns_step(SolverState(field=taylor_green(lat)), cfg)
+
+    # a coefficient without its conjugate partner is not a real field
+    c[1, 1, 2, 1] += 0.3j
+    admio.save_field(SpectralField(lat, c.copy()), path)
+    with pytest.raises(FieldInvariantError, match="Hermitian"):
+        dns_step(SolverState(field=taylor_green(lat)), cfg)
+    with pytest.raises(FieldInvariantError, match="Hermitian"):
+        run_experiment(cfg, progress=False)
