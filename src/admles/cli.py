@@ -16,8 +16,6 @@ parameters that produced it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 import sys
@@ -29,10 +27,7 @@ import numpy as np
 from . import io as admio
 from .deconvolution import DeconvOp, check_properties, deconv_symbol
 from .filters import (
-    Gaussian,
-    GaussianApprox,
     Helmholtz,
-    HelmholtzPower,
     NonInvertibleFilterError,
     filter_symbol,
     gaussian_approx_error,
@@ -48,15 +43,12 @@ from .solvers import (
     read_outputs,
     run_experiment,
     write_outputs,
+    _FILTER_KINDS,
+    _kind_from_dict,
 )
 from .spectral import WaveLattice
 
 _SANDWICH_SLACK = 1e-13
-
-
-def _params_token(params: dict) -> str:
-    canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _emit_csv(csv_path, token: str, header, rows) -> None:
@@ -183,8 +175,8 @@ def verify(ineq: str, dense: bool, csv_path) -> None:
             f"--ineq must be 'all' or one of {', '.join(NAMES)}")
     rows: list = []
     property_rows: list = []
-    token = _params_token({"command": "verify", "ineq": ineq,
-                           "dense": dense})
+    token = admio.sha256_token({"command": "verify", "ineq": ineq,
+                                "dense": dense})
     try:
         _verify_sweeps(NAMES if ineq == "all" else (ineq,), dense, rows)
         if ineq == "all":
@@ -207,16 +199,6 @@ def verify(ineq: str, dense: bool, csv_path) -> None:
 # ---------------------------------------------------------------------------
 # symbols
 # ---------------------------------------------------------------------------
-
-def _spec_from_flags(filter_name, alpha, p, mu, m):
-    if filter_name == "helmholtz":
-        return Helmholtz(alpha=alpha, p=p)
-    if filter_name == "gaussian":
-        return Gaussian(alpha=alpha)
-    if filter_name == "gaussian-approx":
-        return GaussianApprox(alpha=alpha, m=m)
-    return HelmholtzPower(mu=mu, m=m)
-
 
 def _parse_orders(text: str) -> list:
     try:
@@ -249,7 +231,10 @@ def symbols(filter_name, alpha, p, mu, m, orders_text, kmax, points,
             csv_path) -> None:
     """Tabulate filter, inverse, and deconvolution symbols over k^2."""
     try:
-        spec = _spec_from_flags(filter_name, alpha, p, mu, m)
+        spec = _kind_from_dict(_FILTER_KINDS, "filter", {
+            "kind": filter_name.replace("-", "_"),
+            "alpha": alpha, "p": p, "mu": mu, "m": m,
+        })
     except ValueError as e:
         raise click.UsageError(str(e))
     orders = _parse_orders(orders_text)
@@ -271,7 +256,7 @@ def symbols(filter_name, alpha, p, mu, m, orders_text, kmax, points,
         row = [float(k2[i]), float(g[i]), a_col[i]]
         row += [float(col[i]) for col in d_cols]
         rows.append(row)
-    token = _params_token({
+    token = admio.sha256_token({
         "command": "symbols", "filter": filter_name, "alpha": alpha, "p": p,
         "mu": mu, "m": m, "N": orders, "kmax": kmax, "points": points,
     })
@@ -343,7 +328,10 @@ def rates(config_path, out, constant, threads) -> None:
     out_dir = _resolve_out(cfg, out)
     threads = _resolve_threads(threads)
     if (out_dir / "series.csv").exists():
-        output = read_outputs(out_dir)
+        try:
+            output = read_outputs(out_dir)
+        except ValueError as e:
+            raise click.ClickException(str(e))
         if config_hash(output.config) != config_hash(cfg):
             raise click.ClickException(
                 f"{out_dir} holds outputs for a different config")
@@ -423,8 +411,8 @@ def gaussian_approx(alpha, m_max, n, csv_path) -> None:
         rows.append([m, err, bound, ok])
         if not ok and first_bad is None:
             first_bad = (m, err, bound)
-    token = _params_token({"command": "gaussian-approx", "alpha": alpha,
-                           "m_max": m_max, "n": n})
+    token = admio.sha256_token({"command": "gaussian-approx",
+                                "alpha": alpha, "m_max": m_max, "n": n})
     _emit_csv(csv_path, token, ["m", "sup_error", "bound", "passed"], rows)
     if first_bad is not None:
         m, err, bound = first_bad

@@ -15,7 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .filters import FilterSpec, Helmholtz, filter_symbol, inverse_symbol
+from .filters import (
+    FilterSpec,
+    Helmholtz,
+    filter_symbol,
+    inverse_symbol,
+    _helmholtz_x,
+)
 from .spectral import SpectralField
 
 __all__ = [
@@ -64,17 +70,16 @@ def recovery_symbol(op: DeconvOp, k2):
             "recovery symbol is defined for Helmholtz filters, got "
             f"{type(op.spec).__name__}"
         )
-    k2 = np.asarray(k2, dtype=np.float64)
-    x = op.spec.alpha ** 2 * k2
-    if op.spec.p != 1.0:
-        with np.errstate(divide="ignore"):
-            x = np.where(
-                x > 0.0,
-                np.exp(op.spec.p * np.log(np.maximum(x, 1e-300))),
-                0.0,
-            )
+    x = _helmholtz_x(op.spec, np.asarray(k2, dtype=np.float64))
     out = 1.0 - kernels.ratio_power(x, float(op.order + 1))
     return out if out.ndim else float(out)
+
+
+def _defect_weight(spec: Helmholtz, order: int, k2: np.ndarray) -> np.ndarray:
+    """(x/(1+x))^(2(order+1)) |k|, the per-mode weight of the squared
+    deconvolution-defect half-norm, with x = (alpha^2 k2)^p."""
+    return kernels.ratio_power(_helmholtz_x(spec, k2), 2.0 * (order + 1)) \
+        * np.sqrt(k2)
 
 
 def apply_deconv(op: DeconvOp, f: SpectralField) -> SpectralField:
@@ -160,7 +165,7 @@ def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
             gap <= _SATURATION_REL * top,
         ))
 
-    x_max = float(np.asarray(_helmholtz_x_of(op.spec, k2_max)))
+    x_max = float(_helmholtz_x(op.spec, k2_max))
     if x_max > 0.0:
         equiv = top * (1.0 + x_max) / x_max
         tail_dev = abs(float(d[-1]) / equiv - 1.0)
@@ -168,9 +173,3 @@ def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
         tail_dev = float("nan")
     return PropertyReport(op=op, rows=tuple(rows), tail_deviation=tail_dev)
 
-
-def _helmholtz_x_of(spec: Helmholtz, k2: float) -> float:
-    y = spec.alpha ** 2 * k2
-    if spec.p == 1.0 or y <= 0.0:
-        return y
-    return float(np.exp(spec.p * np.log(y)))

@@ -18,17 +18,20 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
-from .deconvolution import DeconvOp, deconv_symbol
+from .deconvolution import DeconvOp, deconv_symbol, _defect_weight
 from .filters import (
     FilterSpec,
     GaussianApprox,
     Helmholtz,
     HelmholtzPower,
     filter_symbol,
-    _helmholtz_x,
 )
-from .solvers import ExperimentOutput, energy_weight, _tau_norm
+from .solvers import (
+    ExperimentOutput,
+    energy_weight,
+    _tau_norm,
+    _weighted_norm,
+)
 from .spectral import (
     SpectralField,
     WaveLattice,
@@ -116,10 +119,8 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
             f"defect half-norm requires a Helmholtz filter, got "
             f"{type(spec).__name__}"
         )
-    ksq = u.lattice.k_squared
-    x = _helmholtz_x(spec, ksq)
-    weight = kernels.ratio_power(x, 2.0 * (order + 1)) * np.sqrt(ksq)
-    return float(np.sqrt(np.sum(weight * np.abs(u.coeffs) ** 2)))
+    return _weighted_norm(u.coeffs,
+                          _defect_weight(spec, order, u.lattice.k_squared))
 
 
 def defect_bound(u_h1: float, alpha: float, p: float, order: int) -> float:

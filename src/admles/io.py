@@ -14,6 +14,8 @@ Layout, all little-endian:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
 from pathlib import Path
 
@@ -28,6 +30,7 @@ _HEADER = struct.Struct("<4sIIdB")
 __all__ = [
     "save_field",
     "load_field",
+    "sha256_token",
     "csv_text",
     "write_csv",
     "read_csv",
@@ -83,6 +86,13 @@ def _cell(value) -> str:
     return str(value)
 
 
+def sha256_token(params: dict) -> str:
+    """sha256 of the canonical JSON form of params (sorted keys, no
+    whitespace): the token of every CSV's `# config=` stamp."""
+    canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 def csv_text(config_token: str, header, rows) -> str:
     """CSV body: a `# config=<sha256>` first line, then header, then rows.
 
@@ -98,15 +108,19 @@ def write_csv(path, config_token: str, header, rows) -> None:
     Path(path).write_text(csv_text(config_token, header, rows))
 
 
-def read_csv(path) -> tuple:
+def read_csv(path, config_token: str | None = None) -> tuple:
     """Inverse of write_csv: returns (header, rows-of-strings).
 
-    The leading comment line is checked for shape but its hash is not
-    re-verified here.
+    The leading comment line must be a `# config=` stamp; when config_token
+    is given, the stamped token must equal it.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# config="):
         raise SnapshotFormatError(f"{path}: missing '# config=' stamp")
+    stamp = lines[0][len("# config="):]
+    if config_token is not None and stamp != config_token:
+        raise SnapshotFormatError(
+            f"{path}: stamped config {stamp} does not match {config_token}")
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:] if line]
     return header, rows

@@ -1,18 +1,15 @@
 """Stable elementwise kernels shared by the symbol, diagnostic and
 inequality code.
 
-Every public function takes float64 arrays (any shape) and returns arrays of
-the same shape.  Each has two implementations: a vectorized numpy fallback
-and a numba-compiled loop; ``accel`` picks one at import time.  The point of
-these kernels is numerical stability, not speed: all of them hit regimes
+Every public function takes float64 arrays (any shape, 0-d included) and
+returns arrays of the same shape, vectorized in numpy.  The point of these
+kernels is numerical stability, not speed: all of them hit regimes
 (x -> 0, huge exponents, symbols underflowing to 0) where the textbook
 formulas lose every significant digit, so they are written in expm1/log1p
 form with series branches near the switch points.
 """
 
 import numpy as np
-
-from .accel import HAS_NUMBA, njit
 
 __all__ = [
     "ratio_power",
@@ -23,6 +20,9 @@ __all__ = [
     "HAS_NUMBA",
 ]
 
+# No compiled kernel path exists; perfbench's environment record reads this.
+HAS_NUMBA = False
+
 # Below this, y - log1p(y) is evaluated by series; direct subtraction loses
 # ~ 2e-16/y relative accuracy.
 _SERIES_CUT = 1e-2
@@ -32,112 +32,37 @@ _EXPM1_CUT = 500.0
 _G_SERIES_CUT = 1e-8
 
 
-def _y_minus_log1p_scalar(y):
-    # y - log1p(y) >= 0, accurate for all y >= 0.
-    if y < _SERIES_CUT:
-        # y^2 (1/2 - y/3 + y^2/4 - ...) truncated after the y^8/10 term;
-        # next term is < 2e-15 relative at the cut.
-        return y * y * (
-            1.0 / 2.0 + y * (
-                -1.0 / 3.0 + y * (
-                    1.0 / 4.0 + y * (
-                        -1.0 / 5.0 + y * (
-                            1.0 / 6.0 + y * (
-                                -1.0 / 7.0 + y * (
-                                    1.0 / 8.0 + y * (
-                                        -1.0 / 9.0 + y * (1.0 / 10.0)
-                                    )
-                                )
-                            )
-                        )
-                    )
-                )
-            )
-        )
-    return y - np.log1p(y)
-
-
-def _ratio_power_scalar(x, e):
-    # (x/(1+x))**e for x >= 0, e > 0, without underflow surprises.
-    if x <= 0.0:
-        return 0.0
-    return np.exp(-e * np.log1p(1.0 / x))
-
-
-def _compl_power_scalar(x, a, m):
-    # (1 - (1+x)^(-m))^a for x >= 0, a, m >= 1.
-    if x <= 0.0:
-        return 0.0
-    q = -np.expm1(-m * np.log1p(x))  # 1 - (1+x)^(-m), in (0, 1)
-    if q >= 1.0:
-        return 1.0
-    return np.exp(a * np.log(q))
-
-
-def _exp_limit_terms_scalar(x, n):
-    # Returns ((1+x/n)^(-n), (1+x/n)^(-n) - exp(-x)); the difference is
-    # nonnegative for every x >= 0, n >= 1 and is formed without
-    # cancellation.
-    if x <= 0.0:
-        return 1.0, 0.0
-    y = x / n
-    f = _y_minus_log1p_scalar(y)          # so (1+y)^(-n) = e^(-x) e^(n f)
-    pw = np.exp(-n * np.log1p(y))
-    nf = n * f
-    if nf > _EXPM1_CUT:
-        # e^(n f) is astronomically larger than 1: no cancellation in the
-        # direct difference (exp(-x) typically underflows to 0 here).
-        return pw, pw - np.exp(-x)
-    return pw, np.exp(-x) * np.expm1(nf)
-
-
-def _deconv_from_g_scalar(g, order):
-    # (1 - (1-g)^(order+1)) / g, the closed form of sum_{j<=order} (1-g)^j.
-    if order == 0:
-        # identity operator; the closed form would cost an ulp here
-        return 1.0
-    if g >= 1.0:
-        return 1.0
-    if g < _G_SERIES_CUT:
-        # Explicit geometric sum; every term is ~1 so the sum is exact to
-        # rounding while the closed form would divide two tiny numbers.
-        acc = 1.0
-        term = 1.0
-        base = 1.0 - g
-        for _ in range(order):
-            term *= base
-            acc += term
-        return acc
-    return -np.expm1((order + 1.0) * np.log1p(-g)) / g
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback path (vectorized)
-# ---------------------------------------------------------------------------
-
-def _np_ratio_power(x, e):
+def ratio_power(x, e):
+    """(x/(1+x))**e elementwise for x >= 0, e > 0."""
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     pos = x > 0.0
-    out[pos] = np.exp(-e * np.log1p(1.0 / x[pos]))
+    # 1/x overflows to inf for subnormal x; the result then saturates to
+    # its limit 0, so the overflow is not an error.
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-e * np.log1p(1.0 / x[pos]))
     return out
 
 
-def _np_compl_power(x, a, m):
+def compl_power(x, a, m):
+    """(1-(1+x)**(-m))**a elementwise for x >= 0, a, m >= 1."""
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     pos = x > 0.0
-    q = -np.expm1(-m * np.log1p(x[pos]))
+    q = -np.expm1(-m * np.log1p(x[pos]))  # 1 - (1+x)^(-m), in (0, 1]
     q = np.minimum(q, 1.0)
     out[pos] = np.exp(a * np.log(q))
     return out
 
 
-def _np_y_minus_log1p(y):
+def y_minus_log1p(y):
+    """y - log1p(y) >= 0 elementwise, accurate for all y >= 0."""
     y = np.asarray(y, dtype=np.float64)
     small = y < _SERIES_CUT
     out = np.empty_like(y)
     ys = y[small]
+    # y^2 (1/2 - y/3 + y^2/4 - ...) truncated after the y^8/10 term; the
+    # next term is < 2e-15 relative at the cut.
     acc = np.full_like(ys, 1.0 / 10.0)
     for c in (-1.0 / 9.0, 1.0 / 8.0, -1.0 / 7.0, 1.0 / 6.0,
               -1.0 / 5.0, 1.0 / 4.0, -1.0 / 3.0, 1.0 / 2.0):
@@ -148,12 +73,17 @@ def _np_y_minus_log1p(y):
     return out
 
 
-def _np_exp_limit_terms(x, n):
+def exp_limit_terms(x, n):
+    """Elementwise ((1+x/n)**(-n), (1+x/n)**(-n) - exp(-x)) for x >= 0,
+    n >= 1; the difference is nonnegative and cancellation-free."""
     x = np.asarray(x, dtype=np.float64)
     y = x / n
-    f = _np_y_minus_log1p(y)
+    f = y_minus_log1p(y)  # so (1+y)^(-n) = e^(-x) e^(n f)
     pw = np.exp(-n * np.log1p(y))
     nf = n * f
+    # Past the cut e^(n f) is astronomically larger than 1: there is no
+    # cancellation in the direct difference (exp(-x) typically underflows
+    # to 0 there).
     with np.errstate(over="ignore"):
         diff = np.where(
             nf > _EXPM1_CUT,
@@ -166,15 +96,20 @@ def _np_exp_limit_terms(x, n):
     return pw, diff
 
 
-def _np_deconv_from_g(g, order):
+def deconv_from_g(g, order):
+    """Van Cittert symbol (1-(1-g)**(order+1))/g elementwise for g in (0,1],
+    with an explicit geometric sum below g=1e-8."""
     g = np.asarray(g, dtype=np.float64)
     if order == 0:
+        # identity operator; the closed form would cost an ulp here
         return np.ones_like(g)
     with np.errstate(divide="ignore", invalid="ignore"):
         closed = -np.expm1((order + 1.0) * np.log1p(-g)) / g
     closed = np.where(g >= 1.0, 1.0, closed)
     small = g < _G_SERIES_CUT
     if np.any(small):
+        # Explicit geometric sum; every term is ~1 so the sum is exact to
+        # rounding while the closed form would divide two tiny numbers.
         gs = g[small]
         base = 1.0 - gs
         acc = np.ones_like(gs)
@@ -184,112 +119,3 @@ def _np_deconv_from_g(g, order):
             acc = acc + term
         closed[small] = acc
     return closed
-
-
-# ---------------------------------------------------------------------------
-# numba path: compiled loops over flattened arrays
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _nb_y_scalar = njit(_y_minus_log1p_scalar)
-    _nb_ratio_scalar = njit(_ratio_power_scalar)
-    _nb_compl_scalar = njit(_compl_power_scalar)
-
-    @njit
-    def _nb_ratio_power(x, e, out):
-        for i in range(x.size):
-            out[i] = _nb_ratio_scalar(x[i], e)
-
-    @njit
-    def _nb_compl_power(x, a, m, out):
-        for i in range(x.size):
-            out[i] = _nb_compl_scalar(x[i], a, m)
-
-    @njit
-    def _nb_y_minus_log1p(y, out):
-        for i in range(y.size):
-            out[i] = _nb_y_scalar(y[i])
-
-    @njit
-    def _nb_exp_limit_terms(x, n, pw, diff):
-        for i in range(x.size):
-            xi = x[i]
-            if xi <= 0.0:
-                pw[i] = 1.0
-                diff[i] = 0.0
-                continue
-            y = xi / n
-            f = _nb_y_scalar(y)
-            p = np.exp(-n * np.log1p(y))
-            nf = n * f
-            pw[i] = p
-            if nf > _EXPM1_CUT:
-                diff[i] = p - np.exp(-xi)
-            else:
-                diff[i] = np.exp(-xi) * np.expm1(nf)
-
-    @njit
-    def _nb_deconv_from_g(g, order, out):
-        for i in range(g.size):
-            gi = g[i]
-            if order == 0 or gi >= 1.0:
-                out[i] = 1.0
-            elif gi < _G_SERIES_CUT:
-                acc = 1.0
-                term = 1.0
-                base = 1.0 - gi
-                for _ in range(order):
-                    term *= base
-                    acc += term
-                out[i] = acc
-            else:
-                out[i] = -np.expm1((order + 1.0) * np.log1p(-gi)) / gi
-
-
-def _wrap1(nb_func):
-    def call(x, *params):
-        # note: ascontiguousarray would force ndmin=1 and turn scalar input
-        # into shape-(1,) output; asarray keeps 0-d so the numba and numpy
-        # paths agree on shape
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty(x.size, dtype=np.float64)
-        nb_func(np.ascontiguousarray(x.ravel()), *[float(p) for p in params], out)
-        return out.reshape(x.shape)
-    return call
-
-
-if HAS_NUMBA:
-    ratio_power = _wrap1(_nb_ratio_power)
-    compl_power = _wrap1(_nb_compl_power)
-    y_minus_log1p = _wrap1(_nb_y_minus_log1p)
-
-    def exp_limit_terms(x, n):
-        x = np.asarray(x, dtype=np.float64)
-        pw = np.empty(x.size, dtype=np.float64)
-        diff = np.empty(x.size, dtype=np.float64)
-        _nb_exp_limit_terms(np.ascontiguousarray(x.ravel()), float(n), pw, diff)
-        return pw.reshape(x.shape), diff.reshape(x.shape)
-
-    def deconv_from_g(g, order):
-        g = np.asarray(g, dtype=np.float64)
-        out = np.empty(g.size, dtype=np.float64)
-        _nb_deconv_from_g(np.ascontiguousarray(g.ravel()), int(order), out)
-        return out.reshape(g.shape)
-else:
-    ratio_power = _np_ratio_power
-    compl_power = _np_compl_power
-    y_minus_log1p = _np_y_minus_log1p
-    exp_limit_terms = _np_exp_limit_terms
-    deconv_from_g = _np_deconv_from_g
-
-
-ratio_power.__doc__ = "(x/(1+x))**e elementwise for x >= 0, e > 0."
-compl_power.__doc__ = "(1-(1+x)**(-m))**a elementwise for x >= 0, a, m >= 1."
-exp_limit_terms.__doc__ = (
-    "Elementwise ((1+x/n)**(-n), (1+x/n)**(-n) - exp(-x)) for x >= 0, "
-    "n >= 1; the difference is nonnegative and cancellation-free."
-)
-deconv_from_g.__doc__ = (
-    "Van Cittert symbol (1-(1-g)**(order+1))/g elementwise for g in (0,1], "
-    "with an explicit geometric sum below g=1e-8."
-)

@@ -23,14 +23,14 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from . import io as admio
-from .deconvolution import DeconvOp, deconv_symbol
+from .deconvolution import DeconvOp, deconv_symbol, _defect_weight
 from .filters import (
     FilterSpec,
     Gaussian,
@@ -51,6 +51,7 @@ from .spectral import (
     _SYM_ROWS,
     _SYM_WEIGHTS,
     _contract,
+    _div_ratio,
     _half,
     _hermitian_fill,
     _hermitian_weights,
@@ -163,11 +164,12 @@ class SimConfig:
             "n": self.n,
             "L": self.L,
             "nu": self.nu,
-            "filter": _filter_to_dict(self.spec),
+            "filter": _kind_to_dict(_FILTER_KINDS, "filter", self.spec),
             "N_list": list(self.N_list),
             "T": self.T,
             "dt": self.dt,
-            "init": _init_to_dict(self.init),
+            "init": _kind_to_dict(_INIT_KINDS, "initial condition",
+                                  self.init),
             "forcing": (
                 {"kind": "snapshot", "path": self.forcing.path}
                 if self.forcing else None
@@ -193,11 +195,12 @@ class SimConfig:
             n=int(data["n"]),
             L=float(data.get("L", 2.0 * np.pi)),
             nu=float(data["nu"]),
-            spec=_filter_from_dict(data["filter"]),
+            spec=_kind_from_dict(_FILTER_KINDS, "filter", data["filter"]),
             N_list=tuple(data.get("N_list", [0])),
             T=float(data["T"]),
             dt=float(data["dt"]),
-            init=_init_from_dict(data.get("init", {"kind": "taylor_green"})),
+            init=_kind_from_dict(_INIT_KINDS, "initial condition",
+                                 data.get("init", {"kind": "taylor_green"})),
             forcing=(
                 SnapshotForcing(path=str(forcing["path"])) if forcing else None
             ),
@@ -213,61 +216,48 @@ class SimConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _filter_to_dict(spec: FilterSpec) -> dict:
-    if isinstance(spec, Helmholtz):
-        return {"kind": "helmholtz", "alpha": spec.alpha, "p": spec.p}
-    if isinstance(spec, Gaussian):
-        return {"kind": "gaussian", "alpha": spec.alpha}
-    if isinstance(spec, GaussianApprox):
-        return {"kind": "gaussian_approx", "alpha": spec.alpha, "m": spec.m}
-    if isinstance(spec, HelmholtzPower):
-        return {"kind": "helmholtz_power", "mu": spec.mu, "m": spec.m}
-    raise TypeError(f"not a filter spec: {spec!r}")
+_FILTER_KINDS = {
+    "helmholtz": Helmholtz,
+    "gaussian": Gaussian,
+    "gaussian_approx": GaussianApprox,
+    "helmholtz_power": HelmholtzPower,
+}
+_INIT_KINDS = {
+    "taylor_green": TaylorGreenInit,
+    "random_spectrum": RandomSpectrumInit,
+    "snapshot": SnapshotInit,
+}
+# Field annotations are strings here (postponed evaluation of annotations).
+_COERCE = {"float": float, "int": int, "str": str}
 
 
-def _filter_from_dict(data: dict) -> FilterSpec:
+def _kind_to_dict(kinds: dict, noun: str, spec) -> dict:
+    """{"kind": <key in kinds>, <field>: <value>, ...} of a spec dataclass."""
+    for kind, cls in kinds.items():
+        if isinstance(spec, cls):
+            return {"kind": kind,
+                    **{f.name: getattr(spec, f.name) for f in fields(cls)}}
+    raise TypeError(f"{noun} spec expected, got {spec!r}")
+
+
+def _kind_from_dict(kinds: dict, noun: str, data: dict):
+    """Inverse of _kind_to_dict.  Fields with a default may be omitted;
+    every value is coerced to its field's float/int/str type."""
     kind = data.get("kind")
-    if kind == "helmholtz":
-        return Helmholtz(alpha=float(data["alpha"]),
-                         p=float(data.get("p", 1.0)))
-    if kind == "gaussian":
-        return Gaussian(alpha=float(data["alpha"]))
-    if kind == "gaussian_approx":
-        return GaussianApprox(alpha=float(data["alpha"]), m=int(data["m"]))
-    if kind == "helmholtz_power":
-        return HelmholtzPower(mu=float(data["mu"]), m=int(data["m"]))
-    raise ValueError(f"unknown filter kind: {kind!r}")
-
-
-def _init_to_dict(init: InitSpec) -> dict:
-    if isinstance(init, TaylorGreenInit):
-        return {"kind": "taylor_green", "amplitude": init.amplitude}
-    if isinstance(init, RandomSpectrumInit):
-        return {"kind": "random_spectrum", "decay": init.decay,
-                "seed": init.seed}
-    if isinstance(init, SnapshotInit):
-        return {"kind": "snapshot", "path": init.path}
-    raise TypeError(f"not an initial condition: {init!r}")
-
-
-def _init_from_dict(data: dict) -> InitSpec:
-    kind = data.get("kind")
-    if kind == "taylor_green":
-        return TaylorGreenInit(amplitude=float(data.get("amplitude", 1.0)))
-    if kind == "random_spectrum":
-        return RandomSpectrumInit(decay=float(data["decay"]),
-                                  seed=int(data["seed"]))
-    if kind == "snapshot":
-        return SnapshotInit(path=str(data["path"]))
-    raise ValueError(f"unknown initial condition kind: {kind!r}")
+    if kind not in kinds:
+        raise ValueError(f"unknown {noun} kind: {kind!r}")
+    cls = kinds[kind]
+    return cls(**{
+        f.name: _COERCE[f.type](
+            data[f.name] if f.default is MISSING
+            else data.get(f.name, f.default))
+        for f in fields(cls)
+    })
 
 
 def config_hash(cfg: SimConfig) -> str:
     """sha256 of the canonical JSON form; stamped into every CSV."""
-    import hashlib
-
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return admio.sha256_token(cfg.to_dict())
 
 
 @dataclass
@@ -568,13 +558,9 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         energy=np.array([_coeff_energy(c) for c in u_stack]),
     )
     is_helmholtz = isinstance(cfg.spec, Helmholtz)
-    if is_helmholtz:
-        x_sym = np.asarray(inverse_of_symbol(g_sym))
     kmag = np.sqrt(ksq)
 
     def one_run(N: int) -> RunSeries:
-        from . import kernels
-
         d_sym = np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), ksq))
         stepper = _Stepper(
             lattice, cfg.nu, cfg.dt, pre=d_sym, post=g_sym,
@@ -582,7 +568,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         )
         rho_half = _half(d_sym * g_sym)
         if is_helmholtz:
-            half_weight = kernels.ratio_power(x_sym, 2.0 * (N + 1)) * kmag
+            half_weight = _defect_weight(cfg.spec, N, ksq)
 
         eps_l2 = np.empty(len(samples))
         eps_hs = np.empty(len(samples))
@@ -604,14 +590,9 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             u_half = _half(u_stack[idx])
             tau_l2[idx] = _tau_norm(lattice, u_half, rho_half * u_half)
             if is_helmholtz:
-                half[idx] = float(np.sqrt(np.sum(
-                    half_weight * np.abs(u_stack[idx]) ** 2)))
-            k1, k2, k3 = lattice.wavevectors
-            div = float(np.max(np.abs(
-                k1 * c[0] + k2 * c[1] + k3 * c[2])))
-            scale = float(np.max(kmag * np.max(np.abs(c), axis=0)))
-            if scale > 0.0:
-                div_max = max(div_max, div / scale)
+                half[idx] = _weighted_norm(u_stack[idx], half_weight)
+            div_max = max(div_max,
+                          _div_ratio(c, lattice.wavevectors, kmag))
 
         c = np.array(g_sym * u0.coeffs)
         cursor = 0
@@ -649,11 +630,6 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         config=cfg, lattice=lattice, dns=dns, runs=runs,
         u_final=u_final, ubar_final=ubar_final,
     )
-
-
-def inverse_of_symbol(g_sym: np.ndarray) -> np.ndarray:
-    """x = 1/G_hat - 1, the dimensionless high-pass argument of the symbol."""
-    return 1.0 / g_sym - 1.0
 
 
 def _tau_norm(lattice: WaveLattice, u_half: np.ndarray,
@@ -728,18 +704,23 @@ def write_outputs(output: ExperimentOutput, out_dir) -> dict:
 
 
 def read_outputs(out_dir) -> ExperimentOutput:
-    """Reconstruct series (not fields) from an experiment directory."""
+    """Reconstruct series (not fields) from an experiment directory.
+
+    Raises SnapshotFormatError when the `# config=` stamp of dns.csv or
+    series.csv is not the hash of the directory's config.json.
+    """
     out = Path(out_dir)
     cfg = SimConfig.from_json((out / "config.json").read_text())
     lattice = WaveLattice(cfg.n, cfg.L)
+    token = config_hash(cfg)
 
-    header, rows = admio.read_csv(out / "dns.csv")
+    header, rows = admio.read_csv(out / "dns.csv", token)
     cols = {name: np.array([row[i] for row in rows], dtype=float)
             for i, name in enumerate(header)}
     dns = DnsSeries(times=cols["t"], u_l2=cols["u_l2"], u_h1=cols["u_h1"],
                     energy=cols["energy"])
 
-    header, rows = admio.read_csv(out / "series.csv")
+    header, rows = admio.read_csv(out / "series.csv", token)
     idx = {name: i for i, name in enumerate(header)}
     runs = []
     for N in cfg.N_list:

@@ -380,12 +380,17 @@ def divergence_ratio(f: SpectralField) -> float:
     Zero field returns 0.  This is the quantity bounded by the
     divergence-free invariant and by the solver drift check.
     """
-    k1, k2, k3 = f.lattice.wavevectors
-    c = f.coeffs
-    div = np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2])
-    scale = np.sqrt(f.lattice.k_squared) * np.max(np.abs(c), axis=0)
-    top = float(np.max(div))
-    bottom = float(np.max(scale))
+    lat = f.lattice
+    return _div_ratio(f.coeffs, lat.wavevectors, np.sqrt(lat.k_squared))
+
+
+def _div_ratio(c: np.ndarray, k, kmag: np.ndarray) -> float:
+    """max |k.c| / max |k| |c| of raw coefficients; 0 for a zero field.
+
+    k and kmag = |k| belong to the mode layout of c.
+    """
+    top = float(np.max(np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2])))
+    bottom = float(np.max(kmag * np.max(np.abs(c), axis=0)))
     if bottom == 0.0:
         return 0.0
     return top / bottom

@@ -283,6 +283,24 @@ def test_rates_rejects_mismatched_outputs(runner, tmp_path):
     assert "different config" in result.output
 
 
+@pytest.mark.parametrize("name", ["dns.csv", "series.csv"])
+def test_rates_rejects_stale_csv_stamp(runner, tmp_path, name):
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, n=16, T=0.05, dt=0.005, N_list=(0, 1, 2, 4))
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                "--out", str(out),
+                                "--deterministic"]).exit_code == 0
+    path = out / name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = "# config=" + "0" * 64 + "\n"
+    path.write_text("".join(lines))
+    result = runner.invoke(main, ["rates", "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    assert f"{name}: stamped config" in result.output
+
+
 # ---------------------------------------------------------------------------
 # gaussian-approx
 # ---------------------------------------------------------------------------

@@ -19,10 +19,22 @@ from admles.diagnostics import (
     half_norm_defect,
     residual_stress_norm,
 )
-from admles.filters import Gaussian, GaussianApprox, Helmholtz, HelmholtzPower
-from admles.solvers import SimConfig, run_experiment
+from admles.filters import (
+    Gaussian,
+    GaussianApprox,
+    Helmholtz,
+    HelmholtzPower,
+    apply_filter,
+)
+from admles.solvers import (
+    RandomSpectrumInit,
+    SimConfig,
+    initial_field,
+    run_experiment,
+)
 from admles.spectral import (
     WaveLattice,
+    divergence_ratio,
     random_solenoidal,
     sobolev_norm,
     taylor_green,
@@ -83,6 +95,27 @@ def test_residual_stress_decreases_with_order():
 # ---------------------------------------------------------------------------
 # defect half-norm and its bound
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,seed", [(1.0, 3), (1.5, 4)])
+def test_run_series_match_snapshot_diagnostics(p, seed):
+    # the per-sample series and the snapshot-level diagnostics share one
+    # defect weight, one residual-stress norm and one divergence ratio, so
+    # they agree to the last bit; on these inputs computing x as 1/G - 1
+    # instead of (alpha^2 k2)^p would move one half norm by an ulp
+    cfg = SimConfig(n=16, nu=0.05, spec=Helmholtz(alpha=0.3, p=p), T=0.02,
+                    dt=0.01, N_list=(1, 4, 8, 16), sample_every=2,
+                    init=RandomSpectrumInit(decay=1.0, seed=seed))
+    out = run_experiment(cfg, progress=False)
+    ubar0 = apply_filter(cfg.spec, initial_field(cfg, out.lattice))
+    for run in out.runs:
+        assert list(run.times) == [0.0, 0.02]
+        assert run.half_norm[-1] == half_norm_defect(out.u_final, cfg.spec,
+                                                     run.N)
+        assert run.tau_l2[-1] == residual_stress_norm(out.u_final, cfg.spec,
+                                                      run.N)
+        assert run.div_ratio_max == max(divergence_ratio(ubar0),
+                                        divergence_ratio(run.final_field))
 
 
 def test_half_norm_single_mode_value():

@@ -110,6 +110,17 @@ def test_config_defaults_and_hash_sensitivity():
     assert cfg.L == pytest.approx(2.0 * np.pi)
     other = SimConfig.from_dict({**minimal, "nu": 0.2})
     assert config_hash(other) != config_hash(cfg)
+    # integer-valued JSON numbers are coerced to the field types
+    for typed, loose in [
+        ({"filter": {"kind": "helmholtz", "alpha": 1.0}},
+         {"filter": {"kind": "helmholtz", "alpha": 1}}),
+        ({"filter": {"kind": "gaussian_approx", "alpha": 1.0, "m": 4}},
+         {"filter": {"kind": "gaussian_approx", "alpha": 1, "m": 4.0}}),
+        ({"init": {"kind": "random_spectrum", "decay": 2.0, "seed": 5}},
+         {"init": {"kind": "random_spectrum", "decay": 2, "seed": 5.0}}),
+    ]:
+        assert config_hash(SimConfig.from_dict({**minimal, **loose})) \
+            == config_hash(SimConfig.from_dict({**minimal, **typed}))
 
 
 def test_config_rejects_unknown_and_missing_keys():
