@@ -288,9 +288,11 @@ def _resolve_out(cfg: SimConfig, out) -> Path:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--deterministic", is_flag=True,
-              help="single-threaded, reproducible byte-for-byte.")
+              help="kept for compatibility; every run is reproducible "
+                   "byte-for-byte.")
 @click.option("--threads", type=int, default=None,
-              help="parallel model runs (ADM_THREADS as fallback).")
+              help="kept for compatibility (ADM_THREADS as fallback); the "
+                   "orders advance in lockstep in one thread.")
 def simulate(config_path, out, deterministic, threads) -> None:
     """Run the reference and model systems described by a JSON config."""
     cfg = _load_config(config_path)

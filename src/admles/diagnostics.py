@@ -29,7 +29,9 @@ from .filters import (
 from .solvers import (
     ExperimentOutput,
     energy_weight,
-    _tau_norm,
+    _half_weight,
+    _mode_sq,
+    _tau_norms,
     _weighted_norm,
 )
 from .spectral import (
@@ -38,6 +40,7 @@ from .spectral import (
     random_solenoidal,
     sobolev_norm,
     _half,
+    _Workspace,
 )
 
 __all__ = [
@@ -103,8 +106,9 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     ksq = lattice.k_squared
     rho = np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)) \
         * np.asarray(filter_symbol(spec, ksq))
-    u_half = _half(u.coeffs)
-    return _tau_norm(lattice, u_half, _half(rho) * u_half)
+    norms, _ = _tau_norms(lattice, _half(u.coeffs), [_half(rho)],
+                          _Workspace(lattice.n))
+    return norms[0]
 
 
 def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
@@ -119,8 +123,10 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
             f"defect half-norm requires a Helmholtz filter, got "
             f"{type(spec).__name__}"
         )
-    return _weighted_norm(u.coeffs,
-                          _defect_weight(spec, order, u.lattice.k_squared))
+    lattice = u.lattice
+    weight = _defect_weight(spec, order, lattice.k_squared)
+    return _weighted_norm(_half_weight(weight, lattice.n),
+                          _mode_sq(_half(u.coeffs)))
 
 
 def defect_bound(u_h1: float, alpha: float, p: float, order: int) -> float:

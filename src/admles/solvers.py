@@ -16,13 +16,18 @@ uses F(c) = P[-G div(Dc (x) Dc) + G f]: deconvolution before the product,
 filter after -- one code path parameterized by the two symbols, so identity
 symbols reduce the model step to the reference step exactly.  Pressure never
 appears; the Leray projection P plays its role.
+
+run_experiment advances the reference and every model order in lockstep in
+one thread: each step moves the reference and then each order, and all of
+them run their transforms in one shared workspace (numpy >= 2.0 writes
+FFT results into it through `out=`).  At a sample step each order is
+compared with the live reference state, so no reference sample is stored.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -59,6 +64,7 @@ from .spectral import (
     _leray,
     _rinverse,
     _sym_products,
+    _Workspace,
 )
 
 __all__ = [
@@ -150,7 +156,8 @@ class SimConfig:
             )
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        object.__setattr__(self, "N_list", tuple(int(N) for N in self.N_list))
+        object.__setattr__(self, "N_list",
+                           tuple(_as_int("N_list", N) for N in self.N_list))
         if any(N < 0 for N in self.N_list) or not self.N_list:
             raise ValueError(f"N_list must be nonempty, all >= 0: {self.N_list}")
         if len(set(self.N_list)) != len(self.N_list):
@@ -192,7 +199,7 @@ class SimConfig:
                 raise ValueError(f"config is missing required key '{key}'")
         forcing = data.get("forcing")
         return cls(
-            n=int(data["n"]),
+            n=_as_int("n", data["n"]),
             L=float(data.get("L", 2.0 * np.pi)),
             nu=float(data["nu"]),
             spec=_kind_from_dict(_FILTER_KINDS, "filter", data["filter"]),
@@ -205,7 +212,7 @@ class SimConfig:
                 SnapshotForcing(path=str(forcing["path"])) if forcing else None
             ),
             output_dir=data.get("output_dir"),
-            sample_every=int(data.get("sample_every", 1)),
+            sample_every=_as_int("sample_every", data.get("sample_every", 1)),
         )
 
     def to_json(self) -> str:
@@ -227,8 +234,18 @@ _INIT_KINDS = {
     "random_spectrum": RandomSpectrumInit,
     "snapshot": SnapshotInit,
 }
+
+
+def _as_int(key: str, value) -> int:
+    """int(value), refusing a non-integral number rather than truncating."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 # Field annotations are strings here (postponed evaluation of annotations).
-_COERCE = {"float": float, "int": int, "str": str}
+_COERCE = {"float": lambda key, v: float(v), "int": _as_int,
+           "str": lambda key, v: str(v)}
 
 
 def _kind_to_dict(kinds: dict, noun: str, spec) -> dict:
@@ -249,6 +266,7 @@ def _kind_from_dict(kinds: dict, noun: str, data: dict):
     cls = kinds[kind]
     return cls(**{
         f.name: _COERCE[f.type](
+            f.name,
             data[f.name] if f.default is MISSING
             else data.get(f.name, f.default))
         for f in fields(cls)
@@ -326,13 +344,17 @@ class _Stepper:
     pre/post are full-layout per-mode symbol arrays (or None for identity);
     forcing is a full-layout coefficient array already multiplied by post
     and projected.  All of them are sliced to the half spectrum once here.
+    The transforms of rhs run in `workspace`, which steppers advanced one
+    after another may share; by default the stepper has its own.
     """
 
     def __init__(self, lattice: WaveLattice, nu: float, dt: float,
-                 pre=None, post=None, forcing=None):
+                 pre=None, post=None, forcing=None,
+                 workspace: Optional[_Workspace] = None):
         self.lattice = lattice
         self.n = lattice.n
         self.dt = dt
+        self.ws = _Workspace(self.n) if workspace is None else workspace
         ksq = np.ascontiguousarray(_half(lattice.k_squared))
         self.E1 = np.exp(-nu * ksq * dt)
         self.Eh = np.exp(-nu * ksq * (0.5 * dt))
@@ -348,7 +370,8 @@ class _Stepper:
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         q = c if self.pre is None else self.pre * c
-        products = _sym_products(self.lattice, _rinverse(q, self.n))
+        grid = _rinverse(q, self.n, out=self.ws.grid)
+        products = _sym_products(self.lattice, grid, self.ws)
         out = _leray(_contract(products, self._k, _SYM_ROWS),
                      self._k, self._kov)
         out *= self._scale
@@ -367,7 +390,8 @@ def _half_or_none(a):
     return None if a is None else np.ascontiguousarray(_half(a))
 
 
-def _forcing_coeffs(cfg: SimConfig, lattice: WaveLattice, post=None):
+def _load_forcing(cfg: SimConfig, lattice: WaveLattice):
+    """Dealiased full-layout coefficients of the forcing snapshot, or None."""
     if cfg.forcing is None:
         return None
     f = admio.load_field(cfg.forcing.path)
@@ -377,11 +401,16 @@ def _forcing_coeffs(cfg: SimConfig, lattice: WaveLattice, post=None):
             f"{lattice}"
         )
     # The half-spectrum stepper would silently drop a non-Hermitian part;
-    # divergence is not required, the projection below removes it.
+    # divergence is not required, _project_forcing removes it.
     validate_field(f, require_divergence_free=False)
-    coeffs = f.coeffs * lattice.dealias_mask
-    if post is not None:
-        coeffs = coeffs * post
+    return f.coeffs * lattice.dealias_mask
+
+
+def _project_forcing(lattice: WaveLattice, coeffs, post=None):
+    """P post f of _load_forcing's coefficients; None stays None."""
+    if coeffs is None:
+        return None
+    coeffs = np.array(coeffs) if post is None else coeffs * post
     # Project once; the projection commutes with the per-mode symbols.
     return _leray(coeffs, lattice.wavevectors, _k_over_ksq(lattice))
 
@@ -413,7 +442,7 @@ def dns_step(state: SolverState, cfg: SimConfig) -> SolverState:
     lattice = state.field.lattice
     stepper = _Stepper(
         lattice, cfg.nu, cfg.dt,
-        forcing=_forcing_coeffs(cfg, lattice),
+        forcing=_project_forcing(lattice, _load_forcing(cfg, lattice)),
     )
     return _advance_state(state, stepper, cfg.dt)
 
@@ -430,7 +459,8 @@ def adm_step(state: SolverState, cfg: SimConfig, N: int) -> SolverState:
     pre = np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), ksq))
     stepper = _Stepper(
         lattice, cfg.nu, cfg.dt, pre=pre, post=post,
-        forcing=_forcing_coeffs(cfg, lattice, post=post),
+        forcing=_project_forcing(lattice, _load_forcing(cfg, lattice),
+                                 post=post),
     )
     return _advance_state(state, stepper, cfg.dt)
 
@@ -472,12 +502,16 @@ class RunSeries:
 
 @dataclass
 class ExperimentOutput:
+    """courant_max is the peak of dt max|u| / dx of the reference over the
+    samples (nan when read back from disk)."""
+
     config: SimConfig
     lattice: WaveLattice
     dns: DnsSeries
     runs: list
     u_final: Optional[SpectralField] = None
     ubar_final: Optional[SpectralField] = None
+    courant_max: float = float("nan")
 
 
 def _steps_of(cfg: SimConfig) -> int:
@@ -501,151 +535,182 @@ def _progress(tag: str, step: int, t: float, e: float) -> None:
     print(f"[{tag}] step={step} t={t:.6g} E={e:.6g}", file=sys.stderr)
 
 
-def _coeff_energy(c: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(c) ** 2))
+def _abs2(c: np.ndarray) -> np.ndarray:
+    """|c|^2 elementwise."""
+    return c.real ** 2 + c.imag ** 2
 
 
-def _weighted_norm(c: np.ndarray, weight: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(weight * np.abs(c) ** 2)))
+def _mode_sq(half: np.ndarray) -> np.ndarray:
+    """sum_i |c_i|^2 per mode of half-spectrum coefficients (3, ...)."""
+    return np.sum(_abs2(half), axis=0)
+
+
+def _half_weight(weight: np.ndarray, n: int) -> np.ndarray:
+    """A full-layout per-mode weight as a half-layout one: its m3 = 0..n/2
+    part times the Hermitian weights, so that half sums equal full ones."""
+    return _half(weight) * _hermitian_weights(n)
+
+
+def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> float:
+    """sqrt(sum weight sq): a mode-sum norm of squared moduli."""
+    return float(np.sqrt(np.sum(weight * sq)))
+
+
+def _energy(half: np.ndarray) -> float:
+    """Half the squared coefficient norm, mean mode included."""
+    n = half.shape[-2]
+    return 0.5 * float(np.sum(_hermitian_weights(n) * _mode_sq(half)))
+
+
+_SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
+           "half_norm", "w_l2")
 
 
 def run_experiment(cfg: SimConfig, threads: int = 1,
                    progress: bool = True) -> ExperimentOutput:
-    """Run the reference system once, then one model run per order.
+    """Run the reference system and one model run per order in lockstep.
 
-    The model runs start from the filtered initial state and reuse the
-    stored reference samples; everything downstream (error norms, residual
-    stress, defect series) is computed here so reports never need the full
-    fields again.  Deterministic for a fixed config.
+    One thread advances the reference and then every order by one step,
+    all through one transform workspace.  At each sample step every order
+    is compared with the live reference state, so no reference sample is
+    stored; everything downstream (error norms, residual stress, defect
+    series, divergence ratio, the peak Courant number) is computed here on
+    the half spectrum, so reports never need the full fields again.  The
+    model runs start from the filtered initial state.  CflError is raised
+    at the first sample where dt > 0.5 dx / max|u| for the reference.
+    `threads` is accepted for compatibility and changes nothing.
+    Deterministic for a fixed config.
     """
     lattice = WaveLattice(cfg.n, cfg.L)
+    n = cfg.n
     u0 = initial_field(cfg, lattice)
     check_cfl(cfg, u0)
     n_steps = _steps_of(cfg)
     samples = _sample_steps(n_steps, cfg.sample_every)
     times = np.array([s * cfg.dt for s in samples])
     report_every = max(1, n_steps // 8)
+    dx = cfg.L / n
 
     ksq = lattice.k_squared
     g_sym = np.asarray(filter_symbol(cfg.spec, ksq))
-    weight_hs, s_level = energy_weight(cfg.spec)
+    d_syms = [np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), ksq))
+              for N in cfg.N_list]
+    ws = _Workspace(n)
+    forcing = _load_forcing(cfg, lattice)
+    dns_stepper = _Stepper(lattice, cfg.nu, cfg.dt, workspace=ws,
+                           forcing=_project_forcing(lattice, forcing))
+    model_forcing = _project_forcing(lattice, forcing, post=g_sym)
+    steppers = [_Stepper(lattice, cfg.nu, cfg.dt, pre=d, post=g_sym,
+                         forcing=model_forcing, workspace=ws)
+                for d in d_syms]
+
+    # Half-layout weights of every per-sample norm.
+    _, s_level = energy_weight(cfg.spec)
     with np.errstate(divide="ignore"):
         w_s = np.where(ksq > 0.0, ksq ** s_level, 0.0)
         w_s1 = np.where(ksq > 0.0, ksq ** (s_level + 1.0), 0.0)
-    w_0 = np.where(ksq > 0.0, 1.0, 0.0)
+    w_0, w_1, w_s, w_s1 = (
+        _half_weight(w, n)
+        for w in (np.where(ksq > 0.0, 1.0, 0.0), ksq, w_s, w_s1))
+    is_helmholtz = isinstance(cfg.spec, Helmholtz)
+    if is_helmholtz:
+        half_weights = [_half_weight(_defect_weight(cfg.spec, N, ksq), n)
+                        for N in cfg.N_list]
+    g_half = np.ascontiguousarray(_half(g_sym))
+    rhos = [np.ascontiguousarray(_half(d * g_sym)) for d in d_syms]
+    k_half = tuple(_half(k) for k in lattice.wavevectors)
+    kmag_half = np.sqrt(_half(ksq))
 
-    # Reference run, storing coefficients at sample steps.
-    dns_stepper = _Stepper(lattice, cfg.nu, cfg.dt,
-                           forcing=_forcing_coeffs(cfg, lattice))
-    sample_set = set(samples)
-    u_samples = {0: np.array(u0.coeffs)}
-    c, t = np.array(_half(u0.coeffs)), 0.0
+    dns_cols = np.empty((3, len(samples)))
+    series = {name: np.full((len(cfg.N_list), len(samples)), np.nan)
+              for name in _SERIES}
+    div_max = [0.0] * len(cfg.N_list)
+    courant_max = 0.0
+
+    def record(idx: int, step: int, t: float, u: np.ndarray,
+               states: list) -> None:
+        nonlocal courant_max
+        u_sq = _mode_sq(u)
+        dns_cols[:, idx] = (_weighted_norm(w_0, u_sq),
+                            _weighted_norm(w_1, u_sq), _energy(u))
+        taus, u_grid = _tau_norms(lattice, u, rhos, ws)
+        peak = float(np.sqrt(np.max(np.sum(u_grid ** 2, axis=0))))
+        courant_max = max(courant_max, cfg.dt * peak / dx)
+        if peak > 0.0 and cfg.dt > 0.5 * dx / peak:
+            raise CflError(
+                f"at step {step} (t = {t:.6g}) dt = {cfg.dt:.6g} exceeds "
+                f"the CFL limit 0.5 dx / max|u| = {0.5 * dx / peak:.6g}"
+            )
+        ubar = g_half * u
+        for j, c in enumerate(states):
+            e_sq = _mode_sq(ubar - c)
+            series["eps_l2"][j, idx] = _weighted_norm(w_0, e_sq)
+            series["eps_hs"][j, idx] = _weighted_norm(w_s, e_sq)
+            series["eps_grad_l2"][j, idx] = _weighted_norm(w_1, e_sq)
+            series["eps_grad_hs"][j, idx] = _weighted_norm(w_s1, e_sq)
+            series["w_l2"][j, idx] = _weighted_norm(w_0, _mode_sq(c))
+            series["tau_l2"][j, idx] = taus[j]
+            if is_helmholtz:
+                series["half_norm"][j, idx] = _weighted_norm(
+                    half_weights[j], u_sq)
+            div_max[j] = max(div_max[j], _div_ratio(c, k_half, kmag_half))
+
+    u = np.array(_half(u0.coeffs))
+    # One initial array for every order: a step never writes into its input.
+    states = [np.array(_half(g_sym * u0.coeffs))] * len(steppers)
+    record(0, 0, 0.0, u, states)
+    cursor, t = 1, 0.0
     for step in range(1, n_steps + 1):
         t += cfg.dt
-        c = _step(dns_stepper, c, step, t)
-        if step in sample_set:
-            u_samples[step] = _hermitian_fill(c, cfg.n)
-        if progress and (step % report_every == 0 or step == n_steps):
-            _progress("dns", step, t,
-                      _coeff_energy(_hermitian_fill(c, cfg.n)))
-    u_final = SpectralField(lattice, u_samples[n_steps],
-                            divergence_free=True)
-    u_stack = [u_samples[s] for s in samples]
-    dns = DnsSeries(
-        times=times,
-        u_l2=np.array([_weighted_norm(c, w_0) for c in u_stack]),
-        u_h1=np.array([_weighted_norm(c, ksq) for c in u_stack]),
-        energy=np.array([_coeff_energy(c) for c in u_stack]),
-    )
-    is_helmholtz = isinstance(cfg.spec, Helmholtz)
-    kmag = np.sqrt(ksq)
-
-    def one_run(N: int) -> RunSeries:
-        d_sym = np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), ksq))
-        stepper = _Stepper(
-            lattice, cfg.nu, cfg.dt, pre=d_sym, post=g_sym,
-            forcing=_forcing_coeffs(cfg, lattice, post=g_sym),
-        )
-        rho_half = _half(d_sym * g_sym)
-        if is_helmholtz:
-            half_weight = _defect_weight(cfg.spec, N, ksq)
-
-        eps_l2 = np.empty(len(samples))
-        eps_hs = np.empty(len(samples))
-        eps_g0 = np.empty(len(samples))
-        eps_gs = np.empty(len(samples))
-        tau_l2 = np.empty(len(samples))
-        half = np.full(len(samples), np.nan)
-        w_l2 = np.empty(len(samples))
-        div_max = 0.0
-
-        def record(idx: int, c: np.ndarray) -> None:
-            nonlocal div_max
-            eps = g_sym * u_stack[idx] - c
-            eps_l2[idx] = _weighted_norm(eps, w_0)
-            eps_hs[idx] = _weighted_norm(eps, w_s)
-            eps_g0[idx] = _weighted_norm(eps, ksq)
-            eps_gs[idx] = _weighted_norm(eps, w_s1)
-            w_l2[idx] = _weighted_norm(c, w_0)
-            u_half = _half(u_stack[idx])
-            tau_l2[idx] = _tau_norm(lattice, u_half, rho_half * u_half)
-            if is_helmholtz:
-                half[idx] = _weighted_norm(u_stack[idx], half_weight)
-            div_max = max(div_max,
-                          _div_ratio(c, lattice.wavevectors, kmag))
-
-        c = np.array(g_sym * u0.coeffs)
-        cursor = 0
-        if samples[cursor] == 0:
-            record(0, c)
+        u = _step(dns_stepper, u, step, t)
+        states = [_step(s, c, step, t) for s, c in zip(steppers, states)]
+        if samples[cursor] == step:
+            record(cursor, step, t, u, states)
             cursor += 1
-        c, t = np.array(_half(c)), 0.0
-        for step in range(1, n_steps + 1):
-            t += cfg.dt
-            c = _step(stepper, c, step, t)
-            if cursor < len(samples) and samples[cursor] == step:
-                record(cursor, _hermitian_fill(c, cfg.n))
-                cursor += 1
-            if progress and threads == 1 and (
-                    step % report_every == 0 or step == n_steps):
-                _progress(f"adm N={N}", step, t,
-                          _coeff_energy(_hermitian_fill(c, cfg.n)))
-        return RunSeries(
-            N=N, times=times, eps_l2=eps_l2, eps_hs=eps_hs,
-            eps_grad_l2=eps_g0, eps_grad_hs=eps_gs, tau_l2=tau_l2,
-            half_norm=half, w_l2=w_l2, div_ratio_max=div_max,
-            final_field=SpectralField(lattice, _hermitian_fill(c, cfg.n),
-                                      divergence_free=True),
-        )
+        if progress and (step % report_every == 0 or step == n_steps):
+            _progress("dns", step, t, _energy(u))
+            for N, c in zip(cfg.N_list, states):
+                _progress(f"adm N={N}", step, t, _energy(c))
 
-    if threads > 1 and len(cfg.N_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one_run, cfg.N_list))
-    else:
-        runs = [one_run(N) for N in cfg.N_list]
-
+    dns = DnsSeries(times=times, u_l2=dns_cols[0], u_h1=dns_cols[1],
+                    energy=dns_cols[2])
+    runs = [
+        RunSeries(N=N, times=times,
+                  **{name: series[name][j] for name in _SERIES},
+                  div_ratio_max=div_max[j],
+                  final_field=SpectralField(lattice, _hermitian_fill(c, n),
+                                            divergence_free=True))
+        for j, (N, c) in enumerate(zip(cfg.N_list, states))
+    ]
+    u_final = SpectralField(lattice, _hermitian_fill(u, n),
+                            divergence_free=True)
     ubar_final = SpectralField(lattice, g_sym * u_final.coeffs,
                                divergence_free=True)
     return ExperimentOutput(
         config=cfg, lattice=lattice, dns=dns, runs=runs,
-        u_final=u_final, ubar_final=ubar_final,
+        u_final=u_final, ubar_final=ubar_final, courant_max=courant_max,
     )
 
 
-def _tau_norm(lattice: WaveLattice, u_half: np.ndarray,
-              d_half: np.ndarray) -> float:
-    """Frobenius coefficient norm of u(x)u - Du(x)Du, dealiased, mean kept.
+def _tau_norms(lattice: WaveLattice, u_half: np.ndarray, rhos: list,
+               ws: _Workspace) -> tuple[list, np.ndarray]:
+    """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
+    for each Du = rho u with rho in rhos; and the collocation samples of u.
 
-    u_half and d_half are the half-spectrum coefficients of u and Du; both
-    go to the grid in one inverse transform.  The tensor is symmetric, so
-    its 6 distinct components are formed and transformed once; the mode
+    u_half and the rho are half-spectrum arrays.  u goes to the grid once
+    for all rho, each Du into the workspace grid.  The tensor is symmetric,
+    so its 6 distinct components are formed and transformed once; the mode
     sum uses the Hermitian and off-diagonal weights of the half layout.
     """
-    u_grid, d_grid = _rinverse(np.stack([u_half, d_half]), lattice.n)
-    prod = _sym_products(lattice, u_grid, minus=d_grid)
-    weight = _SYM_WEIGHTS[:, None, None, None] \
-        * _hermitian_weights(lattice.n)
-    return float(np.sqrt(np.sum(weight * np.abs(prod) ** 2)))
+    n = lattice.n
+    u_grid = _rinverse(u_half, n)
+    weight = _SYM_WEIGHTS[:, None, None, None] * _hermitian_weights(n)
+    norms = []
+    for rho in rhos:
+        d_grid = _rinverse(rho * u_half, n, out=ws.grid)
+        products = _sym_products(lattice, u_grid, ws, minus=d_grid)
+        norms.append(_weighted_norm(weight, _abs2(products)))
+    return norms, u_grid
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ the full spectrum equals the half-spectrum sum with weight 1 on the m3 = 0
 and m3 = n/2 planes and weight 2 on the planes between.  The products of a
 field with itself form a symmetric tensor, so only the 6 components
 g_i g_j with i <= j are transformed; in a Frobenius sum the 3 off-diagonal
-ones count twice.
+ones count twice.  Those transforms write into the preallocated buffers of
+a _Workspace through the `out=` argument of numpy.fft (numpy >= 2.0), which
+gives the same values as the allocating calls.
 """
 
 from __future__ import annotations
@@ -172,15 +174,22 @@ def _half(a: np.ndarray) -> np.ndarray:
     return a[..., : a.shape[-1] // 2 + 1]
 
 
-def _rforward(samples: np.ndarray) -> np.ndarray:
-    """Half-spectrum series coefficients of real samples (..., n, n, n)."""
-    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
+def _rforward(samples: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """Half-spectrum series coefficients of real samples (..., n, n, n).
+
+    With `out` every axis pass runs in that buffer, which is returned; the
+    values are the same as those of the allocating call.
+    """
+    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward", out=out)
 
 
-def _rinverse(half: np.ndarray, n: int) -> np.ndarray:
-    """Real samples of Hermitian-filled half-spectrum coefficients."""
+def _rinverse(half: np.ndarray, n: int, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """Real samples of Hermitian-filled half-spectrum coefficients, written
+    into `out` when it is given."""
     return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1),
-                         norm="forward")
+                         norm="forward", out=out)
 
 
 def _hermitian_fill(half: np.ndarray, n: int) -> np.ndarray:
@@ -211,20 +220,36 @@ _SYM_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 _SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
 
 
-def _sym_products(lattice: WaveLattice, grid: np.ndarray,
+class _Workspace:
+    """Transform buffers reused by every product evaluation on one lattice:
+    a velocity grid (3, n, n, n), the 6 products (6, n, n, n) and their
+    half spectrum (6, n, n, n/2+1).
+
+    The buffers are overwritten by each use, so a workspace serves callers
+    that run one after another in one thread.
+    """
+
+    def __init__(self, n: int):
+        self.grid = np.empty((3, n, n, n))
+        self.prod = np.empty((6, n, n, n))
+        self.spec = np.empty((6, n, n, n // 2 + 1), dtype=np.complex128)
+
+
+def _sym_products(lattice: WaveLattice, grid: np.ndarray, ws: _Workspace,
                   minus: np.ndarray | None = None) -> np.ndarray:
     """Dealiased half-spectrum coefficients of the 6 products g_i g_j.
 
     grid holds collocation samples (3, n, n, n); with `minus` the products
     minus_i minus_j are subtracted on the grid before the one transform.
-    Returns shape (6, n, n, n/2+1) in _SYM_PAIRS order, 2/3-rule masked.
+    Returns ws.spec, shape (6, n, n, n/2+1) in _SYM_PAIRS order, 2/3-rule
+    masked; it is valid until the workspace is used again.
     """
-    prod = np.empty((6,) + grid.shape[1:])
+    prod = ws.prod
     for p, (i, j) in enumerate(_SYM_PAIRS):
         np.multiply(grid[i], grid[j], out=prod[p])
         if minus is not None:
             prod[p] -= minus[i] * minus[j]
-    out = _rforward(prod)
+    out = _rforward(prod, out=ws.spec)
     out *= _half(lattice.dealias_mask)
     return out
 

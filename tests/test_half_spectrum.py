@@ -20,6 +20,8 @@ from admles.spectral import (
     random_solenoidal,
     _half,
     _hermitian_fill,
+    _rforward,
+    _rinverse,
 )
 
 H = Helmholtz(alpha=0.5, p=1.0)
@@ -39,6 +41,21 @@ def test_hermitian_fill_restores_full_layout():
         assert back.shape == c.shape
         assert float(np.max(np.abs(back - c))) <= 1e-15 * float(
             np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_transform_buffers_match_allocating_calls(n):
+    lat = WaveLattice(n)
+    half = np.array(_half(random_solenoidal(lat, decay=0.5, seed=n,
+                                            truncate=False).coeffs))
+    grid = np.empty((3, n, n, n))
+    got = _rinverse(half, n, out=grid)
+    assert got is grid
+    assert np.array_equal(got, _rinverse(half, n))
+    spec = np.empty_like(half)
+    back = _rforward(grid * grid[::-1], out=spec)
+    assert back is spec
+    assert np.array_equal(back, _rforward(grid * grid[::-1]))
 
 
 @pytest.mark.parametrize("n", [6, 8, 16])

@@ -5,6 +5,8 @@ SSP-RK3 update with its own FFTs and masks; agreement there pins the whole
 pipeline (transform conventions, dealiasing, projection, symbol placement).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,7 @@ from admles.spectral import (
     random_solenoidal,
     sobolev_norm,
     taylor_green,
+    to_physical,
     zero_field,
 )
 from test_spectral import single_mode
@@ -121,6 +124,22 @@ def test_config_defaults_and_hash_sensitivity():
     ]:
         assert config_hash(SimConfig.from_dict({**minimal, **loose})) \
             == config_hash(SimConfig.from_dict({**minimal, **typed}))
+
+
+@pytest.mark.parametrize("key,patch", [
+    ("m", {"filter": {"kind": "gaussian_approx", "alpha": 1.0, "m": 4.5}}),
+    ("seed", {"init": {"kind": "random_spectrum", "decay": 2.0,
+                       "seed": 2.9}}),
+    ("N_list", {"N_list": [0, 1.7]}),
+    ("n", {"n": 16.5}),
+    ("sample_every", {"sample_every": 2.5}),
+])
+def test_config_rejects_non_integral_numbers(key, patch):
+    # int() would truncate these to a different, plausible experiment
+    minimal = {"n": 16, "nu": 0.1, "T": 0.1, "dt": 0.05,
+               "filter": {"kind": "helmholtz", "alpha": 1.0}}
+    with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+        SimConfig.from_dict({**minimal, **patch})
 
 
 def test_config_rejects_unknown_and_missing_keys():
@@ -336,6 +355,95 @@ def test_forcing_enters_dynamics(tmp_path):
 # ---------------------------------------------------------------------------
 # experiment driver
 # ---------------------------------------------------------------------------
+
+
+def _forcing_file(tmp_path, lat, peak_speed):
+    """A forcing snapshot whose collocation peak speed is peak_speed."""
+    f = random_solenoidal(lat, decay=1.0, seed=9)
+    peak = float(np.max(np.sqrt(np.sum(to_physical(f).samples ** 2,
+                                       axis=0))))
+    path = tmp_path / "force.admf"
+    admio.save_field(SpectralField(lat, f.coeffs * (peak_speed / peak)),
+                     path)
+    return str(path)
+
+
+def test_forcing_snapshot_loaded_once_per_experiment(tmp_path, monkeypatch):
+    path = _forcing_file(tmp_path, WaveLattice(8), 1.0)
+    loads = []
+    real = admio.load_field
+
+    def counting(p):
+        loads.append(p)
+        return real(p)
+
+    monkeypatch.setattr("admles.solvers.admio.load_field", counting)
+    cfg = small_cfg(n=8, forcing=SnapshotForcing(path=path),
+                    N_list=(0, 1, 4))
+    run_experiment(cfg, progress=False)
+    assert len(loads) == 1
+
+
+def test_courant_checked_at_every_sample(tmp_path):
+    lat = WaveLattice(8)
+    path = _forcing_file(tmp_path, lat, 400.0)
+    # Taylor-Green at amplitude 1 starts far under the limit (check_cfl
+    # passes); the forcing then accelerates the flow past it
+    cfg = small_cfg(n=8, forcing=SnapshotForcing(path=path), N_list=(0,),
+                    T=0.2, dt=0.01)
+    check_cfl(cfg, initial_field(cfg, lat))
+    with pytest.raises(CflError, match=r"at step \d+ .* CFL limit"):
+        run_experiment(cfg, progress=False)
+
+    short = small_cfg(n=8, forcing=SnapshotForcing(path=path), N_list=(0,),
+                      T=0.04, dt=0.01)
+    out = run_experiment(short, progress=False)
+    assert 0.0 < out.courant_max <= 0.5
+
+
+def test_courant_max_is_peak_over_samples():
+    # unforced Taylor-Green decays, so its peak speed is the initial one
+    cfg = small_cfg(T=0.05, dt=0.01, N_list=(0,))
+    lat = WaveLattice(cfg.n)
+    u0 = initial_field(cfg, lat)
+    speed = np.sqrt(np.sum(to_physical(u0).samples ** 2, axis=0))
+    want = cfg.dt * float(np.max(speed)) / (cfg.L / cfg.n)
+    out = run_experiment(cfg, progress=False)
+    assert out.courant_max == pytest.approx(want, rel=1e-12)
+
+
+def test_recording_does_not_perturb_lockstep_state():
+    # every sample against only the last one: the fields and the final
+    # sample must agree bit for bit
+    base = small_cfg(T=0.05, dt=0.01, N_list=(0, 2, 4),
+                     init=RandomSpectrumInit(decay=1.5, seed=6))
+    every = run_experiment(base, progress=False)
+    ends = run_experiment(dataclasses.replace(base, sample_every=5),
+                          progress=False)
+    assert len(every.dns.times) == 6 and len(ends.dns.times) == 2
+    assert np.array_equal(every.u_final.coeffs, ends.u_final.coeffs)
+    for name in ("u_l2", "u_h1", "energy"):
+        assert getattr(every.dns, name)[-1] == getattr(ends.dns, name)[-1]
+    for re, rn in zip(every.runs, ends.runs):
+        assert np.array_equal(re.final_field.coeffs, rn.final_field.coeffs)
+        for name in ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs",
+                     "tau_l2", "half_norm", "w_l2"):
+            assert getattr(re, name)[-1] == getattr(rn, name)[-1], name
+
+
+def test_experiment_peak_memory_stays_small():
+    # no per-sample store of reference fields: the traced peak stays far
+    # below the 101 full 16^3 samples (about 20 MB) of a stored reference
+    import tracemalloc
+
+    cfg = small_cfg(T=0.5, dt=0.005, N_list=(0, 4), sample_every=1)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, progress=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_single_step_horizon_has_two_samples():
