@@ -56,7 +56,7 @@ def _emit_csv(csv_path, token: str, header, rows) -> None:
     if csv_path is None:
         click.echo(text, nl=False)
     else:
-        Path(csv_path).write_text(text)
+        admio.write_atomic(csv_path, text)
 
 
 def _resolve_threads(threads, deterministic: bool = False) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -30,6 +31,7 @@ _HEADER = struct.Struct("<4sIIdB")
 __all__ = [
     "save_field",
     "load_field",
+    "write_atomic",
     "sha256_token",
     "csv_text",
     "write_csv",
@@ -44,11 +46,32 @@ class SnapshotFormatError(ValueError):
     """Raised when a snapshot file does not parse as ADMF version 1."""
 
 
+def write_atomic(path, data: str | bytes) -> None:
+    """Write data (str as UTF-8) to path through a temporary file in the
+    same directory and os.replace.
+
+    A reader sees the previous file or the complete new one, never a
+    partial one; if the write fails, the previous file is left as it was
+    and the temporary file is removed.  There is no fsync, so this guards
+    against a failing or interrupted writer, not against power loss.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_field(f: SpectralField, path) -> None:
     flags = 1 if f.divergence_free else 0
     header = _HEADER.pack(MAGIC, VERSION, f.lattice.n, f.lattice.L, flags)
     payload = np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def load_field(path) -> SpectralField:
@@ -105,7 +128,7 @@ def csv_text(config_token: str, header, rows) -> str:
 
 
 def write_csv(path, config_token: str, header, rows) -> None:
-    Path(path).write_text(csv_text(config_token, header, rows))
+    write_atomic(path, csv_text(config_token, header, rows))
 
 
 def read_csv(path, config_token: str | None = None) -> tuple:

@@ -17,6 +17,14 @@ filter after -- one code path parameterized by the two symbols, so identity
 symbols reduce the model step to the reference step exactly.  Pressure never
 appears; the Leray projection P plays its role.
 
+Every state lives on the 2/3-rule keep set (spectral._kept): it is zero
+outside it from the truncated initial field on, because the products are
+dealiased and every other operator is per-mode.  The stepper therefore
+stores, combines, projects and filters only the keep-set modes, about 30%
+of the half spectrum, and goes to the grid and back through the pruned
+transform pair spectral._kinverse / _kforward, which gives the values of
+the full pair bit for bit.
+
 run_experiment advances the reference and every model order in lockstep in
 one thread: each step moves the reference and then each order, and all of
 them run their transforms in one shared workspace (numpy >= 2.0 writes
@@ -61,9 +69,12 @@ from .spectral import (
     _hermitian_fill,
     _hermitian_weights,
     _k_over_ksq,
+    _kept,
+    _kinverse,
     _leray,
     _rinverse,
     _sym_products,
+    _unkept,
     _Workspace,
 )
 
@@ -338,12 +349,12 @@ def check_cfl(cfg: SimConfig, u0: SpectralField) -> None:
 
 
 class _Stepper:
-    """Shared integrating-factor SSP-RK3 stepper over raw half-spectrum
-    coefficients of shape (3, n, n, n/2+1).
+    """Shared integrating-factor SSP-RK3 stepper over raw keep-set
+    coefficients of shape (3, 2M+1, 2M+1, M+1), M = n//3 (spectral._kept).
 
     pre/post are full-layout per-mode symbol arrays (or None for identity);
     forcing is a full-layout coefficient array already multiplied by post
-    and projected.  All of them are sliced to the half spectrum once here.
+    and projected.  All of them are gathered onto the keep set once here.
     The transforms of rhs run in `workspace`, which steppers advanced one
     after another may share; by default the stepper has its own.
     """
@@ -351,27 +362,26 @@ class _Stepper:
     def __init__(self, lattice: WaveLattice, nu: float, dt: float,
                  pre=None, post=None, forcing=None,
                  workspace: Optional[_Workspace] = None):
-        self.lattice = lattice
-        self.n = lattice.n
+        n = self.n = lattice.n
         self.dt = dt
-        self.ws = _Workspace(self.n) if workspace is None else workspace
-        ksq = np.ascontiguousarray(_half(lattice.k_squared))
+        self.ws = _Workspace(n) if workspace is None else workspace
+        ksq = _kept(lattice.k_squared, n)
         self.E1 = np.exp(-nu * ksq * dt)
         self.Eh = np.exp(-nu * ksq * (0.5 * dt))
         self.Ehi = np.exp(nu * ksq * (0.5 * dt))
-        self.pre = _half_or_none(pre)
-        self.forcing = _half_or_none(forcing)
-        self._k = tuple(_half(k) for k in lattice.wavevectors)
-        self._kov = tuple(_half(k) for k in _k_over_ksq(lattice))
+        self.pre = _kept_or_none(pre, n)
+        self.forcing = _kept_or_none(forcing, n)
+        self._k = tuple(_kept(k, n) for k in lattice.wavevectors)
+        self._kov = tuple(_kept(k, n) for k in _k_over_ksq(lattice))
         # -i post: the divergence's factor i, the sign of the transport
         # term and the filter, applied after the projection they commute
         # with.
-        self._scale = -1j if post is None else -1j * _half_or_none(post)
+        self._scale = -1j if post is None else -1j * _kept(post, n)
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         q = c if self.pre is None else self.pre * c
-        grid = _rinverse(q, self.n, out=self.ws.grid)
-        products = _sym_products(self.lattice, grid, self.ws)
+        grid = _kinverse(q, self.ws)
+        products = _sym_products(grid, self.ws)
         out = _leray(_contract(products, self._k, _SYM_ROWS),
                      self._k, self._kov)
         out *= self._scale
@@ -386,8 +396,8 @@ class _Stepper:
         return (self.E1 * c + 2.0 * self.Eh * (q2 + dt * self.rhs(q2))) / 3.0
 
 
-def _half_or_none(a):
-    return None if a is None else np.ascontiguousarray(_half(a))
+def _kept_or_none(a, n: int):
+    return None if a is None else _kept(a, n)
 
 
 def _load_forcing(cfg: SimConfig, lattice: WaveLattice):
@@ -417,7 +427,7 @@ def _project_forcing(lattice: WaveLattice, coeffs, post=None):
 
 def _step(stepper: _Stepper, c: np.ndarray, step_index: int,
           t: float) -> np.ndarray:
-    """Advance half-spectrum coefficients to step `step_index` at time t."""
+    """Advance keep-set coefficients to step `step_index` at time t."""
     c = stepper.advance(c)
     if not np.all(np.isfinite(c)):
         raise BlowUpError(step_index, t)
@@ -426,11 +436,12 @@ def _step(stepper: _Stepper, c: np.ndarray, step_index: int,
 
 def _advance_state(state: SolverState, stepper: _Stepper,
                    dt: float) -> SolverState:
-    c = _step(stepper, _half(state.field.coeffs), state.step_index + 1,
+    n = stepper.n
+    c = _step(stepper, _kept(state.field.coeffs, n), state.step_index + 1,
               state.t + dt)
     return SolverState(
         field=SpectralField(state.field.lattice,
-                            _hermitian_fill(c, stepper.n),
+                            _hermitian_fill(_unkept(c, n), n),
                             divergence_free=True),
         t=state.t + dt,
         step_index=state.step_index + 1,
@@ -438,7 +449,12 @@ def _advance_state(state: SolverState, stepper: _Stepper,
 
 
 def dns_step(state: SolverState, cfg: SimConfig) -> SolverState:
-    """One reference Navier-Stokes step."""
+    """One reference Navier-Stokes step.
+
+    The state is first projected onto the 2/3-rule keep set, the Galerkin
+    contract that initial_field enforces: modes outside it are dropped,
+    so an untruncated field steps exactly like truncate_field of it.
+    """
     lattice = state.field.lattice
     stepper = _Stepper(
         lattice, cfg.nu, cfg.dt,
@@ -451,7 +467,8 @@ def adm_step(state: SolverState, cfg: SimConfig, N: int) -> SolverState:
     """One approximate-deconvolution model step of order N.
 
     N = 0 is the simplified closure with the deconvolution equal to the
-    identity: the filtered product of the unmodified state.
+    identity: the filtered product of the unmodified state.  Like dns_step,
+    it projects the state onto the 2/3-rule keep set first.
     """
     lattice = state.field.lattice
     ksq = lattice.k_squared
@@ -571,20 +588,21 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     """Run the reference system and one model run per order in lockstep.
 
     One thread advances the reference and then every order by one step,
-    all through one transform workspace.  At each sample step every order
-    is compared with the live reference state, so no reference sample is
-    stored; everything downstream (error norms, residual stress, defect
-    series, divergence ratio, the peak Courant number) is computed here on
-    the half spectrum, so reports never need the full fields again.  The
-    model runs start from the filtered initial state.  CflError is raised
-    at the first sample where dt > 0.5 dx / max|u| for the reference.
+    all through one transform workspace, with every state stored on the
+    keep set.  At each sample step every state is scattered to the half
+    spectrum once and every order is compared with the live reference
+    state, so no reference sample is stored; everything downstream (error
+    norms, residual stress, defect series, divergence ratio, the peak
+    Courant number) is computed here on the half spectrum, so reports never
+    need the full fields again.  The model runs start from the filtered
+    initial state.  CflError is raised at the first sample, step 0
+    included, where dt > 0.5 dx / max|u| for the reference.
     `threads` is accepted for compatibility and changes nothing.
     Deterministic for a fixed config.
     """
     lattice = WaveLattice(cfg.n, cfg.L)
     n = cfg.n
     u0 = initial_field(cfg, lattice)
-    check_cfl(cfg, u0)
     n_steps = _steps_of(cfg)
     samples = _sample_steps(n_steps, cfg.sample_every)
     times = np.array([s * cfg.dt for s in samples])
@@ -655,21 +673,27 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
                     half_weights[j], u_sq)
             div_max[j] = max(div_max[j], _div_ratio(c, k_half, kmag_half))
 
-    u = np.array(_half(u0.coeffs))
+    u = _kept(u0.coeffs, n)
     # One initial array for every order: a step never writes into its input.
-    states = [np.array(_half(g_sym * u0.coeffs))] * len(steppers)
-    record(0, 0, 0.0, u, states)
+    states = [_kept(g_sym * u0.coeffs, n)] * len(steppers)
+    record(0, 0, 0.0, _unkept(u, n), [_unkept(states[0], n)] * len(states))
     cursor, t = 1, 0.0
     for step in range(1, n_steps + 1):
         t += cfg.dt
         u = _step(dns_stepper, u, step, t)
         states = [_step(s, c, step, t) for s, c in zip(steppers, states)]
-        if samples[cursor] == step:
-            record(cursor, step, t, u, states)
+        sample = samples[cursor] == step
+        report = progress and (step % report_every == 0 or step == n_steps)
+        if not (sample or report):
+            continue
+        u_half = _unkept(u, n)
+        halves = [_unkept(c, n) for c in states]
+        if sample:
+            record(cursor, step, t, u_half, halves)
             cursor += 1
-        if progress and (step % report_every == 0 or step == n_steps):
-            _progress("dns", step, t, _energy(u))
-            for N, c in zip(cfg.N_list, states):
+        if report:
+            _progress("dns", step, t, _energy(u_half))
+            for N, c in zip(cfg.N_list, halves):
                 _progress(f"adm N={N}", step, t, _energy(c))
 
     dns = DnsSeries(times=times, u_l2=dns_cols[0], u_h1=dns_cols[1],
@@ -678,11 +702,12 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         RunSeries(N=N, times=times,
                   **{name: series[name][j] for name in _SERIES},
                   div_ratio_max=div_max[j],
-                  final_field=SpectralField(lattice, _hermitian_fill(c, n),
-                                            divergence_free=True))
+                  final_field=SpectralField(
+                      lattice, _hermitian_fill(_unkept(c, n), n),
+                      divergence_free=True))
         for j, (N, c) in enumerate(zip(cfg.N_list, states))
     ]
-    u_final = SpectralField(lattice, _hermitian_fill(u, n),
+    u_final = SpectralField(lattice, _hermitian_fill(_unkept(u, n), n),
                             divergence_free=True)
     ubar_final = SpectralField(lattice, g_sym * u_final.coeffs,
                                divergence_free=True)
@@ -697,18 +722,22 @@ def _tau_norms(lattice: WaveLattice, u_half: np.ndarray, rhos: list,
     """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
     for each Du = rho u with rho in rhos; and the collocation samples of u.
 
-    u_half and the rho are half-spectrum arrays.  u goes to the grid once
-    for all rho, each Du into the workspace grid.  The tensor is symmetric,
-    so its 6 distinct components are formed and transformed once; the mode
-    sum uses the Hermitian and off-diagonal weights of the half layout.
+    u_half and the rho are half-spectrum arrays, not necessarily zero
+    outside the keep set, so they go to the grid through the full
+    _rinverse: u once for all rho, each Du into the workspace grid.  The
+    tensor is symmetric, so its 6 distinct components are formed and
+    transformed once; the mode sum over the keep set uses the off-diagonal
+    weights and the Hermitian ones, which are 1 on m3 = 0 and 2 on
+    m3 = 1..M there.
     """
     n = lattice.n
     u_grid = _rinverse(u_half, n)
-    weight = _SYM_WEIGHTS[:, None, None, None] * _hermitian_weights(n)
+    weight = (_SYM_WEIGHTS[:, None, None, None]
+              * _hermitian_weights(n)[: n // 3 + 1])
     norms = []
     for rho in rhos:
         d_grid = _rinverse(rho * u_half, n, out=ws.grid)
-        products = _sym_products(lattice, u_grid, ws, minus=d_grid)
+        products = _sym_products(u_grid, ws, minus=d_grid)
         norms.append(_weighted_norm(weight, _abs2(products)))
     return norms, u_grid
 
@@ -724,7 +753,7 @@ def write_outputs(output: ExperimentOutput, out_dir) -> dict:
     cfg = output.config
     token = config_hash(cfg)
 
-    (out / "config.json").write_text(cfg.to_json() + "\n")
+    admio.write_atomic(out / "config.json", cfg.to_json() + "\n")
 
     dns_path = out / "dns.csv"
     admio.write_csv(

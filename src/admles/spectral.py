@@ -29,6 +29,18 @@ g_i g_j with i <= j are transformed; in a Frobenius sum the 3 off-diagonal
 ones count twice.  Those transforms write into the preallocated buffers of
 a _Workspace through the `out=` argument of numpy.fft (numpy >= 2.0), which
 gives the same values as the allocating calls.
+
+The time stepper goes one step further and keeps its state on the 2/3-rule
+keep set alone: with M = n//3 the compact layout (..., 2M+1, 2M+1, M+1)
+holds the modes m1, m2 in 0..M, -M..-1 (full-axis indices 0..M, n-M..n-1)
+and m3 in 0..M, about 30% of the half spectrum.  Since M < n/2 its
+Hermitian weights are 1 on m3 = 0 and 2 on m3 = 1..M.  _kept gathers a
+full- or half-layout array onto it and _unkept scatters it back to a
+half-layout array that is zero elsewhere.  The stepper's transform pair,
+_kinverse and _kforward, runs numpy's 1-D passes in the axis order of
+irfftn and rfftn but skips the lines that are zero on the way in or not
+kept on the way out, so it gives the same values bit for bit as the full
+pair on keep-set data (and, forward, on the kept modes of any grid).
 """
 
 from __future__ import annotations
@@ -220,38 +232,130 @@ _SYM_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 _SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
 
 
+def _kept_rows(n: int) -> np.ndarray:
+    """Full-axis indices of the keep-set modes 0..M, -M..-1 (M = n//3)."""
+    m = n // 3
+    return np.r_[0: m + 1, n - m: n]
+
+
+def _kept(a: np.ndarray, n: int) -> np.ndarray:
+    """Keep-set part (..., 2M+1, 2M+1, M+1) of a full- or half-layout
+    array, as a contiguous copy.
+
+    Axes of length 1 of a broadcastable symbol stay as they are.
+    """
+    rows = _kept_rows(n)
+    if a.shape[-3] != 1:
+        a = a[..., rows, :, :]
+    if a.shape[-2] != 1:
+        a = a[..., rows, :]
+    return np.ascontiguousarray(a[..., : n // 3 + 1])
+
+
+def _unkept(kc: np.ndarray, n: int) -> np.ndarray:
+    """Half-layout coefficients (..., n, n, n/2+1) of keep-set ones, zero
+    outside the keep set."""
+    half = np.zeros(kc.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+    rows = _kept_rows(n)
+    half[..., rows[:, None], rows, : n // 3 + 1] = kc
+    return half
+
+
+def _along(axis: int, sl: slice) -> tuple:
+    """Index selecting `sl` along a negative `axis`."""
+    return (Ellipsis, sl) + (slice(None),) * (-1 - axis)
+
+
+def _pad_rows(dst: np.ndarray, src: np.ndarray, axis: int) -> np.ndarray:
+    """Write the 2M+1 keep-set rows of src along `axis` to their places in
+    the full-length axis of dst and zero the rows between."""
+    n, m = dst.shape[axis], src.shape[axis] // 2
+    dst[_along(axis, slice(m + 1, n - m))] = 0.0
+    dst[_along(axis, slice(0, m + 1))] = src[_along(axis, slice(0, m + 1))]
+    dst[_along(axis, slice(n - m, n))] = src[_along(axis, slice(m + 1, None))]
+    return dst
+
+
+def _prune_rows(dst: np.ndarray, src: np.ndarray, axis: int) -> np.ndarray:
+    """Write the keep-set rows of src's full-length `axis` into dst."""
+    n, m = src.shape[axis], dst.shape[axis] // 2
+    dst[_along(axis, slice(0, m + 1))] = src[_along(axis, slice(0, m + 1))]
+    dst[_along(axis, slice(m + 1, None))] = src[_along(axis, slice(n - m, n))]
+    return dst
+
+
 class _Workspace:
     """Transform buffers reused by every product evaluation on one lattice:
     a velocity grid (3, n, n, n), the 6 products (6, n, n, n) and their
-    half spectrum (6, n, n, n/2+1).
+    half spectrum (6, n, n, n/2+1), plus the partial passes of the pruned
+    pair: (3, n, 2M+1, M+1) and (3, n, n, M+1) inverse, (6, n, 2M+1, M+1)
+    forward and the keep-set products (6, 2M+1, 2M+1, M+1), M = n//3.
 
     The buffers are overwritten by each use, so a workspace serves callers
     that run one after another in one thread.
     """
 
     def __init__(self, n: int):
+        m = n // 3
+        self.n = n
         self.grid = np.empty((3, n, n, n))
         self.prod = np.empty((6, n, n, n))
         self.spec = np.empty((6, n, n, n // 2 + 1), dtype=np.complex128)
+        self.inv_lines = np.empty((3, n, 2 * m + 1, m + 1), np.complex128)
+        self.inv_planes = np.empty((3, n, n, m + 1), np.complex128)
+        self.fwd_lines = np.empty((6, n, 2 * m + 1, m + 1), np.complex128)
+        self.kspec = np.empty((6, 2 * m + 1, 2 * m + 1, m + 1), np.complex128)
 
 
-def _sym_products(lattice: WaveLattice, grid: np.ndarray, ws: _Workspace,
+def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Real samples of keep-set coefficients (3, 2M+1, 2M+1, M+1), written
+    into ws.grid; bit-identical to _rinverse of _unkept(kc).
+
+    irfftn's passes in its order, each on the lines that are not all zero:
+    ifft along m1 on the (2M+1)(M+1) kept (m2, m3) lines, ifft along m2 on
+    the n (M+1) lines with m3 <= M, irfft along m3 (zero-padded to n/2+1).
+    The transforms run in place, so the padding rows are re-zeroed on
+    every call.
+    """
+    a = _pad_rows(ws.inv_lines, kc, -3)
+    np.fft.ifft(a, axis=-3, norm="forward", out=a)
+    b = _pad_rows(ws.inv_planes, a, -2)
+    np.fft.ifft(b, axis=-2, norm="forward", out=b)
+    return np.fft.irfft(b, n=ws.n, axis=-1, norm="forward", out=ws.grid)
+
+
+def _kforward(samples: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Keep-set series coefficients (6, 2M+1, 2M+1, M+1) of real samples
+    (6, n, n, n), in ws.kspec; bit-identical to _kept(_rforward(samples)).
+
+    rfftn's passes in its order, each on the lines whose outputs are kept:
+    rfft along m3, fft along m2 on the m3 <= M columns, fft along m1 on
+    the kept m2 rows.  Valid for any samples.
+    """
+    n = ws.n
+    spec = np.fft.rfft(samples, axis=-1, norm="forward", out=ws.spec)
+    cols = spec[..., : n // 3 + 1]
+    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    lines = _prune_rows(ws.fwd_lines, cols, -2)
+    np.fft.fft(lines, axis=-3, norm="forward", out=lines)
+    return _prune_rows(ws.kspec, lines, -3)
+
+
+def _sym_products(grid: np.ndarray, ws: _Workspace,
                   minus: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased half-spectrum coefficients of the 6 products g_i g_j.
+    """Dealiased keep-set coefficients of the 6 products g_i g_j.
 
     grid holds collocation samples (3, n, n, n); with `minus` the products
     minus_i minus_j are subtracted on the grid before the one transform.
-    Returns ws.spec, shape (6, n, n, n/2+1) in _SYM_PAIRS order, 2/3-rule
-    masked; it is valid until the workspace is used again.
+    Returns ws.kspec, shape (6, 2M+1, 2M+1, M+1) in _SYM_PAIRS order; it
+    is valid until the workspace is used again.
     """
     prod = ws.prod
     for p, (i, j) in enumerate(_SYM_PAIRS):
         np.multiply(grid[i], grid[j], out=prod[p])
         if minus is not None:
             prod[p] -= minus[i] * minus[j]
-    out = _rforward(prod, out=ws.spec)
-    out *= _half(lattice.dealias_mask)
-    return out
+    return _kforward(prod, ws)
 
 
 def _contract(products: np.ndarray, k, rows) -> np.ndarray:

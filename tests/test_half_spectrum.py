@@ -1,10 +1,14 @@
-"""Half-spectrum products and stepping against full-spectrum references.
+"""Half-spectrum and keep-set products and stepping against full-spectrum
+references.
 
 The stepper and the residual-stress norm transform only the 6 distinct
-products of a symmetric tensor onto the real-to-complex half spectrum.
-These tests pin that path to the full-spectrum, 9-product
-restatements in tests/oracles.py on random spectra that are not truncated,
-so the 2/3-rule mask is active, and count the transforms one step makes.
+products of a symmetric tensor.  The stepper keeps its state on the
+2/3-rule keep set and uses the pruned transform pair; the residual-stress
+norm starts from the half spectrum.  These tests pin both to the
+full-spectrum, 9-product restatements in tests/oracles.py (the stepper on
+truncated spectra, the norm on random spectra that are not truncated, so
+the 2/3-rule mask is active), pin the pruned pair to the full one bit for
+bit, and count the transforms one step makes.
 """
 
 import numpy as np
@@ -20,8 +24,13 @@ from admles.spectral import (
     random_solenoidal,
     _half,
     _hermitian_fill,
+    _kept,
+    _kforward,
+    _kinverse,
     _rforward,
     _rinverse,
+    _unkept,
+    _Workspace,
 )
 
 H = Helmholtz(alpha=0.5, p=1.0)
@@ -58,15 +67,51 @@ def test_transform_buffers_match_allocating_calls(n):
     assert np.array_equal(back, _rforward(grid * grid[::-1]))
 
 
+def _pair_inputs(n, seed):
+    """Full-layout coefficients of a truncated field and random samples of
+    the 6 products."""
+    lat = WaveLattice(n)
+    c = random_solenoidal(lat, decay=0.5, seed=seed).coeffs
+    samples = np.random.default_rng(seed).standard_normal((6, n, n, n))
+    return lat, c, samples
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
+def test_pruned_pair_matches_full_transforms(n):
+    lat, c, samples = _pair_inputs(n, seed=40 + n)
+    ws = _Workspace(n)
+    assert np.array_equal(_kinverse(_kept(c, n), ws),
+                          _rinverse(np.array(_half(c)), n))
+    want = _kept(_rforward(samples) * _half(lat.dealias_mask), n)
+    assert np.array_equal(_kforward(samples, ws), want)
+    # _unkept is the inverse of _kept on truncated data
+    assert np.array_equal(_unkept(_kept(c, n), n), _half(c))
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_pruned_pair_second_call_matches_fresh_workspace(n):
+    # the in-place passes overwrite the padding rows; a reused workspace
+    # must give what a fresh one gives
+    _, c1, s1 = _pair_inputs(n, seed=50 + n)
+    _, c2, s2 = _pair_inputs(n, seed=60 + n)
+    used = _Workspace(n)
+    _kinverse(_kept(c1, n), used)
+    _kforward(s1, used)
+    fresh = _Workspace(n)
+    assert np.array_equal(_kinverse(_kept(c2, n), used),
+                          _kinverse(_kept(c2, n), fresh))
+    assert np.array_equal(_kforward(s2, used), _kforward(s2, fresh))
+
+
 @pytest.mark.parametrize("n", [6, 8, 16])
 @pytest.mark.parametrize("order", [None, 0, 3])
 def test_advance_matches_full_spectrum_oracle(n, order):
     lat = WaveLattice(n)
     nu, dt = 0.05, 0.01
-    u = random_solenoidal(lat, decay=0.5, seed=20 + n, truncate=False)
+    u = random_solenoidal(lat, decay=0.5, seed=20 + n)
     pre, post = (None, None) if order is None else _symbols(lat, H, order)
     stepper = _Stepper(lat, nu, dt, pre=pre, post=post)
-    got = _hermitian_fill(stepper.advance(np.array(_half(u.coeffs))), n)
+    got = _hermitian_fill(_unkept(stepper.advance(_kept(u.coeffs, n)), n), n)
     want = oracles.one_step(u.coeffs, lat, nu, dt, pre=pre, post=post)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
@@ -76,7 +121,7 @@ def test_advance_makes_six_transforms(monkeypatch):
     lat = WaveLattice(16)
     pre, post = _symbols(lat, H, 2)
     stepper = _Stepper(lat, 0.05, 0.01, pre=pre, post=post)
-    c = np.array(_half(random_solenoidal(lat, decay=1.0, seed=4).coeffs))
+    c = _kept(random_solenoidal(lat, decay=1.0, seed=4).coeffs, lat.n)
     calls = {}
 
     def counting(name, fn):
@@ -91,7 +136,8 @@ def test_advance_makes_six_transforms(monkeypatch):
         monkeypatch.setattr(np.fft, name,
                             counting(name, getattr(np.fft, name)))
     stepper.advance(c)
-    assert calls == {"irfftn": 3, "rfftn": 3}
+    # three pruned pairs, each three 1-D passes per direction
+    assert calls == {"ifft": 6, "irfft": 3, "rfft": 3, "fft": 6}
 
 
 @pytest.mark.parametrize("n", [8, 16])

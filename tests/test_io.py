@@ -1,11 +1,16 @@
-"""Snapshot binary format and stamped-CSV round-trip tests."""
+"""Snapshot binary format, stamped-CSV round-trip and atomic-write tests."""
 
+import builtins
+import errno
+import io as pyio
 import struct
 
 import numpy as np
 import pytest
 
-from admles import io
+from admles import cli, io
+from admles.filters import Helmholtz
+from admles.solvers import SimConfig, run_experiment, write_outputs
 from admles.spectral import WaveLattice, random_solenoidal, zero_field
 
 
@@ -119,3 +124,67 @@ def test_load_rejects_bad_lattice_header(tmp_path, n, L):
     path.write_bytes(header + b"\x00" * (3 * n ** 3 * 16))
     with pytest.raises(io.SnapshotFormatError, match="header"):
         io.load_field(path)
+
+
+class _FailingFile:
+    """A file whose write stores half the data, then fails like a full
+    disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def close(self):
+        self._fh.close()
+
+
+def _write_config_json(path):
+    cfg = SimConfig(n=4, nu=0.1, spec=Helmholtz(alpha=0.5), T=0.01, dt=0.01)
+    write_outputs(run_experiment(cfg, progress=False), path.parent)
+
+
+_WRITERS = {
+    "save_field": lambda path: io.save_field(zero_field(WaveLattice(4)), path),
+    "write_csv": lambda path: io.write_csv(path, "t", ["a"], [[1.0]]),
+    "emit_csv": lambda path: cli._emit_csv(path, "t", ["a"], [[1.0]]),
+    "config_json": _write_config_json,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    target = tmp_path / ("config.json" if writer == "config_json"
+                         else "out.bin")
+    target.write_bytes(b"previous contents\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailingFile(fh) if set(mode) & set("wxa") else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(pyio, "open", failing_open)
+    with pytest.raises(OSError, match="No space"):
+        _WRITERS[writer](target)
+    monkeypatch.undo()
+    assert target.read_bytes() == b"previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_write_atomic_replaces_whole_file(tmp_path):
+    target = tmp_path / "f.txt"
+    target.write_text("a much longer previous body\n")
+    io.write_atomic(target, "new\n")
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]

@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from admles import io as admio
@@ -47,6 +49,7 @@ from admles.spectral import (
     sobolev_norm,
     taylor_green,
     to_physical,
+    truncate_field,
     zero_field,
 )
 from test_spectral import single_mode
@@ -101,6 +104,56 @@ def test_config_json_roundtrip(spec, init):
     back = SimConfig.from_json(cfg.to_json())
     assert back == cfg
     assert config_hash(back) == config_hash(cfg)
+
+
+# Floats that are sometimes integral (1.0, 2.0, ...), which JSON writes as
+# "1.0" and must read back as the same float.
+def _floats(lo, hi):
+    return st.one_of(
+        st.floats(lo, hi, allow_nan=False, allow_infinity=False),
+        st.integers(int(np.ceil(lo)), int(hi)).map(float))
+
+
+_SPECS = st.one_of(
+    st.builds(Helmholtz, alpha=_floats(0.0, 4.0), p=_floats(0.75, 4.0)),
+    st.builds(Gaussian, alpha=_floats(0.01, 4.0)),
+    st.builds(GaussianApprox, alpha=_floats(0.01, 4.0),
+              m=st.integers(1, 64)),
+    st.builds(HelmholtzPower, mu=_floats(0.01, 4.0), m=st.integers(1, 8)),
+)
+_INITS = st.one_of(
+    st.builds(TaylorGreenInit, amplitude=_floats(-4.0, 4.0)),
+    st.builds(RandomSpectrumInit, decay=_floats(0.0, 4.0),
+              seed=st.integers(0, 2 ** 32)),
+    st.builds(SnapshotInit, path=st.text(min_size=1, max_size=12)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_SPECS, init=_INITS,
+       N_list=st.lists(st.integers(0, 64), min_size=1, max_size=6,
+                       unique=True),
+       sample_every=st.integers(1, 1000), n=st.integers(2, 32),
+       nu=_floats(1e-6, 10.0), T=_floats(1e-3, 100.0),
+       dt_frac=_floats(1e-6, 1.0), L=_floats(1e-3, 100.0))
+def test_config_json_roundtrip_property(spec, init, N_list, sample_every, n,
+                                        nu, T, dt_frac, L):
+    cfg = SimConfig(n=2 * n, nu=nu, spec=spec, T=T, dt=dt_frac * T,
+                    N_list=tuple(N_list), L=L, init=init,
+                    sample_every=sample_every)
+    back = SimConfig.from_json(cfg.to_json())
+    assert back == cfg
+    assert config_hash(back) == config_hash(cfg)
+    # integer fields written as integral floats read back the same
+    data = cfg.to_dict()
+    data["n"] = float(data["n"])
+    data["sample_every"] = float(data["sample_every"])
+    data["N_list"] = [float(N) for N in data["N_list"]]
+    for part in ("filter", "init"):
+        for key in ("m", "seed"):
+            if key in data[part]:
+                data[part][key] = float(data[part][key])
+    assert SimConfig.from_dict(data) == cfg
 
 
 def test_config_defaults_and_hash_sensitivity():
@@ -253,6 +306,24 @@ def test_identity_filter_reduces_adm_to_dns():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("order", [None, 0, 3])
+def test_step_projects_onto_keep_set(order):
+    # an untruncated field steps exactly like its truncation: the modes
+    # outside the 2/3-rule keep set are dropped, not advanced
+    lat = WaveLattice(16)
+    cfg = small_cfg()
+    u = random_solenoidal(lat, decay=0.5, seed=8, truncate=False)
+    assert not np.array_equal(truncate_field(u).coeffs, u.coeffs)
+
+    def step(f):
+        state = SolverState(field=f)
+        out = dns_step(state, cfg) if order is None else adm_step(
+            state, cfg, order)
+        return out.field.coeffs
+
+    assert np.array_equal(step(u), step(truncate_field(u)))
+
+
 def test_step_bookkeeping():
     lat = WaveLattice(8)
     cfg = small_cfg(n=8)
@@ -287,6 +358,14 @@ def test_cfl_guard():
     # zero field has no speed limit
     check_cfl(SimConfig(n=16, nu=0.05, spec=H, T=1.0, dt=1.0),
               zero_field(lat))
+
+
+def test_cfl_checked_at_step_zero():
+    # the initial state is checked by the step-0 sample, not by a separate
+    # transform before it
+    with pytest.raises(CflError, match=r"at step 0 \(t = 0\)"):
+        run_experiment(SimConfig(n=16, nu=0.05, spec=H, T=1.0, dt=0.5),
+                       progress=False)
 
 
 def test_adm_energy_budget_non_increasing():
