@@ -3,18 +3,27 @@ references.
 
 The stepper and the residual-stress norm transform only the 6 distinct
 products of a symmetric tensor.  The stepper keeps its state on the
-2/3-rule keep set and uses the pruned transform pair; the residual-stress
-norm starts from the half spectrum.  These tests pin both to the
-full-spectrum, 9-product restatements in tests/oracles.py (the stepper on
-truncated spectra, the norm on random spectra that are not truncated, so
-the 2/3-rule mask is active), pin the pruned pair to the full one bit for
-bit, and count the transforms one step makes.
+2/3-rule keep set and uses the keep-set transform pair (DFT matrix
+products); the residual-stress norm starts from the half spectrum.  These
+tests pin both to the full-spectrum, 9-product restatements in
+tests/oracles.py (the stepper on truncated spectra, the norm on random
+spectra that are not truncated, so the 2/3-rule mask is active), pin the
+keep-set pair to the full pocketfft one within 1e-13 of the largest value,
+check that one step makes no FFT call, and that results do not depend on
+the BLAS thread count.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import admles
+from admles import solvers, spectral
 from admles.deconvolution import DeconvOp, deconv_symbol
 from admles.diagnostics import residual_stress_norm
 from admles.filters import Gaussian, Helmholtz, filter_symbol
@@ -76,22 +85,29 @@ def _pair_inputs(n, seed):
     return lat, c, samples
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
+def _close(got, want):
+    """max|got - want| <= 1e-13 max|want|: the bound for a deliberate
+    change of transform arithmetic."""
+    return float(np.max(np.abs(got - want))) <= 1e-13 * float(
+        np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 32, 48])
 def test_pruned_pair_matches_full_transforms(n):
     lat, c, samples = _pair_inputs(n, seed=40 + n)
     ws = _Workspace(n)
-    assert np.array_equal(_kinverse(_kept(c, n), ws),
-                          _rinverse(np.array(_half(c)), n))
+    assert _close(_kinverse(_kept(c, n), ws),
+                  _rinverse(np.array(_half(c)), n))
     want = _kept(_rforward(samples) * _half(lat.dealias_mask), n)
-    assert np.array_equal(_kforward(samples, ws), want)
+    assert _close(_kforward(samples, ws), want)
     # _unkept is the inverse of _kept on truncated data
     assert np.array_equal(_unkept(_kept(c, n), n), _half(c))
 
 
 @pytest.mark.parametrize("n", [6, 16])
 def test_pruned_pair_second_call_matches_fresh_workspace(n):
-    # the in-place passes overwrite the padding rows; a reused workspace
-    # must give what a fresh one gives
+    # the passes overwrite the workspace buffers; a reused workspace must
+    # give what a fresh one gives
     _, c1, s1 = _pair_inputs(n, seed=50 + n)
     _, c2, s2 = _pair_inputs(n, seed=60 + n)
     used = _Workspace(n)
@@ -135,9 +151,14 @@ def test_advance_makes_six_transforms(monkeypatch):
                  "fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name,
                             counting(name, getattr(np.fft, name)))
+    for name in ("_kinverse", "_kforward"):
+        monkeypatch.setattr(spectral, name,
+                            counting(name, getattr(spectral, name)))
+    # _Stepper.rhs calls the name solvers imported
+    monkeypatch.setattr(solvers, "_kinverse", spectral._kinverse)
     stepper.advance(c)
-    # three pruned pairs, each three 1-D passes per direction
-    assert calls == {"ifft": 6, "irfft": 3, "rfft": 3, "fft": 6}
+    # three keep-set pairs of DFT matrix products, no FFT
+    assert calls == {"_kinverse": 3, "_kforward": 3}
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -153,3 +174,32 @@ def test_residual_stress_matches_full_spectrum_oracle(n, spec, order):
     got = residual_stress_norm(u, spec, order)
     want = oracles.residual_stress_norm_full(lat, u.coeffs, d * g * u.coeffs)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def _simulate_files(tmp_path, blas_threads):
+    """Every output file of `admles simulate` run in a fresh interpreter
+    with the BLAS thread count set, by relative path."""
+    out = tmp_path / f"out{blas_threads}"
+    cfg = solvers.SimConfig(n=32, nu=0.05, spec=H, T=0.03, dt=0.01,
+                            N_list=(0, 2),
+                            init=solvers.RandomSpectrumInit(decay=1.5,
+                                                            seed=3))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(cfg.to_json())
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(Path(admles.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", "from admles.cli import main; main()",
+         "simulate", "--config", str(cfg_path), "--out", str(out)],
+        env=env, check=True, capture_output=True, timeout=300)
+    return {p.relative_to(out): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    one = _simulate_files(tmp_path, 1)
+    two = _simulate_files(tmp_path, 2)
+    assert {p.name for p in one} >= {"dns.csv", "series.csv", "u_final.admf",
+                                     "w0_final.admf", "w2_final.admf"}
+    assert one == two

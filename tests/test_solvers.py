@@ -324,6 +324,31 @@ def test_step_projects_onto_keep_set(order):
     assert np.array_equal(step(u), step(truncate_field(u)))
 
 
+@pytest.mark.parametrize("forced", [False, True])
+def test_steps_reproduce_experiment_final_fields(tmp_path, forced):
+    # dns_step, adm_step and run_experiment assemble their steppers through
+    # one builder: k single steps from the (filtered) initial state give the
+    # lockstep run's final fields bit for bit
+    lat = WaveLattice(8)
+    forcing = (SnapshotForcing(path=_forcing_file(tmp_path, lat, 1.0))
+               if forced else None)
+    cfg = small_cfg(n=8, T=0.03, dt=0.01, N_list=(0, 2), forcing=forcing,
+                    init=RandomSpectrumInit(decay=1.5, seed=2))
+    out = run_experiment(cfg, progress=False)
+    u0 = initial_field(cfg, lat)
+    g = np.asarray(filter_symbol(cfg.spec, lat.k_squared))
+    u = SolverState(field=u0)
+    ws = {N: SolverState(field=SpectralField(lat, g * u0.coeffs))
+          for N in cfg.N_list}
+    for _ in range(3):
+        u = dns_step(u, cfg)
+        ws = {N: adm_step(w, cfg, N) for N, w in ws.items()}
+    assert np.array_equal(u.field.coeffs, out.u_final.coeffs)
+    for run in out.runs:
+        assert np.array_equal(ws[run.N].field.coeffs,
+                              run.final_field.coeffs)
+
+
 def test_step_bookkeeping():
     lat = WaveLattice(8)
     cfg = small_cfg(n=8)
