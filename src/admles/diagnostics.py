@@ -125,8 +125,8 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
         )
     lattice = u.lattice
     weight = _defect_weight(spec, order, lattice.k_squared)
-    return _weighted_norm(_half_weight(weight, lattice.n),
-                          _mode_sq(_half(u.coeffs)))
+    return float(_weighted_norm(_half_weight(weight, lattice.n),
+                                _mode_sq(_half(u.coeffs))))
 
 
 def defect_bound(u_h1: float, alpha: float, p: float, order: int) -> float:

@@ -571,9 +571,9 @@ def _abs2(c: np.ndarray) -> np.ndarray:
     return c.real ** 2 + c.imag ** 2
 
 
-def _mode_sq(half: np.ndarray) -> np.ndarray:
-    """sum_i |c_i|^2 per mode of half-spectrum coefficients (3, ...)."""
-    return np.sum(_abs2(half), axis=0)
+def _mode_sq(c: np.ndarray) -> np.ndarray:
+    """sum_i |c_i|^2 per mode of coefficients (..., 3, modes)."""
+    return np.sum(_abs2(c), axis=-4)
 
 
 def _half_weight(weight: np.ndarray, n: int) -> np.ndarray:
@@ -582,15 +582,16 @@ def _half_weight(weight: np.ndarray, n: int) -> np.ndarray:
     return _half(weight) * _hermitian_weights(n)
 
 
-def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> float:
-    """sqrt(sum weight sq): a mode-sum norm of squared moduli."""
-    return float(np.sqrt(np.sum(weight * sq)))
+def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """sqrt(sum weight sq) over the 3 mode axes, per leading index."""
+    return np.sqrt(np.sum(weight * sq, axis=(-3, -2, -1)))
 
 
-def _energy(half: np.ndarray) -> float:
-    """Half the squared coefficient norm, mean mode included."""
-    n = half.shape[-2]
-    return 0.5 * float(np.sum(_hermitian_weights(n) * _mode_sq(half)))
+def _energy(kc: np.ndarray) -> float:
+    """Half the squared coefficient norm of keep-set coefficients, mean
+    mode included (Hermitian weights 1 on m3 = 0, 2 on m3 = 1..M)."""
+    sq = np.sum(_mode_sq(kc), axis=(-3, -2))
+    return float(0.5 * sq[0] + np.sum(sq[1:]))
 
 
 _SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
@@ -603,14 +604,14 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
 
     One thread advances the reference and then every order by one step,
     all through one transform workspace, with every state stored on the
-    keep set.  At each sample step every state is scattered to the half
-    spectrum once and every order is compared with the live reference
-    state, so no reference sample is stored; everything downstream (error
-    norms, residual stress, defect series, divergence ratio, the peak
-    Courant number) is computed here on the half spectrum, so reports never
-    need the full fields again.  The model runs start from the filtered
-    initial state.  CflError is raised at the first sample, step 0
-    included, where dt > 0.5 dx / max|u| for the reference.
+    keep set.  At each sample step every order is compared with the live
+    reference state on the keep set, so no reference sample is stored;
+    everything downstream (error norms, residual stress, defect series,
+    divergence ratio, the peak Courant number) is computed here, so reports
+    never need the full fields again.  Only the reference goes to the half
+    spectrum.  The model runs start from the filtered initial state.
+    CflError is raised at the first sample, step 0 included, where
+    dt > 0.5 dx / max|u| for the reference.
     `threads` is accepted for compatibility and changes nothing.
     Deterministic for a fixed config.
     """
@@ -627,27 +628,29 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     ws = dns_stepper.ws
     ksq = lattice.k_squared
 
-    # Half-layout weights of every per-sample norm.
+    # Keep-set weights of the per-sample norms; the defect norms keep the
+    # half-layout sums of half_norm_defect, to the last bit.
     _, s_level = energy_weight(cfg.spec)
     with np.errstate(divide="ignore"):
         w_s = np.where(ksq > 0.0, ksq ** s_level, 0.0)
         w_s1 = np.where(ksq > 0.0, ksq ** (s_level + 1.0), 0.0)
     w_0, w_1, w_s, w_s1 = (
-        _half_weight(w, n)
+        _kept(_half_weight(w, n), n)
         for w in (np.where(ksq > 0.0, 1.0, 0.0), ksq, w_s, w_s1))
+    w_err = np.stack([w_0, w_s, w_1, w_s1])[:, None]  # _SERIES[:4]
     is_helmholtz = isinstance(cfg.spec, Helmholtz)
     if is_helmholtz:
-        half_weights = [_half_weight(_defect_weight(cfg.spec, N, ksq), n)
-                        for N in cfg.N_list]
-    g_half = np.ascontiguousarray(_half(g_sym))
+        half_weights = np.stack([_half_weight(
+            _defect_weight(cfg.spec, N, ksq), n) for N in cfg.N_list])
+    g_kept = _kept(g_sym, n)
     rhos = [np.ascontiguousarray(_half(d * g_sym)) for d in d_syms]
-    k_half = tuple(_half(k) for k in lattice.wavevectors)
-    kmag_half = np.sqrt(_half(ksq))
+    k_kept = tuple(_kept(k, n) for k in lattice.wavevectors)
+    kmag_kept = np.sqrt(_kept(ksq, n))
 
     dns_cols = np.empty((3, len(samples)))
     series = {name: np.full((len(cfg.N_list), len(samples)), np.nan)
               for name in _SERIES}
-    div_max = [0.0] * len(cfg.N_list)
+    div_max = np.zeros(len(cfg.N_list))
     courant_max = 0.0
 
     def record(idx: int, step: int, t: float, u: np.ndarray,
@@ -656,27 +659,26 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         u_sq = _mode_sq(u)
         dns_cols[:, idx] = (_weighted_norm(w_0, u_sq),
                             _weighted_norm(w_1, u_sq), _energy(u))
-        taus, u_grid = _tau_norms(lattice, u, rhos, ws)
+        u_half = _unkept(u, n)
+        taus, u_grid = _tau_norms(lattice, u_half, rhos, ws)
         courant_max = max(courant_max, _courant(
             cfg, u_grid, where=f"at step {step} (t = {t:.6g}) "))
-        ubar = g_half * u
-        for j, c in enumerate(states):
-            e_sq = _mode_sq(ubar - c)
-            series["eps_l2"][j, idx] = _weighted_norm(w_0, e_sq)
-            series["eps_hs"][j, idx] = _weighted_norm(w_s, e_sq)
-            series["eps_grad_l2"][j, idx] = _weighted_norm(w_1, e_sq)
-            series["eps_grad_hs"][j, idx] = _weighted_norm(w_s1, e_sq)
-            series["w_l2"][j, idx] = _weighted_norm(w_0, _mode_sq(c))
-            series["tau_l2"][j, idx] = taus[j]
-            if is_helmholtz:
-                series["half_norm"][j, idx] = _weighted_norm(
-                    half_weights[j], u_sq)
-            div_max[j] = max(div_max[j], _div_ratio(c, k_half, kmag_half))
+        # Every order at once: (orders, 3, modes) states.
+        w = np.stack(states)
+        err = _weighted_norm(w_err, _mode_sq(g_kept * u - w))
+        for name, row in zip(_SERIES[:4], err):
+            series[name][:, idx] = row
+        series["w_l2"][:, idx] = _weighted_norm(w_0, _mode_sq(w))
+        series["tau_l2"][:, idx] = taus
+        if is_helmholtz:
+            series["half_norm"][:, idx] = _weighted_norm(
+                half_weights, _mode_sq(u_half))
+        np.maximum(div_max, _div_ratio(w, k_kept, kmag_kept), out=div_max)
 
     u = _kept(u0.coeffs, n)
     # One initial array for every order: a step never writes into its input.
     states = [_kept(g_sym * u0.coeffs, n)] * len(steppers)
-    record(0, 0, 0.0, _unkept(u, n), [_unkept(states[0], n)] * len(states))
+    record(0, 0, 0.0, u, states)
     cursor, t = 1, 0.0
     for step in range(1, n_steps + 1):
         t += cfg.dt
@@ -684,16 +686,12 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         states = [_step(s, c, step, t) for s, c in zip(steppers, states)]
         sample = samples[cursor] == step
         report = progress and (step % report_every == 0 or step == n_steps)
-        if not (sample or report):
-            continue
-        u_half = _unkept(u, n)
-        halves = [_unkept(c, n) for c in states]
         if sample:
-            record(cursor, step, t, u_half, halves)
+            record(cursor, step, t, u, states)
             cursor += 1
         if report:
-            _progress("dns", step, t, _energy(u_half))
-            for N, c in zip(cfg.N_list, halves):
+            _progress("dns", step, t, _energy(u))
+            for N, c in zip(cfg.N_list, states):
                 _progress(f"adm N={N}", step, t, _energy(c))
 
     dns = DnsSeries(times=times, u_l2=dns_cols[0], u_h1=dns_cols[1],
@@ -701,7 +699,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     runs = [
         RunSeries(N=N, times=times,
                   **{name: series[name][j] for name in _SERIES},
-                  div_ratio_max=div_max[j],
+                  div_ratio_max=float(div_max[j]),
                   final_field=SpectralField(
                       lattice, _hermitian_fill(_unkept(c, n), n),
                       divergence_free=True))
@@ -738,7 +736,7 @@ def _tau_norms(lattice: WaveLattice, u_half: np.ndarray, rhos: list,
     for rho in rhos:
         d_grid = _rinverse(rho * u_half, n, out=ws.grid)
         products = _sym_products(u_grid, ws, minus=d_grid)
-        norms.append(_weighted_norm(weight, _abs2(products)))
+        norms.append(float(np.sqrt(np.sum(weight * _abs2(products)))))
     return norms, u_grid
 
 

@@ -507,19 +507,21 @@ def divergence_ratio(f: SpectralField) -> float:
     divergence-free invariant and by the solver drift check.
     """
     lat = f.lattice
-    return _div_ratio(f.coeffs, lat.wavevectors, np.sqrt(lat.k_squared))
+    return float(_div_ratio(f.coeffs, lat.wavevectors,
+                            np.sqrt(lat.k_squared)))
 
 
-def _div_ratio(c: np.ndarray, k, kmag: np.ndarray) -> float:
-    """max |k.c| / max |k| |c| of raw coefficients; 0 for a zero field.
+def _div_ratio(c: np.ndarray, k, kmag: np.ndarray) -> np.ndarray:
+    """max |k.c| / max |k| |c| of raw coefficients (..., 3, modes), per
+    field; 0 for a zero field.
 
     k and kmag = |k| belong to the mode layout of c.
     """
-    top = float(np.max(np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2])))
-    bottom = float(np.max(kmag * np.max(np.abs(c), axis=0)))
-    if bottom == 0.0:
-        return 0.0
-    return top / bottom
+    c = np.moveaxis(c, -4, 0)
+    modes = (-3, -2, -1)
+    top = np.max(np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2]), axis=modes)
+    bottom = np.max(kmag * np.max(np.abs(c), axis=0), axis=modes)
+    return np.divide(top, bottom, out=np.zeros_like(top), where=bottom > 0)
 
 
 def _hermitian_partner(coeffs: np.ndarray) -> np.ndarray:

@@ -535,6 +535,30 @@ def test_recording_does_not_perturb_lockstep_state():
             assert getattr(re, name)[-1] == getattr(rn, name)[-1], name
 
 
+def test_final_sample_matches_full_spectrum_norms():
+    # the per-sample norms are keep-set sums over all orders at once; at the
+    # last sample they are full-spectrum norms of the final fields, up to
+    # summation order
+    cfg = small_cfg(T=0.03, dt=0.01, N_list=(0, 2, 4),
+                    init=RandomSpectrumInit(decay=1.5, seed=8))
+    out = run_experiment(cfg, progress=False)
+    _, s = energy_weight(cfg.spec)
+    u = out.u_final
+    assert out.dns.u_l2[-1] == pytest.approx(sobolev_norm(u, 0.0), rel=1e-13)
+    assert out.dns.u_h1[-1] == pytest.approx(sobolev_norm(u, 1.0), rel=1e-13)
+    assert out.dns.energy[-1] == pytest.approx(
+        0.5 * np.sum(np.abs(u.coeffs) ** 2), rel=1e-13)
+    for run in out.runs:
+        err = SpectralField(u.lattice,
+                            out.ubar_final.coeffs - run.final_field.coeffs)
+        for name, level in (("eps_l2", 0.0), ("eps_hs", s),
+                            ("eps_grad_l2", 1.0), ("eps_grad_hs", s + 1.0)):
+            assert getattr(run, name)[-1] == pytest.approx(
+                sobolev_norm(err, level), rel=1e-13), name
+        assert run.w_l2[-1] == pytest.approx(
+            sobolev_norm(run.final_field, 0.0), rel=1e-13)
+
+
 def test_experiment_peak_memory_stays_small():
     # no per-sample store of reference fields: the traced peak stays far
     # below the 101 full 16^3 samples (about 20 MB) of a stored reference
