@@ -128,6 +128,16 @@ def _verify_deconvolution(rows, property_rows) -> None:
     click.echo(f"ok deconvolution symbol_properties: cases={n_rows}")
 
 
+def _gaussian_approx_rows(alpha: float, m_max: int, k2) -> list:
+    """[m, sup_error, bound, passed] for m = 1..m_max: the sup-mode distance
+    of the power approximants to the Gaussian symbol against 2/m."""
+    rows = []
+    for m in range(1, m_max + 1):
+        err = float(np.max(gaussian_approx_error(alpha, m, k2)))
+        rows.append([m, err, 2.0 / m, err <= 2.0 / m])
+    return rows
+
+
 def _verify_filters(rows) -> None:
     k2 = np.unique(WaveLattice(16).k_squared)
     n_rows = 0
@@ -148,13 +158,12 @@ def _verify_filters(rows) -> None:
     k2 = np.unique(WaveLattice(32).k_squared)
     n_rows = 0
     for alpha in (0.5, 1.0, 2.0):
-        for m in range(1, 33):
-            err = float(np.max(gaussian_approx_error(alpha, m, k2)))
+        for m, err, bound, ok in _gaussian_approx_rows(alpha, 32, k2):
             n_rows += 1
-            if err > 2.0 / m:
+            if not ok:
                 _fail("filter gaussian_approx",
                       f"alpha={alpha} m={m} sup_error={err!r} "
-                      f"bound={2.0 / m!r}")
+                      f"bound={bound!r}")
     rows.append(["filters", "gaussian_approx", n_rows, math.nan, True])
     click.echo(f"ok filters gaussian_approx: cases={n_rows}")
 
@@ -404,20 +413,13 @@ def gaussian_approx(alpha, m_max, n, csv_path) -> None:
         k2 = np.unique(WaveLattice(n).k_squared)
     except ValueError as e:
         raise click.UsageError(str(e))
-    rows = []
-    first_bad = None
-    for m in range(1, m_max + 1):
-        err = float(np.max(gaussian_approx_error(alpha, m, k2)))
-        bound = 2.0 / m
-        ok = err <= bound
-        rows.append([m, err, bound, ok])
-        if not ok and first_bad is None:
-            first_bad = (m, err, bound)
+    rows = _gaussian_approx_rows(alpha, m_max, k2)
     token = admio.sha256_token({"command": "gaussian-approx",
                                 "alpha": alpha, "m_max": m_max, "n": n})
     _emit_csv(csv_path, token, ["m", "sup_error", "bound", "passed"], rows)
-    if first_bad is not None:
-        m, err, bound = first_bad
+    bad = [row for row in rows if not row[3]]
+    if bad:
+        m, err, bound, _ = bad[0]
         _fail("gaussian-approx",
               f"alpha={alpha} m={m} sup_error={err!r} bound={bound!r}")
 

@@ -12,13 +12,20 @@ All hold for x >= 0 and real exponents a, m, n >= 1.  The left sides are
 high-pass filter symbols raised to large powers: naive evaluation loses all
 digits near x = 0, so everything routes through the expm1/log1p kernels.
 Verification is a margin check with floating-point slack 1e-12 max(1, rhs).
+
+Each family is written once, as one evaluator of (lhs, rhs, side condition)
+that takes x as a float or an array: the scalar checks call it on one
+tuple, the sweeps on a whole x grid per exponent combination.  A sweep
+rejects a grid outside the domain (an x < 0 or NaN, an exponent < 1)
+before evaluating anything.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,9 +43,6 @@ __all__ = [
     "default_grid",
     "sweep",
 ]
-
-NAMES = ("highpass_power", "highpass_power_sq", "highpass_ratio",
-         "exp_limit")
 
 _SLACK = 1e-12
 
@@ -62,29 +66,69 @@ class IneqCase:
         return self.side_ok and self.margin >= -_SLACK * max(1.0, self.rhs)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+# Family evaluators: (lhs, rhs, side_ok) for x a float or an array.
+
+def _highpass_power(x, a, m):
+    return (kernels.compl_power(x, a, m),
+            m * x * math.exp(-math.log(a) / m), True)
+
+
+def _highpass_power_sq(x, a, m):
+    return (kernels.compl_power(x * x, a, m),
+            math.sqrt(m) * x * math.exp(-math.log(2.0 * a) / (2.0 * m)),
+            True)
+
+
+def _highpass_ratio(x, a):
+    lhs = kernels.ratio_power(x * x, a)
+    weak = x / math.sqrt(a)
+    return (lhs, x / math.sqrt(2.0 * a),
+            lhs <= weak + _SLACK * np.maximum(1.0, weak))
+
+
+def _exp_limit(x, n):
+    # diff = (1+x/n)^-n - e^-x is computed as a signed quantity; it must be
+    # nonnegative up to rounding for the absolute bound to be one-sided.
+    _, diff = kernels.exp_limit_terms(x, n)
+    return np.abs(diff), 2.0 / n, diff >= -_SLACK
+
+
+# name -> (evaluator, exponent names); the names give the arity and the
+# domain messages.
+_FAMILIES = {
+    "highpass_power": (_highpass_power, ("a", "m")),
+    "highpass_power_sq": (_highpass_power_sq, ("a", "m")),
+    "highpass_ratio": (_highpass_ratio, ("a",)),
+    "exp_limit": (_exp_limit, ("n",)),
+}
+
+NAMES = tuple(_FAMILIES)
+
+
+def _family(name: str):
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown inequality: {name!r} (choose from {NAMES})")
+    return _FAMILIES[name]
+
+
+def _check(name: str, x: float, *exps: float) -> IneqCase:
+    """Validate one tuple against the domain and evaluate it."""
+    terms, exp_names = _FAMILIES[name]
+    for label, value, lo in zip(("x", *exp_names), (x, *exps), (0, 1, 1)):
+        if not value >= lo:
+            raise ValueError(f"{label} must be >= {lo}, got {value}")
+    lhs, rhs, side_ok = terms(x, *exps)
+    return IneqCase(name, (x, *exps), float(lhs), float(rhs), bool(side_ok))
 
 
 def check_highpass_power(x: float, a: float, m: float) -> IneqCase:
     """(1 - (1+x)^-m)^a against m x / a^(1/m), for x >= 0, a, m >= 1."""
-    _require(x >= 0.0, f"x must be >= 0, got {x}")
-    _require(a >= 1.0, f"a must be >= 1, got {a}")
-    _require(m >= 1.0, f"m must be >= 1, got {m}")
-    lhs = float(kernels.compl_power(x, a, m))
-    rhs = m * x * math.exp(-math.log(a) / m)
-    return IneqCase("highpass_power", (x, a, m), lhs, rhs)
+    return _check("highpass_power", x, a, m)
 
 
 def check_highpass_power_sq(x: float, a: float, m: float) -> IneqCase:
     """(1 - (1+x^2)^-m)^a against sqrt(m) x / (2a)^(1/(2m))."""
-    _require(x >= 0.0, f"x must be >= 0, got {x}")
-    _require(a >= 1.0, f"a must be >= 1, got {a}")
-    _require(m >= 1.0, f"m must be >= 1, got {m}")
-    lhs = float(kernels.compl_power(x * x, a, m))
-    rhs = math.sqrt(m) * x * math.exp(-math.log(2.0 * a) / (2.0 * m))
-    return IneqCase("highpass_power_sq", (x, a, m), lhs, rhs)
+    return _check("highpass_power_sq", x, a, m)
 
 
 def check_highpass_ratio(x: float, a: float) -> IneqCase:
@@ -93,34 +137,13 @@ def check_highpass_ratio(x: float, a: float) -> IneqCase:
     The weaker companion bound x / sqrt(a) is implied (it is larger) and
     folded into side_ok for completeness.
     """
-    _require(x >= 0.0, f"x must be >= 0, got {x}")
-    _require(a >= 1.0, f"a must be >= 1, got {a}")
-    lhs = float(kernels.ratio_power(x * x, a))
-    rhs = x / math.sqrt(2.0 * a)
-    weak = x / math.sqrt(a)
-    side_ok = lhs <= weak + _SLACK * max(1.0, weak)
-    return IneqCase("highpass_ratio", (x, a), lhs, rhs, side_ok=side_ok)
+    return _check("highpass_ratio", x, a)
 
 
 def check_exp_limit(x: float, n: float) -> IneqCase:
     """|(1+x/n)^-n - e^-x| against 2/n, plus the sign fact that the power
     dominates the exponential."""
-    _require(x >= 0.0, f"x must be >= 0, got {x}")
-    _require(n >= 1.0, f"n must be >= 1, got {n}")
-    _, diff = kernels.exp_limit_terms(x, n)
-    diff = float(diff)
-    # diff = (1+x/n)^-n - e^-x is computed as a signed quantity; it must be
-    # nonnegative up to rounding for the absolute bound to be one-sided.
-    side_ok = diff >= -_SLACK
-    return IneqCase("exp_limit", (x, n), abs(diff), 2.0 / n, side_ok=side_ok)
-
-
-_CHECKS = {
-    "highpass_power": (check_highpass_power, 3),
-    "highpass_power_sq": (check_highpass_power_sq, 3),
-    "highpass_ratio": (check_highpass_ratio, 2),
-    "exp_limit": (check_exp_limit, 2),
-}
+    return _check("exp_limit", x, n)
 
 
 @dataclass(frozen=True)
@@ -144,10 +167,8 @@ class GridSpec:
 
 def default_grid(name: str, dense: bool = False) -> GridSpec:
     """Per-family default sized so every sweep exceeds 1e5 tuples."""
-    if name not in _CHECKS:
-        raise ValueError(f"unknown inequality: {name!r} (choose from {NAMES})")
-    _, arity = _CHECKS[name]
-    base = 800 if arity == 3 else 9600
+    _, exp_names = _family(name)
+    base = 800 if len(exp_names) == 2 else 9600
     return GridSpec(x_points=base * (10 if dense else 1))
 
 
@@ -168,50 +189,12 @@ class SweepResult:
 
     def cases(self) -> Iterator[IneqCase]:
         """Re-evaluate the grid lazily, one scalar case at a time."""
-        check, arity = _CHECKS[self.name]
+        _, exp_names = _FAMILIES[self.name]
         xs = self.grid.x_values()
-        if arity == 2:
-            for e in self.grid.exps:
-                for x in xs:
-                    yield check(float(x), e)
-        else:
-            for a in self.grid.exps:
-                for m in self.grid.exps:
-                    for x in xs:
-                        yield check(float(x), a, m)
-
-
-def _eval_vector(name: str, xs: np.ndarray, exps: Sequence[float]):
-    """Vectorized (lhs, rhs, side_margin, params) stream per exponent combo."""
-    if name == "highpass_power":
-        for a in exps:
-            for m in exps:
-                lhs = kernels.compl_power(xs, a, m)
-                rhs = m * xs * math.exp(-math.log(a) / m)
-                yield lhs, rhs, None, lambda i, a=a, m=m: (float(xs[i]), a, m)
-    elif name == "highpass_power_sq":
-        for a in exps:
-            for m in exps:
-                lhs = kernels.compl_power(xs * xs, a, m)
-                rhs = math.sqrt(m) * xs \
-                    * math.exp(-math.log(2.0 * a) / (2.0 * m))
-                yield lhs, rhs, None, lambda i, a=a, m=m: (float(xs[i]), a, m)
-    elif name == "highpass_ratio":
-        for a in exps:
-            lhs = kernels.ratio_power(xs * xs, a)
-            rhs = xs / math.sqrt(2.0 * a)
-            weak = xs / math.sqrt(a)
-            side = weak - lhs + _SLACK * np.maximum(1.0, weak)
-            yield lhs, rhs, side, lambda i, a=a: (float(xs[i]), a)
-    elif name == "exp_limit":
-        for n in exps:
-            _, diff = kernels.exp_limit_terms(xs, n)
-            lhs = np.abs(diff)
-            rhs = np.full_like(xs, 2.0 / n)
-            side = diff + _SLACK
-            yield lhs, rhs, side, lambda i, n=n: (float(xs[i]), n)
-    else:
-        raise ValueError(f"unknown inequality: {name!r} (choose from {NAMES})")
+        for combo in itertools.product(self.grid.exps,
+                                       repeat=len(exp_names)):
+            for x in xs:
+                yield _check(self.name, float(x), *combo)
 
 
 def sweep(name: str, grid: Optional[GridSpec] = None,
@@ -220,22 +203,27 @@ def sweep(name: str, grid: Optional[GridSpec] = None,
 
     Returns the aggregate with the worst (smallest-margin) case materialized
     and every failing tuple collected; passing sweeps have an empty failures
-    tuple.
+    tuple.  Raises ValueError for an empty grid or one outside the domain.
     """
-    if name not in _CHECKS:
-        raise ValueError(f"unknown inequality: {name!r} (choose from {NAMES})")
+    terms, exp_names = _family(name)
     if grid is None:
         grid = default_grid(name, dense=dense)
-    xs = grid.x_values()
+    # An infinite bound makes NaN x values, which the domain check rejects.
+    with np.errstate(invalid="ignore"):
+        xs = grid.x_values()
     if len(xs) == 0 or len(grid.exps) == 0:
         raise ValueError("empty grid")
+    if not (np.all(xs >= 0.0) and all(e >= 1.0 for e in grid.exps)):
+        raise ValueError(
+            f"grid outside the domain of {name} (x >= 0, "
+            f"{', '.join(exp_names)} >= 1): {grid}")
 
-    check, _ = _CHECKS[name]
     n_cases = 0
     min_rel_margin = math.inf
     worst_params = None
     failures = []
-    for lhs, rhs, side, params_of in _eval_vector(name, xs, grid.exps):
+    for combo in itertools.product(grid.exps, repeat=len(exp_names)):
+        lhs, rhs, side_ok = terms(xs, *combo)
         margin = rhs - lhs
         scale = np.maximum(1.0, rhs)
         rel = margin / scale
@@ -243,13 +231,11 @@ def sweep(name: str, grid: Optional[GridSpec] = None,
         i_min = int(np.argmin(rel))
         if rel[i_min] < min_rel_margin:
             min_rel_margin = float(rel[i_min])
-            worst_params = params_of(i_min)
-        bad = margin < -_SLACK * scale
-        if side is not None:
-            bad |= side < 0.0
+            worst_params = (float(xs[i_min]), *combo)
+        bad = (margin < -_SLACK * scale) | np.logical_not(side_ok)
         for i in np.flatnonzero(bad):
-            failures.append(check(*params_of(int(i))))
-    worst = check(*worst_params)
+            failures.append(_check(name, float(xs[i]), *combo))
+    worst = _check(name, *worst_params)
     return SweepResult(
         name=name, grid=grid, n_cases=n_cases,
         min_margin=min_rel_margin, worst=worst, failures=tuple(failures),

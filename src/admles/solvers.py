@@ -74,6 +74,7 @@ from .spectral import (
     _kinverse,
     _leray,
     _rinverse,
+    _sobolev_weight,
     _sym_products,
     _unkept,
     _Workspace,
@@ -631,12 +632,9 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     # Keep-set weights of the per-sample norms; the defect norms keep the
     # half-layout sums of half_norm_defect, to the last bit.
     _, s_level = energy_weight(cfg.spec)
-    with np.errstate(divide="ignore"):
-        w_s = np.where(ksq > 0.0, ksq ** s_level, 0.0)
-        w_s1 = np.where(ksq > 0.0, ksq ** (s_level + 1.0), 0.0)
     w_0, w_1, w_s, w_s1 = (
-        _kept(_half_weight(w, n), n)
-        for w in (np.where(ksq > 0.0, 1.0, 0.0), ksq, w_s, w_s1))
+        _kept(_half_weight(_sobolev_weight(ksq, s), n), n)
+        for s in (0.0, 1.0, s_level, s_level + 1.0))
     w_err = np.stack([w_0, w_s, w_1, w_s1])[:, None]  # _SERIES[:4]
     is_helmholtz = isinstance(cfg.spec, Helmholtz)
     if is_helmholtz:
@@ -762,19 +760,10 @@ def write_outputs(output: ExperimentOutput, out_dir) -> dict:
     )
 
     series_path = out / "series.csv"
-    rows = []
-    for run in output.runs:
-        for i, t in enumerate(run.times):
-            rows.append([
-                run.N, t, run.eps_l2[i], run.eps_hs[i], run.eps_grad_l2[i],
-                run.eps_grad_hs[i], run.tau_l2[i], run.half_norm[i],
-                run.w_l2[i],
-            ])
     admio.write_csv(
-        series_path, token,
-        ["N", "t", "eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs",
-         "tau_l2", "half_norm", "w_l2"],
-        rows,
+        series_path, token, ["N", "t", *_SERIES],
+        ([run.N, t, *(getattr(run, name)[i] for name in _SERIES)]
+         for run in output.runs for i, t in enumerate(run.times)),
     )
 
     snap_dir = out / "snapshots"
@@ -820,9 +809,7 @@ def read_outputs(out_dir) -> ExperimentOutput:
         col = lambda name: np.array(
             [float(r[idx[name]]) for r in sel], dtype=float)
         runs.append(RunSeries(
-            N=N, times=col("t"), eps_l2=col("eps_l2"), eps_hs=col("eps_hs"),
-            eps_grad_l2=col("eps_grad_l2"), eps_grad_hs=col("eps_grad_hs"),
-            tau_l2=col("tau_l2"), half_norm=col("half_norm"),
-            w_l2=col("w_l2"), div_ratio_max=float("nan"),
+            N=N, times=col("t"), **{name: col(name) for name in _SERIES},
+            div_ratio_max=float("nan"),
         ))
     return ExperimentOutput(config=cfg, lattice=lattice, dns=dns, runs=runs)

@@ -405,15 +405,19 @@ def zero_field(lattice: WaveLattice) -> SpectralField:
     )
 
 
+def _sobolev_weight(ksq: np.ndarray, s: float) -> np.ndarray:
+    """|k|^(2s) = ksq^s off the mean mode and 0 on it, for any real s."""
+    with np.errstate(divide="ignore"):
+        return np.where(ksq > 0.0, ksq ** s, 0.0)
+
+
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """Coefficient Sobolev norm ( sum_{k != 0} |k|^(2s) |u_hat_k|^2 )^(1/2).
 
     The k = 0 term is excluded; it is zero by the zero-mean invariant, which
     also keeps negative s well defined.
     """
-    ksq = f.lattice.k_squared
-    with np.errstate(divide="ignore"):
-        weight = np.where(ksq > 0.0, ksq ** s, 0.0)
+    weight = _sobolev_weight(f.lattice.k_squared, s)
     total = np.sum(weight * np.abs(f.coeffs) ** 2)
     return float(np.sqrt(total))
 
@@ -490,9 +494,7 @@ def random_solenoidal(
     n = lattice.n
     noise = rng.standard_normal((3, n, n, n))
     coeffs = _forward(noise, n)
-    ksq = lattice.k_squared
-    with np.errstate(divide="ignore"):
-        envelope = np.where(ksq > 0.0, ksq ** (-decay / 2.0), 0.0)
+    envelope = _sobolev_weight(lattice.k_squared, -decay / 2.0)
     coeffs = _clean(lattice, coeffs * envelope)
     f = SpectralField(lattice, coeffs)
     if truncate:

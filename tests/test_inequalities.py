@@ -191,6 +191,33 @@ def test_sweep_errors():
         sweep("exp_limit", grid=GridSpec(x_points=5, exps=()))
 
 
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("grid", [
+    GridSpec(x_points=200, exps=(1.0, 0.999)),  # an exponent below 1
+    GridSpec(x_points=4, x_hi=math.inf),  # NaN x values
+], ids=["exponent_below_1", "x_nan"])
+def test_sweep_rejects_grid_outside_domain(name, grid):
+    # a sweep's verdict must not cover tuples the scalar check rejects
+    with pytest.raises(ValueError,
+                       match=r"outside the domain.*GridSpec\(x_points="):
+        sweep(name, grid=grid)
+
+
+@pytest.mark.parametrize("name, n_cases, min_margin, worst_params", [
+    ("highpass_power", 115344, 0.0, (0.0, 1.0, 1.0)),
+    ("highpass_power_sq", 115344, 0.0, (0.0, 1.0, 1.0)),
+    ("highpass_ratio", 115212, 0.0, (0.0, 1.0)),
+    ("exp_limit", 115212, 0.0016888846618185313,
+     (1.9982798925672296, 1024.0)),
+])
+def test_default_sweeps_pinned(name, n_cases, min_margin, worst_params):
+    result = sweep(name)
+    assert result.passed
+    assert result.n_cases == n_cases
+    assert result.min_margin == pytest.approx(min_margin, rel=1e-12)
+    assert result.worst.params == worst_params
+
+
 def test_sweep_cases_regenerate():
     grid = GridSpec(x_points=10)
     result = sweep("highpass_ratio", grid=grid)

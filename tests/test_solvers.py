@@ -41,6 +41,7 @@ from admles.solvers import (
     read_outputs,
     run_experiment,
     write_outputs,
+    _SERIES,
 )
 from admles.spectral import (
     SpectralField,
@@ -653,11 +654,17 @@ def test_write_read_outputs_roundtrip(tmp_path):
     assert back.config == cfg
     assert np.array_equal(back.dns.times, out.dns.times)
     assert np.array_equal(back.dns.u_l2, out.dns.u_l2)  # repr round-trip
+    for name in ("u_h1", "energy"):
+        assert np.array_equal(getattr(back.dns, name),
+                              getattr(out.dns, name)), name
     assert [r.N for r in back.runs] == [0, 2]
     for rb, ro in zip(back.runs, out.runs):
         assert np.array_equal(rb.eps_l2, ro.eps_l2)
         assert np.array_equal(rb.tau_l2, ro.tau_l2)
         assert np.array_equal(rb.half_norm, ro.half_norm)
+        assert np.array_equal(rb.times, ro.times)
+        for name in _SERIES:
+            assert np.array_equal(getattr(rb, name), getattr(ro, name)), name
 
     # the stored model snapshot really is the final state
     w2 = admio.load_field(tmp_path / "snapshots" / "w2_final.admf")
