@@ -40,6 +40,9 @@ from .spectral import (
     random_solenoidal,
     sobolev_norm,
     _half,
+    _kept,
+    _rinverse,
+    _unkept,
     _Workspace,
 )
 
@@ -101,13 +104,23 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
 
     The tensor is formed pseudo-spectrally with 2/3-rule dealiasing; the
     mean mode participates (plain grid quadrature of the tensor agrees).
+    The keep-set parts of u and of Du_bar go through the same keep-set
+    transforms as run_experiment's tau_l2 series, so on a truncated field
+    (every solver state) the two agree bit for bit.  Only when u has modes
+    outside the keep set are their samples added, through _rinverse of the
+    remainder.
     """
     lattice = u.lattice
+    n = lattice.n
     ksq = lattice.k_squared
     rho = np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)) \
         * np.asarray(filter_symbol(spec, ksq))
-    norms, _ = _tau_norms(lattice, _half(u.coeffs), [_half(rho)],
-                          _Workspace(lattice.n))
+    kc = _kept(u.coeffs, n)
+    outside = _half(u.coeffs) - _unkept(kc, n)
+    rest = None
+    if np.any(outside):
+        rest = (_rinverse(outside, n), [_rinverse(_half(rho) * outside, n)])
+    norms, _ = _tau_norms(kc, [_kept(rho, n)], _Workspace(n), rest)
     return norms[0]
 
 

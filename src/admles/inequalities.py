@@ -158,6 +158,14 @@ class GridSpec:
                    256.0, 512.0, 1024.0)
 
     def x_values(self) -> np.ndarray:
+        """The x values; raises ValueError when x_lo or x_hi is not > 0,
+        since both are log-spaced."""
+        for bound in ("x_lo", "x_hi"):
+            value = getattr(self, bound)
+            if not value > 0.0:
+                raise ValueError(
+                    f"grid bound {bound} = {value!r} must be > 0 for "
+                    f"log-spaced x values: {self}")
         xs = np.logspace(math.log10(self.x_lo), math.log10(self.x_hi),
                          self.x_points)
         if self.include_zero:

@@ -15,7 +15,12 @@ The reference system uses F(c) = P[-div(c (x) c) + f].  The model system
 uses F(c) = P[-G div(Dc (x) Dc) + G f]: deconvolution before the product,
 filter after -- one code path parameterized by the two symbols, so identity
 symbols reduce the model step to the reference step exactly.  Pressure never
-appears; the Leray projection P plays its role.
+appears; the Leray projection P plays its role.  The stepper evaluates both
+with the trace-free stress in place of the product, S(v)_ij = v_i v_j -
+delta_ij v_3 v_3 with v = c or Dc (Basdevant 1983): div S(v) = div(v (x) v)
+- grad(v_3^2), P annihilates the gradient and commutes with G, so
+P[-G div S(v)] = P[-G div(v (x) v)].  S(v) has 5 nonzero distinct
+components against 6 for v (x) v, so each stage transforms 5 products.
 
 Every state lives on the 2/3-rule keep set (spectral._kept): it is zero
 outside it from the truncated initial field on, because the products are
@@ -25,7 +30,9 @@ of the half spectrum, and goes to the grid and back through the keep-set
 transform pair spectral._kinverse / _kforward: products with the DFT
 matrices restricted to the keep set, (2M+1) n multiply-adds per line
 through numpy's BLAS, which agree with the full pocketfft pair to within
-1e-13 of the largest value.  A step makes no numpy.fft call.
+1e-13 of the largest value.  A step makes no numpy.fft call, and neither
+does a sample: the per-sample diagnostics, residual stress included, go
+to the grid through the same pair.
 
 run_experiment advances the reference and every model order in lockstep in
 one thread: each step moves the reference and then each order, and all of
@@ -62,8 +69,8 @@ from .spectral import (
     taylor_green,
     truncate_field,
     validate_field,
-    _SYM_ROWS,
     _SYM_WEIGHTS,
+    _TF_ROWS,
     _contract,
     _div_ratio,
     _half,
@@ -76,6 +83,7 @@ from .spectral import (
     _rinverse,
     _sobolev_weight,
     _sym_products,
+    _tracefree_products,
     _unkept,
     _Workspace,
 )
@@ -392,8 +400,8 @@ class _Stepper:
     def rhs(self, c: np.ndarray) -> np.ndarray:
         q = c if self.pre is None else self.pre * c
         grid = _kinverse(q, self.ws)
-        products = _sym_products(grid, self.ws)
-        out = _leray(_contract(products, self._k, _SYM_ROWS),
+        products = _tracefree_products(grid, self.ws)
+        out = _leray(_contract(products, self._k, _TF_ROWS),
                      self._k, self._kov)
         out *= self._scale
         if self.forcing is not None:
@@ -641,7 +649,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         half_weights = np.stack([_half_weight(
             _defect_weight(cfg.spec, N, ksq), n) for N in cfg.N_list])
     g_kept = _kept(g_sym, n)
-    rhos = [np.ascontiguousarray(_half(d * g_sym)) for d in d_syms]
+    rhos = [_kept(d * g_sym, n) for d in d_syms]
     k_kept = tuple(_kept(k, n) for k in lattice.wavevectors)
     kmag_kept = np.sqrt(_kept(ksq, n))
 
@@ -657,8 +665,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         u_sq = _mode_sq(u)
         dns_cols[:, idx] = (_weighted_norm(w_0, u_sq),
                             _weighted_norm(w_1, u_sq), _energy(u))
-        u_half = _unkept(u, n)
-        taus, u_grid = _tau_norms(lattice, u_half, rhos, ws)
+        taus, u_grid = _tau_norms(u, rhos, ws)
         courant_max = max(courant_max, _courant(
             cfg, u_grid, where=f"at step {step} (t = {t:.6g}) "))
         # Every order at once: (orders, 3, modes) states.
@@ -670,7 +677,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         series["tau_l2"][:, idx] = taus
         if is_helmholtz:
             series["half_norm"][:, idx] = _weighted_norm(
-                half_weights, _mode_sq(u_half))
+                half_weights, _mode_sq(_unkept(u, n)))
         np.maximum(div_max, _div_ratio(w, k_kept, kmag_kept), out=div_max)
 
     u = _kept(u0.coeffs, n)
@@ -713,27 +720,31 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     )
 
 
-def _tau_norms(lattice: WaveLattice, u_half: np.ndarray, rhos: list,
-               ws: _Workspace) -> tuple[list, np.ndarray]:
+def _tau_norms(u: np.ndarray, rhos: list, ws: _Workspace,
+               rest: Optional[tuple] = None) -> tuple[list, np.ndarray]:
     """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
     for each Du = rho u with rho in rhos; and the collocation samples of u.
 
-    u_half and the rho are half-spectrum arrays, not necessarily zero
-    outside the keep set, so they go to the grid through the full
-    _rinverse: u once for all rho, each Du into the workspace grid.  The
-    tensor is symmetric, so its 6 distinct components are formed and
-    transformed once; the mode sum over the keep set uses the off-diagonal
-    weights and the Hermitian ones, which are 1 on m3 = 0 and 2 on
-    m3 = 1..M there.
+    u (3, 2M+1, 2M+1, M+1) and the rho are keep-set arrays.  u goes to the
+    grid through _kinverse once for all rho, into a copy; each Du goes into
+    the workspace grid.  `rest` = (u_rest, [Du_rest per rho]) adds the
+    collocation samples of the parts outside the keep set, which only a
+    field that is not truncated has.  The tensor is symmetric, so its 6
+    distinct components are formed and transformed once; the mode sum over
+    the keep set uses the off-diagonal weights and the Hermitian ones,
+    which are 1 on m3 = 0 and 2 on m3 = 1..M there.
     """
-    n = lattice.n
-    u_grid = _rinverse(u_half, n)
+    u_grid = _kinverse(u, ws).copy()
+    if rest is not None:
+        u_grid += rest[0]
     weight = (_SYM_WEIGHTS[:, None, None, None]
-              * _hermitian_weights(n)[: n // 3 + 1])
+              * _hermitian_weights(ws.n)[: ws.n // 3 + 1])
     norms = []
-    for rho in rhos:
-        d_grid = _rinverse(rho * u_half, n, out=ws.grid)
-        products = _sym_products(u_grid, ws, minus=d_grid)
+    for j, rho in enumerate(rhos):
+        d_grid = _kinverse(rho * u, ws)
+        if rest is not None:
+            d_grid += rest[1][j]
+        products = _sym_products(u_grid, d_grid, ws)
         norms.append(float(np.sqrt(np.sum(weight * _abs2(products)))))
     return norms, u_grid
 

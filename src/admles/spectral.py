@@ -24,11 +24,17 @@ m3 = n/2 plane carries the sign of -n/2; that plane lies outside the 2/3
 keep-set and is always zero, so the sign never matters.  A mode sum over
 the full spectrum equals the half-spectrum sum with weight 1 on the m3 = 0
 and m3 = n/2 planes and weight 2 on the planes between.  The products of a
-field with itself form a symmetric tensor, so only the 6 components
-g_i g_j with i <= j are transformed; in a Frobenius sum the 3 off-diagonal
-ones count twice.  Those transforms write into the preallocated buffers of
-a _Workspace through the `out=` argument of numpy.fft and np.matmul
-(numpy >= 2.0), which gives the same values as the allocating calls.
+field with itself form a symmetric tensor.  The residual-stress norm
+transforms its 6 distinct components g_i g_j with i <= j; in a Frobenius
+sum the 3 off-diagonal ones count twice.  The stepper transforms only the
+5 components of the trace-free form u_i u_j - delta_ij u_3 u_3 (Basdevant,
+J. Comput. Phys. 50:209, 1983): u_1^2 - u_3^2, u_2^2 - u_3^2, u_1 u_2,
+u_1 u_3, u_2 u_3.  The dropped part delta_ij u_3 u_3 has the divergence
+grad(u_3^2), a pure gradient, which the Leray projection removes, so the
+projected transport term is the same.  The transforms write into the
+preallocated buffers of a _Workspace through the `out=` argument of
+numpy.fft and np.matmul (numpy >= 2.0), which gives the same values as the
+allocating calls.
 
 The time stepper goes one step further and keeps its state on the 2/3-rule
 keep set alone: with M = n//3 the compact layout (..., 2M+1, 2M+1, M+1)
@@ -228,11 +234,15 @@ def _hermitian_weights(n: int) -> np.ndarray:
     return w
 
 
-# The symmetric products g_i g_j (i <= j) in stacking order, the stack
-# index of g_i g_j for every (i, j), and each component's Frobenius weight.
+# The symmetric products g_i g_j (i <= j) in stacking order and each
+# component's Frobenius weight.
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_SYM_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 _SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+# The trace-free stress u_i u_j - delta_ij u_3 u_3 in stacking order (the
+# first two products less u_3 u_3), and the stack index of its component
+# (i, j) per row i; the zero (3, 3) component closes the last row.
+_TF_PAIRS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
+_TF_ROWS = ((0, 2, 3), (2, 1, 4), (3, 4))
 
 
 def _kept_rows(n: int) -> np.ndarray:
@@ -266,10 +276,12 @@ def _unkept(kc: np.ndarray, n: int) -> np.ndarray:
 
 class _Workspace:
     """Transform buffers and matrices reused by every product evaluation on
-    one lattice, M = n//3: a velocity grid (3, n, n, n), the 6 products
+    one lattice, M = n//3: a velocity grid (3, n, n, n), up to 6 products
     (6, n, n, n) and their keep-set coefficients (6, 2M+1, 2M+1, M+1); the
     keep-set pair's DFT matrices; and its partial passes, (6, 2M+1, n, M+1)
-    and (6, n, n, M+1), whose first 3 components serve the inverse.
+    and (6, n, n, M+1).  Each transform uses the leading components it
+    needs: 3 for the inverse, 5 for the stepper's trace-free stress and 6
+    for the residual stress.
 
     The buffers are overwritten by each use, so a workspace serves callers
     that run one after another in one thread.
@@ -320,52 +332,70 @@ def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
 
 
 def _kforward(samples: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Keep-set series coefficients (6, 2M+1, 2M+1, M+1) of real samples
-    (6, n, n, n), in ws.kspec; _kept(_rforward(samples)) to within
-    rounding, for any samples.
+    """Keep-set series coefficients (c, 2M+1, 2M+1, M+1) of real samples
+    (c, n, n, n), c <= 6, in the first c components of ws.kspec;
+    _kept(_rforward(samples)) to within rounding, for any samples.
 
     Three products with the DFT matrices restricted to the keep set: the
     real Wr (n, 2(M+1)) along m3 into the float view of ws.planes, one
     dgemm, then Ff (2M+1, n) along m1 and along m2.
     """
-    n = ws.n
+    n, c = ws.n, samples.shape[0]
     k, h = ws.kspec.shape[-3], ws.kspec.shape[-1]
-    p = ws.planes
+    p, lines = ws.planes[:c], ws.lines[:c]
     np.matmul(samples.reshape(-1, n), ws.Wr,
               out=p.view(np.float64).reshape(-1, 2 * h))
-    np.matmul(ws.Ff, p.reshape(6, n, n * h),
-              out=ws.lines.reshape(6, k, n * h))
-    return np.matmul(ws.Ff, ws.lines, out=ws.kspec)
+    np.matmul(ws.Ff, p.reshape(c, n, n * h),
+              out=lines.reshape(c, k, n * h))
+    return np.matmul(ws.Ff, lines, out=ws.kspec[:c])
 
 
-def _sym_products(grid: np.ndarray, ws: _Workspace,
-                  minus: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased keep-set coefficients of the 6 products g_i g_j.
+def _sym_products(grid: np.ndarray, minus: np.ndarray,
+                  ws: _Workspace) -> np.ndarray:
+    """Dealiased keep-set coefficients of the 6 symmetric components
+    grid_i grid_j - minus_i minus_j (i <= j) of a residual stress.
 
-    grid holds collocation samples (3, n, n, n); with `minus` the products
-    minus_i minus_j are subtracted on the grid before the one transform.
-    Returns ws.kspec, shape (6, 2M+1, 2M+1, M+1) in _SYM_PAIRS order; it
-    is valid until the workspace is used again.
+    grid and minus hold collocation samples (3, n, n, n); the differences
+    are formed on the grid before the one transform.  Returns ws.kspec,
+    shape (6, 2M+1, 2M+1, M+1) in _SYM_PAIRS order; it is valid until the
+    workspace is used again.
     """
     prod = ws.prod
     for p, (i, j) in enumerate(_SYM_PAIRS):
         np.multiply(grid[i], grid[j], out=prod[p])
-        if minus is not None:
-            prod[p] -= minus[i] * minus[j]
+        prod[p] -= minus[i] * minus[j]
     return _kforward(prod, ws)
+
+
+def _tracefree_products(grid: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Dealiased keep-set coefficients of the 5 components of the
+    trace-free stress g_i g_j - delta_ij g_3 g_3 of collocation samples
+    grid (3, n, n, n).
+
+    Returns the first 5 components of ws.kspec in _TF_PAIRS order; they
+    are valid until the workspace is used again.  The last product slot
+    holds g_3 g_3 while the first two are formed.
+    """
+    prod = ws.prod
+    g33 = np.multiply(grid[2], grid[2], out=prod[5])
+    for p, (i, j) in enumerate(_TF_PAIRS):
+        np.multiply(grid[i], grid[j], out=prod[p])
+    prod[:2] -= g33
+    return _kforward(prod[:5], ws)
 
 
 def _contract(products: np.ndarray, k, rows) -> np.ndarray:
     """Component i of sum_j k_j products[rows[i][j]].
 
     With k the wavevector components this is the divergence of the tensor
-    without its factor i.
+    without its factor i.  A row shorter than 3 omits its last terms,
+    components that are zero.
     """
     out = np.empty((3,) + products.shape[1:], dtype=np.complex128)
-    for o, (r1, r2, r3) in zip(out, rows):
-        np.multiply(k[0], products[r1], out=o)
-        o += k[1] * products[r2]
-        o += k[2] * products[r3]
+    for o, row in zip(out, rows):
+        np.multiply(k[0], products[row[0]], out=o)
+        for kj, r in zip(k[1:], row[1:]):
+            o += kj * products[r]
     return out
 
 

@@ -1,16 +1,17 @@
 """Half-spectrum and keep-set products and stepping against full-spectrum
 references.
 
-The stepper and the residual-stress norm transform only the 6 distinct
-products of a symmetric tensor.  The stepper keeps its state on the
-2/3-rule keep set and uses the keep-set transform pair (DFT matrix
-products); the residual-stress norm starts from the half spectrum.  These
-tests pin both to the full-spectrum, 9-product restatements in
-tests/oracles.py (the stepper on truncated spectra, the norm on random
-spectra that are not truncated, so the 2/3-rule mask is active), pin the
-keep-set pair to the full pocketfft one within 1e-13 of the largest value,
-check that one step makes no FFT call, and that results do not depend on
-the BLAS thread count.
+The stepper transforms the 5 components of the trace-free stress, the
+residual-stress norm the 6 distinct products of a symmetric tensor.  Both
+run on the 2/3-rule keep set through the keep-set transform pair (DFT
+matrix products); the norm adds the part of an untruncated field outside
+the keep set through the full inverse.  These tests pin both to the
+full-spectrum, 9-product restatements in tests/oracles.py (the stepper on
+truncated spectra, the norm on truncated spectra and on spectra that are
+not truncated, so the 2/3-rule mask is active), pin the keep-set pair to
+the full pocketfft one within 1e-13 of the largest value, pin the
+transforms of one step, check that stepping and sampling make no FFT
+call, and that results do not depend on the BLAS thread count.
 """
 
 import os
@@ -23,7 +24,7 @@ import pytest
 
 import oracles
 import admles
-from admles import solvers, spectral
+from admles import diagnostics, solvers, spectral
 from admles.deconvolution import DeconvOp, deconv_symbol
 from admles.diagnostics import residual_stress_norm
 from admles.filters import Gaussian, Helmholtz, filter_symbol
@@ -161,6 +162,65 @@ def test_advance_makes_six_transforms(monkeypatch):
     assert calls == {"_kinverse": 3, "_kforward": 3}
 
 
+_FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+              "fft2", "ifft2", "rfft2", "irfft2",
+              "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def _record_calls(monkeypatch, module, names, calls):
+    """Wrap module.<name> for each name so that every call appends the
+    leading length of its first argument to calls[name]."""
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.setdefault(name, []).append(len(args[0]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(module, name,
+                            recording(name, getattr(module, name)))
+
+
+def test_advance_transforms_trace_free_stress(monkeypatch):
+    # each stage sends 3 velocity components to the grid and 5 trace-free
+    # stress components back
+    lat = WaveLattice(16)
+    pre, post = _symbols(lat, H, 2)
+    stepper = _Stepper(lat, 0.05, 0.01, pre=pre, post=post)
+    c = _kept(random_solenoidal(lat, decay=1.0, seed=4).coeffs, lat.n)
+    calls = {}
+    _record_calls(monkeypatch, np.fft, _FFT_NAMES, calls)
+    _record_calls(monkeypatch, spectral, ("_kinverse", "_kforward"), calls)
+    monkeypatch.setattr(solvers, "_kinverse", spectral._kinverse)
+    stepper.advance(c)
+    assert calls == {"_kinverse": [3, 3, 3], "_kforward": [5, 5, 5]}
+
+
+def test_experiment_loop_makes_no_fft_call(monkeypatch):
+    # after the initial field is built, stepping and sampling every step
+    # (residual stress and Courant number included) run on the keep-set
+    # pair alone
+    cfg = solvers.SimConfig(n=8, nu=0.05, spec=H, T=0.03, dt=0.01,
+                            N_list=(0, 1, 3), sample_every=1,
+                            init=solvers.RandomSpectrumInit(decay=1.0,
+                                                            seed=5))
+    calls = {}
+    build = solvers.initial_field
+
+    def initial_then_count(*args):
+        u0 = build(*args)
+        _record_calls(monkeypatch, np.fft, _FFT_NAMES, calls)
+        _record_calls(monkeypatch, solvers, ("_kinverse",), calls)
+        return u0
+
+    monkeypatch.setattr(solvers, "initial_field", initial_then_count)
+    out = solvers.run_experiment(cfg, progress=False)
+    assert np.all(np.isfinite(out.runs[-1].tau_l2))
+    assert set(calls) == {"_kinverse"}
+    # 4 samples: u and the 3 deconvolved states each; 3 steps of 4 systems
+    assert len(calls["_kinverse"]) == 4 * (1 + 3) + 3 * 4 * 3
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("spec,order",
                          [(H, 0), (H, 2), (Gaussian(alpha=1.0), 1)])
@@ -174,6 +234,27 @@ def test_residual_stress_matches_full_spectrum_oracle(n, spec, order):
     got = residual_stress_norm(u, spec, order)
     want = oracles.residual_stress_norm_full(lat, u.coeffs, d * g * u.coeffs)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("spec,order",
+                         [(H, 0), (H, 2), (Gaussian(alpha=1.0), 1)])
+def test_residual_stress_keep_set_matches_full_spectrum_oracle(
+        monkeypatch, n, spec, order):
+    # a truncated field has no modes outside the keep set, so the norm
+    # runs on the keep-set pair alone, without the _rinverse remainder
+    lat = WaveLattice(n)
+    u = random_solenoidal(lat, decay=0.5, seed=70 + n)
+    assert float(np.max(np.abs(u.coeffs[..., 1]))) > 0.0
+    d, g = _symbols(lat, spec, order)
+    want = oracles.residual_stress_norm_full(lat, u.coeffs, d * g * u.coeffs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("remainder transformed for a truncated field")
+
+    monkeypatch.setattr(diagnostics, "_rinverse", refuse)
+    assert residual_stress_norm(u, spec, order) == pytest.approx(
+        want, rel=1e-13)
 
 
 def _simulate_files(tmp_path, blas_threads):

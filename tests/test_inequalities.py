@@ -203,6 +203,19 @@ def test_sweep_rejects_grid_outside_domain(name, grid):
         sweep(name, grid=grid)
 
 
+@pytest.mark.parametrize("grid, bound", [
+    (GridSpec(x_points=4, x_lo=0.0), "x_lo"),
+    (GridSpec(x_points=4, x_lo=-1.0), "x_lo"),
+    (GridSpec(x_points=4, x_hi=0.0), "x_hi"),
+], ids=["x_lo_zero", "x_lo_negative", "x_hi_zero"])
+def test_sweep_rejects_bound_without_log(grid, bound):
+    # the log-spaced x values need x_lo, x_hi > 0; the error names the
+    # bound and the grid rather than a bare math domain error
+    with pytest.raises(ValueError,
+                       match=rf"{bound} = .* must be > 0.*GridSpec\(x_points="):
+        sweep("exp_limit", grid=grid)
+
+
 @pytest.mark.parametrize("name, n_cases, min_margin, worst_params", [
     ("highpass_power", 115344, 0.0, (0.0, 1.0, 1.0)),
     ("highpass_power_sq", 115344, 0.0, (0.0, 1.0, 1.0)),
