@@ -29,20 +29,17 @@ from .filters import (
 from .solvers import (
     ExperimentOutput,
     energy_weight,
-    _half_weight,
     _mode_sq,
     _tau_norms,
-    _weighted_norm,
 )
 from .spectral import (
     SpectralField,
     WaveLattice,
     random_solenoidal,
     sobolev_norm,
-    _half,
     _kept,
+    _kept_weights,
     _rinverse,
-    _unkept,
     _Workspace,
 )
 
@@ -98,6 +95,13 @@ class PowerBound:
     limit: LogValue
 
 
+def _outside(u: SpectralField) -> Optional[np.ndarray]:
+    """The full-layout coefficients of u outside the 2/3-rule keep set, or
+    None when they are all zero, as for every truncated field."""
+    rest = np.where(u.lattice.dealias_mask, 0.0, u.coeffs)
+    return rest if np.any(rest) else None
+
+
 def residual_stress_norm(u: SpectralField, spec: FilterSpec,
                          order: int) -> float:
     """Frobenius coefficient norm of u (x) u - Du_bar (x) Du_bar.
@@ -108,19 +112,19 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     transforms as run_experiment's tau_l2 series, so on a truncated field
     (every solver state) the two agree bit for bit.  Only when u has modes
     outside the keep set are their samples added, through _rinverse of the
-    remainder.
+    remainder (_outside).
     """
     lattice = u.lattice
     n = lattice.n
     ksq = lattice.k_squared
     rho = np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)) \
         * np.asarray(filter_symbol(spec, ksq))
-    kc = _kept(u.coeffs, n)
-    outside = _half(u.coeffs) - _unkept(kc, n)
+    outside = _outside(u)
     rest = None
-    if np.any(outside):
-        rest = (_rinverse(outside, n), [_rinverse(_half(rho) * outside, n)])
-    norms, _ = _tau_norms(kc, [_kept(rho, n)], _Workspace(n), rest)
+    if outside is not None:
+        rest = (_rinverse(outside, n), [_rinverse(rho * outside, n)])
+    norms, _ = _tau_norms(_kept(u.coeffs, n), [_kept(rho, n)], _Workspace(n),
+                          rest)
     return norms[0]
 
 
@@ -129,17 +133,23 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
 
     Exact mode sum sqrt( sum (x/(1+x))^(2(order+1)) |k| |u_hat|^2 ) with
     x the filter's dimensionless symbol argument; only the inverse-form
-    (Helmholtz) filter admits this closed form.
+    (Helmholtz) filter admits this closed form.  The keep-set sum is
+    run_experiment's half_norm series, bit for bit; the full-layout sum of
+    the modes outside the keep set (_outside) is added only when u has any.
     """
     if not isinstance(spec, Helmholtz):
         raise TypeError(
             f"defect half-norm requires a Helmholtz filter, got "
             f"{type(spec).__name__}"
         )
-    lattice = u.lattice
-    weight = _defect_weight(spec, order, lattice.k_squared)
-    return float(_weighted_norm(_half_weight(weight, lattice.n),
-                                _mode_sq(_half(u.coeffs))))
+    n = u.lattice.n
+    weight = _defect_weight(spec, order, u.lattice.k_squared)
+    total = np.sum(_kept(weight, n) * _kept_weights(n)
+                   * _mode_sq(_kept(u.coeffs, n)))
+    outside = _outside(u)
+    if outside is not None:
+        total += np.sum(weight * _mode_sq(outside))
+    return float(np.sqrt(total))
 
 
 def defect_bound(u_h1: float, alpha: float, p: float, order: int) -> float:

@@ -25,8 +25,8 @@ components against 6 for v (x) v, so each stage transforms 5 products.
 Every state lives on the 2/3-rule keep set (spectral._kept): it is zero
 outside it from the truncated initial field on, because the products are
 dealiased and every other operator is per-mode.  The stepper therefore
-stores, combines, projects and filters only the keep-set modes, about 30%
-of the half spectrum, and goes to the grid and back through the keep-set
+stores, combines, projects and filters only the keep-set modes, about 15%
+of the full layout, and goes to the grid and back through the keep-set
 transform pair spectral._kinverse / _kforward: products with the DFT
 matrices restricted to the keep set, (2M+1) n multiply-adds per line
 through numpy's BLAS, which agree with the full pocketfft pair to within
@@ -73,18 +73,16 @@ from .spectral import (
     _TF_ROWS,
     _contract,
     _div_ratio,
-    _half,
-    _hermitian_fill,
-    _hermitian_weights,
+    _full,
     _k_over_ksq,
     _kept,
+    _kept_weights,
     _kinverse,
     _leray,
     _rinverse,
     _sobolev_weight,
     _sym_products,
     _tracefree_products,
-    _unkept,
     _Workspace,
 )
 
@@ -346,7 +344,7 @@ def initial_field(cfg: SimConfig, lattice: WaveLattice) -> SpectralField:
 def check_cfl(cfg: SimConfig, u0: SpectralField) -> None:
     """Enforce dt <= 0.5 dx / max|u0| against the collocation samples of
     the (Hermitian) field u0."""
-    _courant(cfg, _rinverse(_half(u0.coeffs), cfg.n), speed="u0")
+    _courant(cfg, _rinverse(u0.coeffs, cfg.n), speed="u0")
 
 
 def _courant(cfg: SimConfig, grid: np.ndarray, where: str = "",
@@ -441,8 +439,9 @@ def _build_steppers(cfg: SimConfig, lattice: WaveLattice,
                 f"forcing lattice {f.lattice} does not match config lattice "
                 f"{lattice}"
             )
-        # The half-spectrum stepper would silently drop a non-Hermitian
-        # part; divergence is not required, the projection removes it.
+        # The keep-set stepper stores only the m3 >= 0 modes and would
+        # silently drop a non-Hermitian part; divergence is not required,
+        # the projection removes it.
         validate_field(f, require_divergence_free=False)
         f = f.coeffs * lattice.dealias_mask
         # Project once (P G f for the models); the projection commutes with
@@ -475,8 +474,7 @@ def _advance_state(state: SolverState, stepper: _Stepper,
     c = _step(stepper, _kept(state.field.coeffs, n), state.step_index + 1,
               state.t + dt)
     return SolverState(
-        field=SpectralField(state.field.lattice,
-                            _hermitian_fill(_unkept(c, n), n),
+        field=SpectralField(state.field.lattice, _full(c, n),
                             divergence_free=True),
         t=state.t + dt,
         step_index=state.step_index + 1,
@@ -585,12 +583,6 @@ def _mode_sq(c: np.ndarray) -> np.ndarray:
     return np.sum(_abs2(c), axis=-4)
 
 
-def _half_weight(weight: np.ndarray, n: int) -> np.ndarray:
-    """A full-layout per-mode weight as a half-layout one: its m3 = 0..n/2
-    part times the Hermitian weights, so that half sums equal full ones."""
-    return _half(weight) * _hermitian_weights(n)
-
-
 def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """sqrt(sum weight sq) over the 3 mode axes, per leading index."""
     return np.sqrt(np.sum(weight * sq, axis=(-3, -2, -1)))
@@ -617,10 +609,9 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     reference state on the keep set, so no reference sample is stored;
     everything downstream (error norms, residual stress, defect series,
     divergence ratio, the peak Courant number) is computed here, so reports
-    never need the full fields again.  Only the reference goes to the half
-    spectrum.  The model runs start from the filtered initial state.
-    CflError is raised at the first sample, step 0 included, where
-    dt > 0.5 dx / max|u| for the reference.
+    never need the full fields again.  The model runs start from the
+    filtered initial state.  CflError is raised at the first sample, step 0
+    included, where dt > 0.5 dx / max|u| for the reference.
     `threads` is accepted for compatibility and changes nothing.
     Deterministic for a fixed config.
     """
@@ -637,17 +628,18 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     ws = dns_stepper.ws
     ksq = lattice.k_squared
 
-    # Keep-set weights of the per-sample norms; the defect norms keep the
-    # half-layout sums of half_norm_defect, to the last bit.
+    # Keep-set weights of the per-sample norms; the defect norms are
+    # half_norm_defect's keep-set sums, to the last bit.
+    kw = _kept_weights(n)
     _, s_level = energy_weight(cfg.spec)
-    w_0, w_1, w_s, w_s1 = (
-        _kept(_half_weight(_sobolev_weight(ksq, s), n), n)
-        for s in (0.0, 1.0, s_level, s_level + 1.0))
+    w_0, w_1, w_s, w_s1 = (_kept(_sobolev_weight(ksq, s), n) * kw
+                           for s in (0.0, 1.0, s_level, s_level + 1.0))
     w_err = np.stack([w_0, w_s, w_1, w_s1])[:, None]  # _SERIES[:4]
     is_helmholtz = isinstance(cfg.spec, Helmholtz)
     if is_helmholtz:
-        half_weights = np.stack([_half_weight(
-            _defect_weight(cfg.spec, N, ksq), n) for N in cfg.N_list])
+        defect_weights = np.stack([
+            _kept(_defect_weight(cfg.spec, N, ksq), n) * kw
+            for N in cfg.N_list])
     g_kept = _kept(g_sym, n)
     rhos = [_kept(d * g_sym, n) for d in d_syms]
     k_kept = tuple(_kept(k, n) for k in lattice.wavevectors)
@@ -676,8 +668,8 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         series["w_l2"][:, idx] = _weighted_norm(w_0, _mode_sq(w))
         series["tau_l2"][:, idx] = taus
         if is_helmholtz:
-            series["half_norm"][:, idx] = _weighted_norm(
-                half_weights, _mode_sq(_unkept(u, n)))
+            series["half_norm"][:, idx] = _weighted_norm(defect_weights,
+                                                         u_sq)
         np.maximum(div_max, _div_ratio(w, k_kept, kmag_kept), out=div_max)
 
     u = _kept(u0.coeffs, n)
@@ -705,13 +697,11 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         RunSeries(N=N, times=times,
                   **{name: series[name][j] for name in _SERIES},
                   div_ratio_max=float(div_max[j]),
-                  final_field=SpectralField(
-                      lattice, _hermitian_fill(_unkept(c, n), n),
-                      divergence_free=True))
+                  final_field=SpectralField(lattice, _full(c, n),
+                                            divergence_free=True))
         for j, (N, c) in enumerate(zip(cfg.N_list, states))
     ]
-    u_final = SpectralField(lattice, _hermitian_fill(_unkept(u, n), n),
-                            divergence_free=True)
+    u_final = SpectralField(lattice, _full(u, n), divergence_free=True)
     ubar_final = SpectralField(lattice, g_sym * u_final.coeffs,
                                divergence_free=True)
     return ExperimentOutput(
@@ -731,14 +721,12 @@ def _tau_norms(u: np.ndarray, rhos: list, ws: _Workspace,
     collocation samples of the parts outside the keep set, which only a
     field that is not truncated has.  The tensor is symmetric, so its 6
     distinct components are formed and transformed once; the mode sum over
-    the keep set uses the off-diagonal weights and the Hermitian ones,
-    which are 1 on m3 = 0 and 2 on m3 = 1..M there.
+    the keep set uses the off-diagonal weights and _kept_weights.
     """
     u_grid = _kinverse(u, ws).copy()
     if rest is not None:
         u_grid += rest[0]
-    weight = (_SYM_WEIGHTS[:, None, None, None]
-              * _hermitian_weights(ws.n)[: ws.n // 3 + 1])
+    weight = _SYM_WEIGHTS[:, None, None, None] * _kept_weights(ws.n)
     norms = []
     for j, rho in enumerate(rhos):
         d_grid = _kinverse(rho * u, ws)

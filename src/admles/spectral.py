@@ -14,38 +14,30 @@ inverse transforms of Hermitian data are exactly real.  The quadratic
 nonlinearity is dealiased by the 2/3 rule: modes with any |m_axis| > n/3
 are zeroed after the pointwise product.
 
-Internally the products and the time stepper work on the real-to-complex
-half spectrum: coefficients of shape (..., n, n, n/2+1) holding the modes
-m3 = 0..n/2 of the last axis (numpy.fft.rfftn layout).  The other half is
-the complex conjugate of its partner, u_hat_{-k} = conj(u_hat_k), and is
-restored by a Hermitian fill only where a full SpectralField is needed.
-Half-layout symbol arrays are last-axis slices of the full ones, so the
-m3 = n/2 plane carries the sign of -n/2; that plane lies outside the 2/3
-keep-set and is always zero, so the sign never matters.  A mode sum over
-the full spectrum equals the half-spectrum sum with weight 1 on the m3 = 0
-and m3 = n/2 planes and weight 2 on the planes between.  The products of a
-field with itself form a symmetric tensor.  The residual-stress norm
-transforms its 6 distinct components g_i g_j with i <= j; in a Frobenius
-sum the 3 off-diagonal ones count twice.  The stepper transforms only the
-5 components of the trace-free form u_i u_j - delta_ij u_3 u_3 (Basdevant,
-J. Comput. Phys. 50:209, 1983): u_1^2 - u_3^2, u_2^2 - u_3^2, u_1 u_2,
-u_1 u_3, u_2 u_3.  The dropped part delta_ij u_3 u_3 has the divergence
-grad(u_3^2), a pure gradient, which the Leray projection removes, so the
-projected transport term is the same.  The transforms write into the
-preallocated buffers of a _Workspace through the `out=` argument of
-numpy.fft and np.matmul (numpy >= 2.0), which gives the same values as the
-allocating calls.
+Coefficients live in two layouts.  The full layout (..., n, n, n) holds
+every mode; the public API and the snapshots use it.  The time stepper and
+the per-sample diagnostics keep their state on the 2/3-rule keep set alone:
+with M = n//3 the compact layout (..., 2M+1, 2M+1, M+1) holds the modes
+m1, m2 in 0..M, -M..-1 (full-axis indices 0..M, n-M..n-1) and m3 in 0..M.
+The modes with m3 < 0 are the complex conjugates of their partners,
+u_hat_{-k} = conj(u_hat_k), so a mode sum over the full layout equals the
+keep-set sum with weight 1 on the m3 = 0 plane and 2 on m3 = 1..M
+(_kept_weights).  _kept gathers a full-layout array onto the keep set and
+_full scatters it back, with the conjugate fill of the m3 < 0 planes.  The
+products of a field with itself form a symmetric tensor.  The
+residual-stress norm transforms its 6 distinct components g_i g_j with
+i <= j; in a Frobenius sum the 3 off-diagonal ones count twice.  The
+stepper transforms only the 5 components of the trace-free form u_i u_j -
+delta_ij u_3 u_3 (Basdevant, J. Comput. Phys. 50:209, 1983): u_1^2 - u_3^2,
+u_2^2 - u_3^2, u_1 u_2, u_1 u_3, u_2 u_3.  The dropped part delta_ij u_3 u_3
+has the divergence grad(u_3^2), a pure gradient, which the Leray projection
+removes, so the projected transport term is the same.
 
-The time stepper goes one step further and keeps its state on the 2/3-rule
-keep set alone: with M = n//3 the compact layout (..., 2M+1, 2M+1, M+1)
-holds the modes m1, m2 in 0..M, -M..-1 (full-axis indices 0..M, n-M..n-1)
-and m3 in 0..M, about 30% of the half spectrum.  Since M < n/2 its
-Hermitian weights are 1 on m3 = 0 and 2 on m3 = 1..M.  _kept gathers a
-full- or half-layout array onto it and _unkept scatters it back to a
-half-layout array that is zero elsewhere.  The stepper's transform pair,
-_kinverse and _kforward, multiplies by the DFT matrices restricted to the
-keep set, built once per lattice in a _Workspace (along m3 a real matrix
-on the interleaved real and imaginary parts).  A pass over one line costs
+The keep-set transform pair, _kinverse and _kforward, multiplies by the DFT
+matrices restricted to the keep set, built once per lattice in a
+_Workspace (along m3 a real matrix on the interleaved real and imaginary
+parts), and writes into the workspace's preallocated buffers through the
+`out=` argument of np.matmul (numpy >= 2.0).  A pass over one line costs
 (2M+1) n multiply-adds through numpy's BLAS and never touches the zero
 lines.  On keep-set data (and, forward, on the kept modes of any grid) the
 pair agrees with the full pocketfft pair to within 1e-13 of the largest
@@ -187,51 +179,17 @@ def _clean(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half(a: np.ndarray) -> np.ndarray:
-    """The m3 = 0..n/2 part of a full-layout array (a view).
-
-    Also slices broadcastable arrays whose last axis has length 1.
-    """
-    return a[..., : a.shape[-1] // 2 + 1]
+def _rforward(samples: np.ndarray) -> np.ndarray:
+    """rfftn series coefficients (..., n, n, n/2+1) of real samples
+    (..., n, n, n): the m3 = 0..n/2 planes of the full layout."""
+    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
 
 
-def _rforward(samples: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-    """Half-spectrum series coefficients of real samples (..., n, n, n).
-
-    With `out` every axis pass runs in that buffer, which is returned; the
-    values are the same as those of the allocating call.
-    """
-    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward", out=out)
-
-
-def _rinverse(half: np.ndarray, n: int, out: np.ndarray | None = None
-              ) -> np.ndarray:
-    """Real samples of Hermitian-filled half-spectrum coefficients, written
-    into `out` when it is given."""
-    return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1),
-                         norm="forward", out=out)
-
-
-def _hermitian_fill(half: np.ndarray, n: int) -> np.ndarray:
-    """Full-layout coefficients (..., n, n, n) from the half spectrum.
-
-    The missing m3 = -(n/2-1)..-1 planes are conj(u_hat) at the partner
-    mode -k; the m3 = -n/2 plane takes the (zero) m3 = n/2 half plane.
-    """
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., : n // 2 + 1] = half
-    partner = half[..., ::-1, ::-1, n // 2 - 1: 0: -1]
-    full[..., n // 2 + 1:] = np.conj(
-        np.roll(partner, shift=(1, 1), axis=(-3, -2)))
-    return full
-
-
-def _hermitian_weights(n: int) -> np.ndarray:
-    """Per-m3 weights turning a half-spectrum mode sum into a full one."""
-    w = np.ones(n // 2 + 1)
-    w[1: n // 2] = 2.0
-    return w
+def _rinverse(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Real samples of Hermitian full-layout coefficients (..., n, n, n);
+    irfftn reads only their m3 = 0..n/2 planes."""
+    return np.fft.irfftn(coeffs[..., : n // 2 + 1], s=(n, n, n),
+                         axes=(-3, -2, -1), norm="forward")
 
 
 # The symmetric products g_i g_j (i <= j) in stacking order and each
@@ -252,8 +210,9 @@ def _kept_rows(n: int) -> np.ndarray:
 
 
 def _kept(a: np.ndarray, n: int) -> np.ndarray:
-    """Keep-set part (..., 2M+1, 2M+1, M+1) of a full- or half-layout
-    array, as a contiguous copy.
+    """Keep-set part (..., 2M+1, 2M+1, M+1) of a full-layout array, as a
+    contiguous copy.  rfftn output shares the m3 = 0..M planes, so it
+    gathers the same way.
 
     Axes of length 1 of a broadcastable symbol stay as they are.
     """
@@ -265,13 +224,24 @@ def _kept(a: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(a[..., : n // 3 + 1])
 
 
-def _unkept(kc: np.ndarray, n: int) -> np.ndarray:
-    """Half-layout coefficients (..., n, n, n/2+1) of keep-set ones, zero
-    outside the keep set."""
-    half = np.zeros(kc.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+def _full(kc: np.ndarray, n: int) -> np.ndarray:
+    """Full-layout coefficients (..., n, n, n) of keep-set ones, zero
+    outside the keep set; the m3 < 0 planes are the conjugate partners of
+    the m3 > 0 ones."""
+    full = np.zeros(kc.shape[:-3] + (n, n, n), dtype=np.complex128)
     rows = _kept_rows(n)
-    half[..., rows[:, None], rows, : n // 3 + 1] = kc
-    return half
+    full[..., rows[:, None], rows, : n // 3 + 1] = kc
+    full[..., n // 2 + 1:] = _hermitian_partner(full)[..., n // 2 + 1:]
+    return full
+
+
+def _kept_weights(n: int) -> np.ndarray:
+    """Per-m3 Hermitian weights of the keep set, 1 on m3 = 0 and 2 on
+    m3 = 1..M: a weighted keep-set mode sum of Hermitian data equals the
+    full-layout sum over the keep set."""
+    w = np.full(n // 3 + 1, 2.0)
+    w[0] = 1.0
+    return w
 
 
 class _Workspace:
@@ -297,25 +267,24 @@ class _Workspace:
         self.kspec = np.empty((6, 2 * m + 1, 2 * m + 1, m + 1), np.complex128)
         # Angles 2 pi (k x mod n) / n, reduced before the exp, of the kept
         # modes k (rows) against the samples x (columns), and of x (rows)
-        # against the half modes m3 = 0..M.
+        # against the kept modes m3 = 0..M.
         x = np.arange(n)
         ang = (2.0 * np.pi / n) * (np.outer(_kept_rows(n), x) % n)
         self.Ff = np.exp(-1j * ang) / n
         self.Fi = np.ascontiguousarray(np.exp(1j * ang).T)
         ang3 = (2.0 * np.pi / n) * (np.outer(x, np.arange(m + 1)) % n)
         # Real-to-complex along m3 on the float view: columns interleave
-        # Re and Im of each mode, and R weights them 1 on m3 = 0 and 2 on
-        # 1..M, dropping Im at m3 = 0 as irfft does.
+        # Re and Im of each mode, and R weights them with _kept_weights,
+        # dropping Im at m3 = 0 as irfft does.
         cs = np.stack([np.cos(ang3), -np.sin(ang3)], axis=-1)
         self.Wr = cs.reshape(n, 2 * (m + 1)) / n
-        weight = np.where(np.arange(m + 1) == 0, 1.0, 2.0)[:, None]
         self.R = np.ascontiguousarray(
-            (cs * weight).reshape(n, 2 * (m + 1)).T)
+            (cs * _kept_weights(n)[:, None]).reshape(n, 2 * (m + 1)).T)
 
 
 def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Real samples of keep-set coefficients (3, 2M+1, 2M+1, M+1), written
-    into ws.grid; _rinverse of _unkept(kc) to within rounding.
+    into ws.grid; _rinverse of _full(kc) to within rounding.
 
     Three products with the DFT matrices restricted to the keep set: Fi
     (n, 2M+1) along m2 and then along m1, and the real R (2(M+1), n) on
@@ -410,7 +379,7 @@ def _leray(c: np.ndarray, k, kov) -> np.ndarray:
     """Leray projection c -= k (k.c)/|k|^2 of raw coefficients, in place.
 
     k and kov = k/|k|^2 (_k_over_ksq) belong to the mode layout of c, full
-    or half spectrum; the k = 0 mode is left unchanged.
+    or keep set; the k = 0 mode is left unchanged.
     """
     kdotc = k[0] * c[0] + k[1] * c[1] + k[2] * c[2]
     for j in range(3):
@@ -465,8 +434,8 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     """Dealiased spectral coefficients of div(u (x) v).
 
     Component i is sum_j i k_j F[u_j v_i], with the products formed on the
-    collocation grid, transformed to the half spectrum and masked by the
-    2/3 rule.
+    collocation grid, transformed by rfftn and gathered onto the 2/3-rule
+    keep set.
     """
     if u.lattice != v.lattice:
         raise LatticeMismatchError(
@@ -475,14 +444,14 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
         )
     lat = u.lattice
     n = lat.n
-    k = tuple(_half(kj) for kj in lat.wavevectors)
-    ug = _rinverse(_half(u.coeffs), n)
-    vg = _rinverse(_half(v.coeffs), n)
-    prod = _rforward((vg[:, None] * ug[None, :]).reshape(9, n, n, n))
-    prod *= _half(lat.dealias_mask)
+    k = tuple(_kept(kj, n) for kj in lat.wavevectors)
+    ug = _rinverse(u.coeffs, n)
+    vg = _rinverse(v.coeffs, n)
+    prod = _kept(_rforward((vg[:, None] * ug[None, :]).reshape(9, n, n, n)),
+                 n)
     out = _contract(prod, k, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
     out *= 1j
-    return SpectralField(lat, _hermitian_fill(out, n))
+    return SpectralField(lat, _full(out, n))
 
 
 def truncate_field(f: SpectralField) -> SpectralField:
@@ -557,8 +526,10 @@ def _div_ratio(c: np.ndarray, k, kmag: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_partner(coeffs: np.ndarray) -> np.ndarray:
+    """conj(c_{-k}) at every mode k of full-layout coefficients."""
     flipped = coeffs[..., ::-1, ::-1, ::-1]
-    return np.conj(np.roll(flipped, shift=(1, 1, 1), axis=(-3, -2, -1)))
+    partner = np.roll(flipped, shift=(1, 1, 1), axis=(-3, -2, -1))
+    return np.conj(partner, out=partner)
 
 
 def validate_field(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
+from admles import diagnostics
+from admles.deconvolution import _defect_weight
 from admles.diagnostics import (
     LogValue,
     bound_main,
@@ -125,6 +127,32 @@ def test_half_norm_single_mode_value():
     u = single_mode(lat, (1, 0, 0), (0.0, 1.0, 0.0))
     got = half_norm_defect(u, H11, 0)
     assert got == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("order", [0, 4])
+def test_half_norm_adds_modes_outside_keep_set(monkeypatch, n, p, order):
+    # an untruncated field adds the full-layout sum of its modes outside
+    # the keep set to the keep-set sum; a truncated one never forms it
+    lat = WaveLattice(n)
+    spec = Helmholtz(alpha=0.5, p=p)
+    shapes = []
+
+    def recording(c):
+        shapes.append(c.shape)
+        return mode_sq(c)
+
+    mode_sq = diagnostics._mode_sq
+    monkeypatch.setattr(diagnostics, "_mode_sq", recording)
+    u = random_solenoidal(lat, decay=0.5, seed=n, truncate=False)
+    weight = _defect_weight(spec, order, lat.k_squared)
+    want = math.sqrt(np.sum(weight * np.abs(u.coeffs) ** 2))
+    assert half_norm_defect(u, spec, order) == pytest.approx(want, rel=1e-13)
+    assert (3, n, n, n) in shapes
+    shapes.clear()
+    half_norm_defect(random_solenoidal(lat, decay=0.5, seed=n), spec, order)
+    assert shapes and (3, n, n, n) not in shapes
 
 
 def test_half_norm_rejects_non_helmholtz():

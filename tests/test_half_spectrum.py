@@ -1,5 +1,4 @@
-"""Half-spectrum and keep-set products and stepping against full-spectrum
-references.
+"""Keep-set products and stepping against full-spectrum references.
 
 The stepper transforms the 5 components of the trace-free stress, the
 residual-stress norm the 6 distinct products of a symmetric tensor.  Both
@@ -32,14 +31,12 @@ from admles.solvers import _Stepper
 from admles.spectral import (
     WaveLattice,
     random_solenoidal,
-    _half,
-    _hermitian_fill,
+    _full,
     _kept,
     _kforward,
     _kinverse,
     _rforward,
     _rinverse,
-    _unkept,
     _Workspace,
 )
 
@@ -53,28 +50,17 @@ def _symbols(lat, spec, order):
 
 
 def test_hermitian_fill_restores_full_layout():
+    # the m3 < 0 planes of an fftn-built field are Hermitian to rounding
+    # only, so the conjugate fill restores them within 1e-15, not exactly
     for n in (6, 8, 16):
         lat = WaveLattice(n)
-        c = random_solenoidal(lat, decay=0.5, seed=n, truncate=False).coeffs
-        back = _hermitian_fill(_half(c), n)
+        c = random_solenoidal(lat, decay=0.5, seed=n).coeffs
+        kc = _kept(c, n)
+        back = _full(kc, n)
         assert back.shape == c.shape
         assert float(np.max(np.abs(back - c))) <= 1e-15 * float(
             np.max(np.abs(c)))
-
-
-@pytest.mark.parametrize("n", [8, 16, 32])
-def test_transform_buffers_match_allocating_calls(n):
-    lat = WaveLattice(n)
-    half = np.array(_half(random_solenoidal(lat, decay=0.5, seed=n,
-                                            truncate=False).coeffs))
-    grid = np.empty((3, n, n, n))
-    got = _rinverse(half, n, out=grid)
-    assert got is grid
-    assert np.array_equal(got, _rinverse(half, n))
-    spec = np.empty_like(half)
-    back = _rforward(grid * grid[::-1], out=spec)
-    assert back is spec
-    assert np.array_equal(back, _rforward(grid * grid[::-1]))
+        assert np.array_equal(_kept(back, n), kc)
 
 
 def _pair_inputs(n, seed):
@@ -95,14 +81,14 @@ def _close(got, want):
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 32, 48])
 def test_pruned_pair_matches_full_transforms(n):
-    lat, c, samples = _pair_inputs(n, seed=40 + n)
+    _, c, samples = _pair_inputs(n, seed=40 + n)
     ws = _Workspace(n)
-    assert _close(_kinverse(_kept(c, n), ws),
-                  _rinverse(np.array(_half(c)), n))
-    want = _kept(_rforward(samples) * _half(lat.dealias_mask), n)
-    assert _close(_kforward(samples, ws), want)
-    # _unkept is the inverse of _kept on truncated data
-    assert np.array_equal(_unkept(_kept(c, n), n), _half(c))
+    assert _close(_kinverse(_kept(c, n), ws), _rinverse(c, n))
+    assert _close(_kforward(samples, ws), _kept(_rforward(samples), n))
+    # _full is the inverse of _kept on truncated data; exact on the planes
+    # m3 >= 0 that the keep set stores
+    half = slice(None, n // 2 + 1)
+    assert np.array_equal(_full(_kept(c, n), n)[..., half], c[..., half])
 
 
 @pytest.mark.parametrize("n", [6, 16])
@@ -128,7 +114,7 @@ def test_advance_matches_full_spectrum_oracle(n, order):
     u = random_solenoidal(lat, decay=0.5, seed=20 + n)
     pre, post = (None, None) if order is None else _symbols(lat, H, order)
     stepper = _Stepper(lat, nu, dt, pre=pre, post=post)
-    got = _hermitian_fill(_unkept(stepper.advance(_kept(u.coeffs, n)), n), n)
+    got = _full(stepper.advance(_kept(u.coeffs, n)), n)
     want = oracles.one_step(u.coeffs, lat, nu, dt, pre=pre, post=post)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
