@@ -17,8 +17,8 @@ parameters that produced it.
 from __future__ import annotations
 
 import math
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -57,23 +57,6 @@ def _emit_csv(csv_path, token: str, header, rows) -> None:
         click.echo(text, nl=False)
     else:
         admio.write_atomic(csv_path, text)
-
-
-def _resolve_threads(threads, deterministic: bool = False) -> int:
-    if deterministic:
-        return 1
-    if threads is None:
-        raw = os.environ.get("ADM_THREADS")
-        if raw is None:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise click.UsageError(
-                f"ADM_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise click.UsageError(f"--threads must be >= 1, got {threads}")
-    return threads
 
 
 @click.group()
@@ -239,10 +222,12 @@ def _parse_orders(text: str) -> list:
 def symbols(filter_name, alpha, p, mu, m, orders_text, kmax, points,
             csv_path) -> None:
     """Tabulate filter, inverse, and deconvolution symbols over k^2."""
+    kind = filter_name.replace("-", "_")
+    given = {"alpha": alpha, "p": p, "mu": mu, "m": m}
     try:
         spec = _kind_from_dict(_FILTER_KINDS, "filter", {
-            "kind": filter_name.replace("-", "_"),
-            "alpha": alpha, "p": p, "mu": mu, "m": m,
+            "kind": kind,
+            **{f.name: given[f.name] for f in fields(_FILTER_KINDS[kind])},
         })
     except ValueError as e:
         raise click.UsageError(str(e))
@@ -292,25 +277,26 @@ def _resolve_out(cfg: SimConfig, out) -> Path:
         "no output directory: pass --out or set output_dir in the config")
 
 
+def _run(cfg: SimConfig, threads: int = 1):
+    """run_experiment, with its refusals as click errors (exit 1)."""
+    try:
+        return run_experiment(cfg, threads=threads)
+    except (CflError, BlowUpError, ValueError) as e:
+        raise click.ClickException(str(e))
+
+
 @main.command()
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--deterministic", is_flag=True,
-              help="kept for compatibility; every run is reproducible "
-                   "byte-for-byte.")
-@click.option("--threads", type=int, default=None,
-              help="kept for compatibility (ADM_THREADS as fallback); the "
-                   "orders advance in lockstep in one thread.")
-def simulate(config_path, out, deterministic, threads) -> None:
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              help="accepted for compatibility and ignored; the orders "
+                   "advance in lockstep in one thread.")
+def simulate(config_path, out, threads) -> None:
     """Run the reference and model systems described by a JSON config."""
     cfg = _load_config(config_path)
     out_dir = _resolve_out(cfg, out)
-    threads = _resolve_threads(threads, deterministic)
-    try:
-        output = run_experiment(cfg, threads=threads)
-    except (CflError, BlowUpError, ValueError) as e:
-        raise click.ClickException(str(e))
+    output = _run(cfg, threads)
     paths = write_outputs(output, out_dir)
     for run in output.runs:
         click.echo(f"N={run.N}: final error {float(run.eps_l2[-1])!r}, "
@@ -325,8 +311,7 @@ def simulate(config_path, out, deterministic, threads) -> None:
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--constant", default=2.0, show_default=True,
               help="Sobolev product constant C in the error bounds.")
-@click.option("--threads", type=int, default=None)
-def rates(config_path, out, constant, threads) -> None:
+def rates(config_path, out, constant) -> None:
     """Error-bound ledger and convergence-rate fits for one experiment.
 
     Reuses the experiment outputs in the directory when present, running
@@ -337,7 +322,6 @@ def rates(config_path, out, constant, threads) -> None:
 
     cfg = _load_config(config_path)
     out_dir = _resolve_out(cfg, out)
-    threads = _resolve_threads(threads)
     if (out_dir / "series.csv").exists():
         try:
             output = read_outputs(out_dir)
@@ -347,10 +331,7 @@ def rates(config_path, out, constant, threads) -> None:
             raise click.ClickException(
                 f"{out_dir} holds outputs for a different config")
     else:
-        try:
-            output = run_experiment(cfg, threads=threads)
-        except (CflError, BlowUpError, ValueError) as e:
-            raise click.ClickException(str(e))
+        output = _run(cfg)
         write_outputs(output, out_dir)
     try:
         report = error_report(output, constant=constant)

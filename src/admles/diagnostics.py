@@ -123,8 +123,8 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     rest = None
     if outside is not None:
         rest = (_rinverse(outside, n), [_rinverse(rho * outside, n)])
-    norms, _ = _tau_norms(_kept(u.coeffs, n), [_kept(rho, n)], _Workspace(n),
-                          rest)
+    norms, _ = _tau_norms(_kept(u.coeffs, n), [_kept(rho, n)],
+                          _Workspace(lattice), rest)
     return norms[0]
 
 

@@ -36,9 +36,11 @@ to the grid through the same pair.
 
 run_experiment advances the reference and every model order in lockstep in
 one thread: each step moves the reference and then each order, and all of
-them run their transforms in one shared workspace (numpy >= 2.0 writes
-matmul results into it through `out=`).  At a sample step each order is
-compared with the live reference state, so no reference sample is stored.
+them share one spectral._Workspace: the keep set's geometry, on which
+every symbol is evaluated once, and the transform buffers (numpy >= 2.0
+writes matmul results into them through `out=`).  At a sample step each
+order is compared with the live reference state, so no reference sample
+is stored.
 """
 
 from __future__ import annotations
@@ -74,9 +76,7 @@ from .spectral import (
     _contract,
     _div_ratio,
     _full,
-    _k_over_ksq,
     _kept,
-    _kept_weights,
     _kinverse,
     _leray,
     _rinverse,
@@ -197,7 +197,7 @@ class SimConfig:
             "init": _kind_to_dict(_INIT_KINDS, "initial condition",
                                   self.init),
             "forcing": (
-                {"kind": "snapshot", "path": self.forcing.path}
+                _kind_to_dict(_FORCING_KINDS, "forcing", self.forcing)
                 if self.forcing else None
             ),
             "output_dir": self.output_dir,
@@ -228,7 +228,8 @@ class SimConfig:
             init=_kind_from_dict(_INIT_KINDS, "initial condition",
                                  data.get("init", {"kind": "taylor_green"})),
             forcing=(
-                SnapshotForcing(path=str(forcing["path"])) if forcing else None
+                None if forcing is None
+                else _kind_from_dict(_FORCING_KINDS, "forcing", forcing)
             ),
             output_dir=data.get("output_dir"),
             sample_every=_as_int("sample_every", data.get("sample_every", 1)),
@@ -253,6 +254,7 @@ _INIT_KINDS = {
     "random_spectrum": RandomSpectrumInit,
     "snapshot": SnapshotInit,
 }
+_FORCING_KINDS = {"snapshot": SnapshotForcing}
 
 
 def _as_int(key: str, value) -> int:
@@ -278,18 +280,27 @@ def _kind_to_dict(kinds: dict, noun: str, spec) -> dict:
 
 def _kind_from_dict(kinds: dict, noun: str, data: dict):
     """Inverse of _kind_to_dict.  Fields with a default may be omitted;
-    every value is coerced to its field's float/int/str type."""
-    kind = data.get("kind")
+    every value is coerced to its field's float/int/str type.  A missing or
+    unknown kind, a missing required field and an unknown field raise
+    ValueError naming the key."""
+    if "kind" not in data:
+        raise ValueError(f"{noun} is missing required key 'kind'")
+    kind = data["kind"]
     if kind not in kinds:
         raise ValueError(f"unknown {noun} kind: {kind!r}")
     cls = kinds[kind]
-    return cls(**{
-        f.name: _COERCE[f.type](
-            f.name,
-            data[f.name] if f.default is MISSING
-            else data.get(f.name, f.default))
-        for f in fields(cls)
-    })
+    unknown = set(data) - {"kind", *(f.name for f in fields(cls))}
+    if unknown:
+        raise ValueError(f"unknown {noun} keys for kind {kind!r}: "
+                         f"{sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            values[f.name] = _COERCE[f.type](f.name, data[f.name])
+        elif f.default is MISSING:
+            raise ValueError(f"{noun} kind {kind!r} is missing required "
+                             f"key '{f.name}'")
+    return cls(**values)
 
 
 def config_hash(cfg: SimConfig) -> str:
@@ -328,16 +339,24 @@ def initial_field(cfg: SimConfig, lattice: WaveLattice) -> SpectralField:
     elif isinstance(cfg.init, RandomSpectrumInit):
         f = random_solenoidal(lattice, cfg.init.decay, cfg.init.seed)
     elif isinstance(cfg.init, SnapshotInit):
-        f = admio.load_field(cfg.init.path)
-        if f.lattice != lattice:
-            raise ValueError(
-                f"snapshot lattice {f.lattice} does not match config "
-                f"lattice {lattice}"
-            )
+        f = _load_snapshot(cfg.init.path, lattice, "snapshot")
     else:
         raise TypeError(f"not an initial condition: {cfg.init!r}")
     f = leray_project(truncate_field(f))
     validate_field(f, require_divergence_free=True)
+    return f
+
+
+def _load_snapshot(path: str, lattice: WaveLattice,
+                   noun: str) -> SpectralField:
+    """The field saved at path, refused unless it lives on lattice; the
+    message names the snapshot `noun`."""
+    f = admio.load_field(path)
+    if f.lattice != lattice:
+        raise ValueError(
+            f"{noun} lattice {f.lattice} does not match config lattice "
+            f"{lattice}"
+        )
     return f
 
 
@@ -369,38 +388,33 @@ class _Stepper:
     """Shared integrating-factor SSP-RK3 stepper over raw keep-set
     coefficients of shape (3, 2M+1, 2M+1, M+1), M = n//3 (spectral._kept).
 
-    pre/post are full-layout per-mode symbol arrays (or None for identity);
-    forcing is a full-layout coefficient array already multiplied by post
-    and projected.  All of them are gathered onto the keep set once here.
-    The transforms of rhs run in `workspace`, which steppers advanced one
-    after another may share; by default the stepper has its own.
+    pre/post are per-mode symbols on the keep set of `ws` (or None for
+    identity); forcing is keep-set coefficients already multiplied by post
+    and projected.  The keep-set geometry and the transforms of rhs come
+    from the workspace `ws`, which steppers advanced one after another
+    share.
     """
 
-    def __init__(self, lattice: WaveLattice, nu: float, dt: float,
-                 pre=None, post=None, forcing=None,
-                 workspace: Optional[_Workspace] = None):
-        n = self.n = lattice.n
+    def __init__(self, ws: _Workspace, nu: float, dt: float,
+                 pre=None, post=None, forcing=None):
+        self.ws = ws
         self.dt = dt
-        self.ws = _Workspace(n) if workspace is None else workspace
-        ksq = _kept(lattice.k_squared, n)
-        self.E1 = np.exp(-nu * ksq * dt)
-        self.Eh = np.exp(-nu * ksq * (0.5 * dt))
-        self.Ehi = np.exp(nu * ksq * (0.5 * dt))
-        self.pre = _kept_or_none(pre, n)
-        self.forcing = _kept_or_none(forcing, n)
-        self._k = tuple(_kept(k, n) for k in lattice.wavevectors)
-        self._kov = tuple(_kept(k, n) for k in _k_over_ksq(lattice))
+        self.E1 = np.exp(-nu * ws.ksq * dt)
+        self.Eh = np.exp(-nu * ws.ksq * (0.5 * dt))
+        self.Ehi = np.exp(nu * ws.ksq * (0.5 * dt))
+        self.pre = pre
+        self.forcing = forcing
         # -i post: the divergence's factor i, the sign of the transport
         # term and the filter, applied after the projection they commute
         # with.
-        self._scale = -1j if post is None else -1j * _kept(post, n)
+        self._scale = -1j if post is None else -1j * post
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
+        ws = self.ws
         q = c if self.pre is None else self.pre * c
-        grid = _kinverse(q, self.ws)
-        products = _tracefree_products(grid, self.ws)
-        out = _leray(_contract(products, self._k, _TF_ROWS),
-                     self._k, self._kov)
+        grid = _kinverse(q, ws)
+        products = _tracefree_products(grid, ws)
+        out = _leray(_contract(products, ws.k, _TF_ROWS), ws.k, ws.kov)
         out *= self._scale
         if self.forcing is not None:
             out += self.forcing
@@ -413,10 +427,6 @@ class _Stepper:
         return (self.E1 * c + 2.0 * self.Eh * (q2 + dt * self.rhs(q2))) / 3.0
 
 
-def _kept_or_none(a, n: int):
-    return None if a is None else _kept(a, n)
-
-
 def _build_steppers(cfg: SimConfig, lattice: WaveLattice,
                     orders) -> tuple[list, np.ndarray, list]:
     """One stepper of cfg per entry of `orders`, all sharing one workspace:
@@ -424,37 +434,30 @@ def _build_steppers(cfg: SimConfig, lattice: WaveLattice,
     symbol D_N before the product, filter symbol G after it).
 
     Returns the steppers, G and the D_N (None for the reference), the
-    symbols in full layout.  The forcing snapshot is loaded once.
+    symbols evaluated on the workspace's keep set.  The forcing snapshot is
+    loaded once and gathered onto the keep set.
     """
-    ksq = lattice.k_squared
-    g = np.asarray(filter_symbol(cfg.spec, ksq))
+    ws = _Workspace(lattice)
+    g = np.asarray(filter_symbol(cfg.spec, ws.ksq))
     pres = [None if N is None
-            else np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), ksq))
+            else np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), ws.ksq))
             for N in orders]
     dns_forcing = model_forcing = None
     if cfg.forcing is not None:
-        f = admio.load_field(cfg.forcing.path)
-        if f.lattice != lattice:
-            raise ValueError(
-                f"forcing lattice {f.lattice} does not match config lattice "
-                f"{lattice}"
-            )
+        f = _load_snapshot(cfg.forcing.path, lattice, "forcing")
         # The keep-set stepper stores only the m3 >= 0 modes and would
         # silently drop a non-Hermitian part; divergence is not required,
         # the projection removes it.
         validate_field(f, require_divergence_free=False)
-        f = f.coeffs * lattice.dealias_mask
+        f = _kept(f.coeffs * lattice.dealias_mask, lattice.n)
         # Project once (P G f for the models); the projection commutes with
         # the per-mode symbols.
-        k, kov = lattice.wavevectors, _k_over_ksq(lattice)
-        model_forcing = _leray(f * g, k, kov)
-        dns_forcing = _leray(f, k, kov)
-    ws = _Workspace(lattice.n)
+        model_forcing = _leray(f * g, ws.k, ws.kov)
+        dns_forcing = _leray(f, ws.k, ws.kov)
     steppers = [
-        _Stepper(lattice, cfg.nu, cfg.dt, forcing=dns_forcing, workspace=ws)
+        _Stepper(ws, cfg.nu, cfg.dt, forcing=dns_forcing)
         if d is None else
-        _Stepper(lattice, cfg.nu, cfg.dt, pre=d, post=g,
-                 forcing=model_forcing, workspace=ws)
+        _Stepper(ws, cfg.nu, cfg.dt, pre=d, post=g, forcing=model_forcing)
         for d in pres]
     return steppers, g, pres
 
@@ -470,7 +473,7 @@ def _step(stepper: _Stepper, c: np.ndarray, step_index: int,
 
 def _advance_state(state: SolverState, stepper: _Stepper,
                    dt: float) -> SolverState:
-    n = stepper.n
+    n = stepper.ws.n
     c = _step(stepper, _kept(state.field.coeffs, n), state.step_index + 1,
               state.t + dt)
     return SolverState(
@@ -604,8 +607,10 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     """Run the reference system and one model run per order in lockstep.
 
     One thread advances the reference and then every order by one step,
-    all through one transform workspace, with every state stored on the
-    keep set.  At each sample step every order is compared with the live
+    all through one workspace, with every state stored on the keep set.
+    The symbols and per-sample weights are evaluated on the workspace's
+    keep-set geometry; only the final snapshots go back to the full
+    layout.  At each sample step every order is compared with the live
     reference state on the keep set, so no reference sample is stored;
     everything downstream (error norms, residual stress, defect series,
     divergence ratio, the peak Courant number) is computed here, so reports
@@ -623,27 +628,21 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     times = np.array([s * cfg.dt for s in samples])
     report_every = max(1, n_steps // 8)
 
-    (dns_stepper, *steppers), g_sym, (_, *d_syms) = _build_steppers(
+    (dns_stepper, *steppers), g, (_, *d_syms) = _build_steppers(
         cfg, lattice, (None, *cfg.N_list))
     ws = dns_stepper.ws
-    ksq = lattice.k_squared
 
     # Keep-set weights of the per-sample norms; the defect norms are
     # half_norm_defect's keep-set sums, to the last bit.
-    kw = _kept_weights(n)
     _, s_level = energy_weight(cfg.spec)
-    w_0, w_1, w_s, w_s1 = (_kept(_sobolev_weight(ksq, s), n) * kw
+    w_0, w_1, w_s, w_s1 = (_sobolev_weight(ws.ksq, s) * ws.w
                            for s in (0.0, 1.0, s_level, s_level + 1.0))
     w_err = np.stack([w_0, w_s, w_1, w_s1])[:, None]  # _SERIES[:4]
     is_helmholtz = isinstance(cfg.spec, Helmholtz)
     if is_helmholtz:
-        defect_weights = np.stack([
-            _kept(_defect_weight(cfg.spec, N, ksq), n) * kw
-            for N in cfg.N_list])
-    g_kept = _kept(g_sym, n)
-    rhos = [_kept(d * g_sym, n) for d in d_syms]
-    k_kept = tuple(_kept(k, n) for k in lattice.wavevectors)
-    kmag_kept = np.sqrt(_kept(ksq, n))
+        defect_weights = np.stack([_defect_weight(cfg.spec, N, ws.ksq) * ws.w
+                                   for N in cfg.N_list])
+    rhos = [d * g for d in d_syms]
 
     dns_cols = np.empty((3, len(samples)))
     series = {name: np.full((len(cfg.N_list), len(samples)), np.nan)
@@ -662,7 +661,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             cfg, u_grid, where=f"at step {step} (t = {t:.6g}) "))
         # Every order at once: (orders, 3, modes) states.
         w = np.stack(states)
-        err = _weighted_norm(w_err, _mode_sq(g_kept * u - w))
+        err = _weighted_norm(w_err, _mode_sq(g * u - w))
         for name, row in zip(_SERIES[:4], err):
             series[name][:, idx] = row
         series["w_l2"][:, idx] = _weighted_norm(w_0, _mode_sq(w))
@@ -670,11 +669,11 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         if is_helmholtz:
             series["half_norm"][:, idx] = _weighted_norm(defect_weights,
                                                          u_sq)
-        np.maximum(div_max, _div_ratio(w, k_kept, kmag_kept), out=div_max)
+        np.maximum(div_max, _div_ratio(w, ws.k, ws.kmag), out=div_max)
 
     u = _kept(u0.coeffs, n)
     # One initial array for every order: a step never writes into its input.
-    states = [_kept(g_sym * u0.coeffs, n)] * len(steppers)
+    states = [g * u] * len(steppers)
     record(0, 0, 0.0, u, states)
     cursor, t = 1, 0.0
     for step in range(1, n_steps + 1):
@@ -702,7 +701,8 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         for j, (N, c) in enumerate(zip(cfg.N_list, states))
     ]
     u_final = SpectralField(lattice, _full(u, n), divergence_free=True)
-    ubar_final = SpectralField(lattice, g_sym * u_final.coeffs,
+    g_full = filter_symbol(cfg.spec, lattice.k_squared)
+    ubar_final = SpectralField(lattice, g_full * u_final.coeffs,
                                divergence_free=True)
     return ExperimentOutput(
         config=cfg, lattice=lattice, dns=dns, runs=runs,
@@ -726,7 +726,7 @@ def _tau_norms(u: np.ndarray, rhos: list, ws: _Workspace,
     u_grid = _kinverse(u, ws).copy()
     if rest is not None:
         u_grid += rest[0]
-    weight = _SYM_WEIGHTS[:, None, None, None] * _kept_weights(ws.n)
+    weight = _SYM_WEIGHTS[:, None, None, None] * ws.w
     norms = []
     for j, rho in enumerate(rhos):
         d_grid = _kinverse(rho * u, ws)

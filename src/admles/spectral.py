@@ -33,12 +33,14 @@ u_2^2 - u_3^2, u_1 u_2, u_1 u_3, u_2 u_3.  The dropped part delta_ij u_3 u_3
 has the divergence grad(u_3^2), a pure gradient, which the Leray projection
 removes, so the projected transport term is the same.
 
-The keep-set transform pair, _kinverse and _kforward, multiplies by the DFT
-matrices restricted to the keep set, built once per lattice in a
-_Workspace (along m3 a real matrix on the interleaved real and imaginary
-parts), and writes into the workspace's preallocated buffers through the
-`out=` argument of np.matmul (numpy >= 2.0).  A pass over one line costs
-(2M+1) n multiply-adds through numpy's BLAS and never touches the zero
+A _Workspace holds one lattice's keep set: its geometry (k, k/|k|^2,
+|k|^2, |k| and the weights), on which per-mode symbols are evaluated
+directly, the DFT matrices restricted to it (along m3 a real matrix on the
+interleaved real and imaginary parts) and preallocated buffers.  The
+keep-set transform pair, _kinverse and _kforward, multiplies by those
+matrices and writes into the buffers through the `out=` argument of
+np.matmul (numpy >= 2.0).  A pass over one line costs (2M+1) n
+multiply-adds through numpy's BLAS and never touches the zero
 lines.  On keep-set data (and, forward, on the kept modes of any grid) the
 pair agrees with the full pocketfft pair to within 1e-13 of the largest
 value.
@@ -245,21 +247,32 @@ def _kept_weights(n: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Transform buffers and matrices reused by every product evaluation on
-    one lattice, M = n//3: a velocity grid (3, n, n, n), up to 6 products
-    (6, n, n, n) and their keep-set coefficients (6, 2M+1, 2M+1, M+1); the
-    keep-set pair's DFT matrices; and its partial passes, (6, 2M+1, n, M+1)
-    and (6, n, n, M+1).  Each transform uses the leading components it
-    needs: 3 for the inverse, 5 for the stepper's trace-free stress and 6
-    for the residual stress.
+    """One lattice's keep set, M = n//3, in the compact layout, built once
+    and shared by every stepper and diagnostic on the lattice.
 
-    The buffers are overwritten by each use, so a workspace serves callers
-    that run one after another in one thread.
+    Geometry, read-only, each bit for bit _kept of its full-layout
+    counterpart: the wavevector components k (broadcastable), kov =
+    k/|k|^2, ksq = |k|^2, kmag = |k| and the Hermitian weights w.  A
+    per-mode symbol evaluated on ksq is thus _kept of the full-layout one.
+
+    Transforms: the keep-set pair's DFT matrices and buffers for a velocity
+    grid (3, n, n, n), up to 6 products (6, n, n, n), their keep-set
+    coefficients (6, 2M+1, 2M+1, M+1) and the partial passes,
+    (6, 2M+1, n, M+1) and (6, n, n, M+1).  Each transform uses the leading
+    components it needs: 3 for the inverse, 5 for the stepper's trace-free
+    stress and 6 for the residual stress.  Every use overwrites the
+    buffers, so a workspace serves callers that run one after another in
+    one thread.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, lattice: WaveLattice):
+        n = self.n = lattice.n
         m = n // 3
-        self.n = n
+        self.k = tuple(_kept(k, n) for k in lattice.wavevectors)
+        self.ksq = _kept(lattice.k_squared, n)
+        self.kov = _k_over_ksq(self.k, self.ksq)
+        self.kmag = np.sqrt(self.ksq)
+        self.w = _kept_weights(n)
         self.grid = np.empty((3, n, n, n))
         self.prod = np.empty((6, n, n, n))
         self.lines = np.empty((6, 2 * m + 1, n, m + 1), np.complex128)
@@ -279,7 +292,7 @@ class _Workspace:
         cs = np.stack([np.cos(ang3), -np.sin(ang3)], axis=-1)
         self.Wr = cs.reshape(n, 2 * (m + 1)) / n
         self.R = np.ascontiguousarray(
-            (cs * _kept_weights(n)[:, None]).reshape(n, 2 * (m + 1)).T)
+            (cs * self.w[:, None]).reshape(n, 2 * (m + 1)).T)
 
 
 def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -368,11 +381,11 @@ def _contract(products: np.ndarray, k, rows) -> np.ndarray:
     return out
 
 
-def _k_over_ksq(lattice: WaveLattice) -> tuple:
-    """k / |k|^2 per component, 0 at k = 0 (full layout)."""
-    ksq = lattice.k_squared
+def _k_over_ksq(k, ksq: np.ndarray) -> tuple:
+    """k / |k|^2 per component, 0 at k = 0, in the mode layout of the
+    wavevector components k and of ksq = |k|^2."""
     denom = np.where(ksq > 0.0, ksq, 1.0)
-    return tuple(k / denom for k in lattice.wavevectors)
+    return tuple(kj / denom for kj in k)
 
 
 def _leray(c: np.ndarray, k, kov) -> np.ndarray:
@@ -425,7 +438,8 @@ def leray_project(f: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: u_hat -= k (k.u_hat)/|k|^2."""
     lat = f.lattice
     return SpectralField(
-        lat, _leray(np.array(f.coeffs), lat.wavevectors, _k_over_ksq(lat)),
+        lat, _leray(np.array(f.coeffs), lat.wavevectors,
+                    _k_over_ksq(lat.wavevectors, lat.k_squared)),
         divergence_free=True,
     )
 

@@ -169,7 +169,7 @@ def test_simulate_writes_outputs(runner, tmp_path):
     cfg = write_config(cfg_path)
     out = tmp_path / "out"
     result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                  "--out", str(out), "--deterministic"])
+                                  "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert "N=0: final error" in result.output
     assert "N=1: final error" in result.output
@@ -188,8 +188,7 @@ def test_simulate_deterministic_byte_identical(runner, tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
         result = runner.invoke(
-            main, ["simulate", "--config", str(cfg_path), "--out", str(out),
-                   "--deterministic"])
+            main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 0
         outs.append(out)
     for name in ("dns.csv", "series.csv"):
@@ -208,31 +207,24 @@ def test_simulate_cfl_violation_fails(runner, tmp_path):
 
 
 def test_simulate_thread_env(runner, tmp_path):
+    # --threads is the one thread knob left: accepted (>= 1) and ignored;
+    # --deterministic, rates --threads and ADM_THREADS are gone
     cfg_path = tmp_path / "c.json"
     write_config(cfg_path)
-    out = tmp_path / "out"
     result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                  "--out", str(out)],
-                           env={"ADM_THREADS": "2"})
+                                  "--out", str(tmp_path / "out"),
+                                  "--threads", "2"],
+                           env={"ADM_THREADS": "many"})
     assert result.exit_code == 0, result.output
 
-    result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                  "--out", str(tmp_path / "out2")],
-                           env={"ADM_THREADS": "many"})
-    assert result.exit_code == 2
-    assert "ADM_THREADS" in result.output
-
-    # --deterministic wins before the env variable is even consulted
-    result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                  "--out", str(tmp_path / "out3"),
-                                  "--deterministic"],
-                           env={"ADM_THREADS": "many"})
-    assert result.exit_code == 0
-
-    result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                  "--out", str(tmp_path / "out4"),
-                                  "--threads", "0"])
-    assert result.exit_code == 2
+    for args in (["simulate", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out2"), "--deterministic"],
+                 ["rates", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out3"), "--threads", "1"],
+                 ["simulate", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out4"), "--threads", "0"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +281,7 @@ def test_rates_rejects_stale_csv_stamp(runner, tmp_path, name):
     write_config(cfg_path, n=16, T=0.05, dt=0.005, N_list=(0, 1, 2, 4))
     out = tmp_path / "out"
     assert runner.invoke(main, ["simulate", "--config", str(cfg_path),
-                                "--out", str(out),
-                                "--deterministic"]).exit_code == 0
+                                "--out", str(out)]).exit_code == 0
     path = out / name
     lines = path.read_text().splitlines(keepends=True)
     lines[0] = "# config=" + "0" * 64 + "\n"

@@ -26,7 +26,13 @@ import admles
 from admles import diagnostics, solvers, spectral
 from admles.deconvolution import DeconvOp, deconv_symbol
 from admles.diagnostics import residual_stress_norm
-from admles.filters import Gaussian, Helmholtz, filter_symbol
+from admles.filters import (
+    Gaussian,
+    GaussianApprox,
+    Helmholtz,
+    HelmholtzPower,
+    filter_symbol,
+)
 from admles.solvers import _Stepper
 from admles.spectral import (
     WaveLattice,
@@ -47,6 +53,13 @@ def _symbols(lat, spec, order):
     ksq = lat.k_squared
     return (np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)),
             np.asarray(filter_symbol(spec, ksq)))
+
+
+def _stepper(lat, nu, dt, pre=None, post=None):
+    """A _Stepper with full-layout symbols pre/post (None for identity)
+    gathered onto the keep set."""
+    kept = (None if a is None else _kept(a, lat.n) for a in (pre, post))
+    return _Stepper(_Workspace(lat), nu, dt, *kept)
 
 
 def test_hermitian_fill_restores_full_layout():
@@ -81,8 +94,8 @@ def _close(got, want):
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 32, 48])
 def test_pruned_pair_matches_full_transforms(n):
-    _, c, samples = _pair_inputs(n, seed=40 + n)
-    ws = _Workspace(n)
+    lat, c, samples = _pair_inputs(n, seed=40 + n)
+    ws = _Workspace(lat)
     assert _close(_kinverse(_kept(c, n), ws), _rinverse(c, n))
     assert _close(_kforward(samples, ws), _kept(_rforward(samples), n))
     # _full is the inverse of _kept on truncated data; exact on the planes
@@ -95,12 +108,12 @@ def test_pruned_pair_matches_full_transforms(n):
 def test_pruned_pair_second_call_matches_fresh_workspace(n):
     # the passes overwrite the workspace buffers; a reused workspace must
     # give what a fresh one gives
-    _, c1, s1 = _pair_inputs(n, seed=50 + n)
+    lat, c1, s1 = _pair_inputs(n, seed=50 + n)
     _, c2, s2 = _pair_inputs(n, seed=60 + n)
-    used = _Workspace(n)
+    used = _Workspace(lat)
     _kinverse(_kept(c1, n), used)
     _kforward(s1, used)
-    fresh = _Workspace(n)
+    fresh = _Workspace(lat)
     assert np.array_equal(_kinverse(_kept(c2, n), used),
                           _kinverse(_kept(c2, n), fresh))
     assert np.array_equal(_kforward(s2, used), _kforward(s2, fresh))
@@ -113,17 +126,54 @@ def test_advance_matches_full_spectrum_oracle(n, order):
     nu, dt = 0.05, 0.01
     u = random_solenoidal(lat, decay=0.5, seed=20 + n)
     pre, post = (None, None) if order is None else _symbols(lat, H, order)
-    stepper = _Stepper(lat, nu, dt, pre=pre, post=post)
+    stepper = _stepper(lat, nu, dt, pre=pre, post=post)
     got = _full(stepper.advance(_kept(u.coeffs, n)), n)
     want = oracles.one_step(u.coeffs, lat, nu, dt, pre=pre, post=post)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", [6, 8, 16, 32])
+@pytest.mark.parametrize("spec", [H, Gaussian(alpha=1.0),
+                                  GaussianApprox(alpha=1.0, m=4),
+                                  HelmholtzPower(mu=0.3, m=3)])
+def test_build_steppers_share_keep_set_workspace_and_symbols(n, spec):
+    # the symbols are evaluated on the workspace's keep set, bit for bit
+    # the keep-set part of the full-layout ones, and one workspace serves
+    # every stepper
+    lat = WaveLattice(n)
+    cfg = solvers.SimConfig(n=n, nu=0.05, spec=spec, T=0.01, dt=0.01)
+    steppers, g, pres = solvers._build_steppers(cfg, lat, (None, 0, 4))
+    ws = steppers[0].ws
+    assert all(s.ws is ws for s in steppers)
+    assert np.array_equal(g, _kept(_symbols(lat, spec, 0)[1], n))
+    assert pres[0] is None
+    for d, order in zip(pres[1:], (0, 4)):
+        assert np.array_equal(d, _kept(_symbols(lat, spec, order)[0], n))
+    assert np.array_equal(ws.ksq, _kept(lat.k_squared, n))
+
+
+def test_experiment_gathers_only_fields(monkeypatch):
+    # symbols and weights come from the workspace's keep set, so the only
+    # full-layout array run_experiment gathers is the initial field
+    shapes = []
+    gather = solvers._kept
+
+    def recording(a, n):
+        shapes.append(a.shape)
+        return gather(a, n)
+
+    monkeypatch.setattr(solvers, "_kept", recording)
+    cfg = solvers.SimConfig(n=8, nu=0.05, spec=H, T=0.02, dt=0.01,
+                            N_list=(0, 2))
+    solvers.run_experiment(cfg, progress=False)
+    assert shapes == [(3, 8, 8, 8)]
+
+
 def test_advance_makes_six_transforms(monkeypatch):
     lat = WaveLattice(16)
     pre, post = _symbols(lat, H, 2)
-    stepper = _Stepper(lat, 0.05, 0.01, pre=pre, post=post)
+    stepper = _stepper(lat, 0.05, 0.01, pre=pre, post=post)
     c = _kept(random_solenoidal(lat, decay=1.0, seed=4).coeffs, lat.n)
     calls = {}
 
@@ -172,7 +222,7 @@ def test_advance_transforms_trace_free_stress(monkeypatch):
     # stress components back
     lat = WaveLattice(16)
     pre, post = _symbols(lat, H, 2)
-    stepper = _Stepper(lat, 0.05, 0.01, pre=pre, post=post)
+    stepper = _stepper(lat, 0.05, 0.01, pre=pre, post=post)
     c = _kept(random_solenoidal(lat, decay=1.0, seed=4).coeffs, lat.n)
     calls = {}
     _record_calls(monkeypatch, np.fft, _FFT_NAMES, calls)

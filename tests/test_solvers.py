@@ -212,6 +212,32 @@ def test_config_rejects_unknown_and_missing_keys():
                              "init": {"kind": "vortex"}})
 
 
+@pytest.mark.parametrize("part,entry,key", [
+    ("forcing", {"kind": "bogus", "path": "f.admf"}, "bogus"),
+    ("forcing", {"path": "f.admf"}, "kind"),
+    ("forcing", {"kind": "snapshot", "path": "f.admf", "scale": 2.0},
+     "scale"),
+    ("forcing", {"kind": "snapshot"}, "path"),
+    ("filter", {"alpha": 0.5}, "kind"),
+    ("filter", {"kind": "helmholtz", "alpha": 0.5, "pp": 2.0}, "pp"),
+    ("filter", {"kind": "gaussian", "alpha": 0.5, "p": 2.0}, "p"),
+    ("init", {"kind": "taylor_green", "amplitude": 1.0, "seed": 3}, "seed"),
+])
+def test_config_rejects_bad_spec_entries(part, entry, key):
+    # an unknown or missing kind or an unknown field would otherwise run a
+    # plausible experiment other than the one written down
+    data = {"n": 16, "nu": 0.1, "T": 1.0, "dt": 0.5,
+            "filter": {"kind": "helmholtz", "alpha": 1.0}, part: entry}
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        SimConfig.from_dict(data)
+
+
+def test_forcing_round_trips_through_the_kind_table():
+    cfg = small_cfg(forcing=SnapshotForcing(path="f.admf"))
+    assert cfg.to_dict()["forcing"] == {"kind": "snapshot", "path": "f.admf"}
+    assert SimConfig.from_dict(cfg.to_dict()) == cfg
+
+
 def test_energy_weight():
     assert energy_weight(Helmholtz(alpha=0.5, p=2.0)) == (0.5 ** 4, 2.0)
     assert energy_weight(HelmholtzPower(mu=0.5, m=3)) == (0.5 ** 6, 3.0)
