@@ -290,8 +290,9 @@ def _run(cfg: SimConfig, threads: int = 1):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--threads", type=click.IntRange(min=1), default=1,
-              help="accepted for compatibility and ignored; the orders "
-                   "advance in lockstep in one thread.")
+              help="step the model orders in up to this many processes, "
+                   "capped by the number of orders and of CPUs; the "
+                   "outputs are the same bytes for any value.")
 def simulate(config_path, out, threads) -> None:
     """Run the reference and model systems described by a JSON config."""
     cfg = _load_config(config_path)

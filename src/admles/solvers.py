@@ -34,18 +34,27 @@ through numpy's BLAS, which agree with the full pocketfft pair to within
 does a sample: the per-sample diagnostics, residual stress included, go
 to the grid through the same pair.
 
-run_experiment advances the reference and every model order in lockstep in
-one thread: each step moves the reference and then each order, and all of
-them share one spectral._Workspace: the keep set's geometry, on which
+run_experiment advances the reference and every model order in lockstep:
+each step moves the reference and then each order, and the steppers of a
+process share one spectral._Workspace: the keep set's geometry, on which
 every symbol is evaluated once, and the transform buffers (numpy >= 2.0
 writes matmul results into them through `out=`).  At a sample step each
 order is compared with the live reference state, so no reference sample
-is stored.
+is stored.  With threads = W > 1 the orders are split over up to W
+processes: forked children step contiguous blocks of them with the same
+loop and hand their states back through a small ring in shared memory,
+while the calling process steps the reference and the first order and
+records every sample.  Each order's arithmetic is the same in any
+process, so the outputs do not depend on W.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
+import os
+import signal
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -217,6 +226,12 @@ class SimConfig:
             if key not in data:
                 raise ValueError(f"config is missing required key '{key}'")
         forcing = data.get("forcing")
+        for key in ("filter", "init", "forcing"):
+            entry = data.get(key, {})
+            if not isinstance(entry, dict) and not (key == "forcing"
+                                                    and entry is None):
+                raise ValueError(f"config key '{key}' must be a JSON "
+                                 f"object, got {type(entry).__name__}")
         return cls(
             n=_as_int("n", data["n"]),
             L=float(data.get("L", 2.0 * np.pi)),
@@ -471,6 +486,19 @@ def _step(stepper: _Stepper, c: np.ndarray, step_index: int,
     return c
 
 
+def _lockstep(steppers: list, states: list, n_steps: int, dt: float,
+              on_step) -> list:
+    """Advance states[j] with steppers[j], all by one step at a time, for
+    n_steps steps of dt, calling on_step(step, t, states) after each step;
+    returns the final states."""
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        t += dt
+        states = [_step(s, c, step, t) for s, c in zip(steppers, states)]
+        on_step(step, t, states)
+    return states
+
+
 def _advance_state(state: SolverState, stepper: _Stepper,
                    dt: float) -> SolverState:
     n = stepper.ws.n
@@ -601,13 +629,170 @@ def _energy(kc: np.ndarray) -> float:
 _SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
            "half_norm", "w_l2")
 
+# Ring slots per worker: a worker may run this many exchange steps ahead of
+# the caller's reads, so it does not stall while the caller records a
+# sample (with one slot it would, at every sample).  Status bytes: a step
+# done, a step that blew up.
+_SLOTS = 4
+_OK, _BLOWUP = b"+", b"!"
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where fork is unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _order_blocks(threads: int, k: int, cpus: int) -> list:
+    """Contiguous blocks of the order indices 0..k-1, one per process of
+    W = min(threads, k, cpus).  The first is the caller's: every order when
+    W = 1, else order 0 alone beside the reference; the other k - 1 orders
+    split into W - 1 blocks whose sizes differ by at most one."""
+    w = max(1, min(threads, k, cpus))
+    if w == 1:
+        return [range(k)]
+    size, extra = divmod(k - 1, w - 1)
+    blocks, lo = [range(1)], 1
+    for i in range(w - 1):
+        hi = lo + size + (i < extra)
+        blocks.append(range(lo, hi))
+        lo = hi
+    return blocks
+
+
+def _worker(steppers: list, states: list, n_steps: int, dt: float,
+            exchange: frozenset, ring: np.ndarray, status_fd: int,
+            token_fd: int) -> None:
+    """A forked child's work: _lockstep over its block of orders, one
+    status byte per step, and at each exchange step the states written
+    into the next slot of `ring` (slots, orders, ...) first.  Once every
+    slot holds unread states it waits for the caller to hand one back; an
+    end of file there means the caller is gone."""
+    written = 0
+
+    def publish(step: int, t: float, stepped: list) -> None:
+        nonlocal written
+        if step in exchange:
+            if written >= _SLOTS and not os.read(token_fd, 1):
+                raise EOFError("the calling process is gone")
+            np.stack(stepped, out=ring[written % _SLOTS])
+            written += 1
+        os.write(status_fd, _OK)
+
+    try:
+        _lockstep(steppers, states, n_steps, dt, publish)
+    except BlowUpError:
+        os.write(status_fd, _BLOWUP)
+
+
+class _Workers:
+    """Forked children that step blocks of orders in lockstep with the
+    calling process (_worker), and the caller's ends of their pipes and
+    rings.
+
+    Each ring lives in an anonymous shared mmap made before its child's
+    fork.  Children write nothing to stdout or stderr (both go to the null
+    device) and leave through os._exit; close() kills and reaps them.
+    """
+
+    def __init__(self, steppers: list, states: list, blocks: list,
+                 n_steps: int, dt: float, exchange: frozenset):
+        self.pids, self.status, self.tokens, self.rings = [], [], [], []
+        self.slots_read = 0
+        try:
+            for block in blocks:
+                self._fork([steppers[j] for j in block],
+                           [states[j] for j in block], n_steps, dt, exchange)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, steppers, states, n_steps, dt, exchange) -> None:
+        c = states[0]
+        ring = np.frombuffer(
+            mmap.mmap(-1, _SLOTS * len(states) * c.nbytes), dtype=c.dtype
+        ).reshape(_SLOTS, len(states), *c.shape)
+        status_r, status_w = os.pipe()
+        token_r, token_w = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (status_r, status_w, token_r, token_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                for fd in (status_r, token_w, *self.status, *self.tokens):
+                    os.close(fd)
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.dup2(null, 2)
+                _worker(steppers, states, n_steps, dt, exchange, ring,
+                        status_w, token_r)
+            finally:
+                os._exit(0)
+        os.close(status_w)
+        os.close(token_r)
+        self.pids.append(pid)
+        self.status.append(status_r)
+        self.tokens.append(token_w)
+        self.rings.append(ring)
+
+    def receive(self, step: int, t: float, exchange: bool) -> list:
+        """Every child's status for `step`, read before the caller moves
+        past it, so a blow-up surfaces at the step and time of a serial
+        run; at an exchange step, the children's states in order."""
+        for fd in self.status:
+            msg = os.read(fd, 1)
+            if msg == _BLOWUP:
+                raise BlowUpError(step, t)
+            if msg != _OK:
+                raise RuntimeError(f"a worker process stopped at step {step}")
+        if not exchange:
+            return []
+        slot = self.slots_read % _SLOTS
+        self.slots_read += 1
+        return [c for ring in self.rings for c in ring[slot]]
+
+    def release(self) -> None:
+        """Hand the slot read last back to every child; a child that has
+        finished no longer reads them."""
+        for fd in self.tokens:
+            with contextlib.suppress(BrokenPipeError):
+                os.write(fd, _OK)
+
+    def close(self) -> None:
+        """Close the caller's pipe ends, then kill and reap every child."""
+        for fd in self.status + self.tokens:
+            os.close(fd)
+        for pid in self.pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self.pids, self.status, self.tokens = [], [], []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 def run_experiment(cfg: SimConfig, threads: int = 1,
                    progress: bool = True) -> ExperimentOutput:
     """Run the reference system and one model run per order in lockstep.
 
-    One thread advances the reference and then every order by one step,
-    all through one workspace, with every state stored on the keep set.
+    Every process advances its steppers by one step at a time through its
+    workspace, with every state stored on the keep set.  With threads = 1
+    one process steps the reference and then every order.  Otherwise up
+    to min(threads, orders, CPUs) processes share the work: forked
+    children step contiguous blocks of the orders after the first and hand
+    their states back at every sample and progress step; this process
+    steps the reference and the first order and does all the recording.
     The symbols and per-sample weights are evaluated on the workspace's
     keep-set geometry; only the final snapshots go back to the full
     layout.  At each sample step every order is compared with the live
@@ -616,9 +801,10 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     divergence ratio, the peak Courant number) is computed here, so reports
     never need the full fields again.  The model runs start from the
     filtered initial state.  CflError is raised at the first sample, step 0
-    included, where dt > 0.5 dx / max|u| for the reference.
-    `threads` is accepted for compatibility and changes nothing.
-    Deterministic for a fixed config.
+    included, where dt > 0.5 dx / max|u| for the reference.  A blow-up in
+    any order raises BlowUpError at the same step as with threads = 1, and
+    no child outlives the call.  Deterministic for a fixed config, and the
+    same bit for bit for any `threads`.
     """
     lattice = WaveLattice(cfg.n, cfg.L)
     n = cfg.n
@@ -627,6 +813,14 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     samples = _sample_steps(n_steps, cfg.sample_every)
     times = np.array([s * cfg.dt for s in samples])
     report_every = max(1, n_steps // 8)
+
+    def reports(step: int) -> bool:
+        return progress and (step % report_every == 0 or step == n_steps)
+
+    # The steps at which every order's state is needed here.
+    sampled = set(samples)
+    exchange = frozenset(s for s in range(1, n_steps + 1)
+                         if s in sampled or reports(s))
 
     (dns_stepper, *steppers), g, (_, *d_syms) = _build_steppers(
         cfg, lattice, (None, *cfg.N_list))
@@ -675,20 +869,31 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     # One initial array for every order: a step never writes into its input.
     states = [g * u] * len(steppers)
     record(0, 0, 0.0, u, states)
-    cursor, t = 1, 0.0
-    for step in range(1, n_steps + 1):
-        t += cfg.dt
-        u = _step(dns_stepper, u, step, t)
-        states = [_step(s, c, step, t) for s, c in zip(steppers, states)]
-        sample = samples[cursor] == step
-        report = progress and (step % report_every == 0 or step == n_steps)
-        if sample:
+    cursor = 1
+    blocks = _order_blocks(threads, len(steppers), _cpus())
+    own = len(blocks[0])
+
+    def on_step(step: int, t: float, stepped: list) -> None:
+        nonlocal u, states, cursor
+        u, *mine = stepped
+        exchanged = step in exchange
+        theirs = workers.receive(step, t, exchanged)
+        if not exchanged:
+            return
+        states = mine + theirs
+        if samples[cursor] == step:
             record(cursor, step, t, u, states)
             cursor += 1
-        if report:
+        if reports(step):
             _progress("dns", step, t, _energy(u))
             for N, c in zip(cfg.N_list, states):
                 _progress(f"adm N={N}", step, t, _energy(c))
+        workers.release()
+
+    with _Workers(steppers, states, blocks[1:], n_steps, cfg.dt,
+                  exchange) as workers:
+        _lockstep([dns_stepper, *steppers[:own]], [u, *states[:own]],
+                  n_steps, cfg.dt, on_step)
 
     dns = DnsSeries(times=times, u_l2=dns_cols[0], u_h1=dns_cols[1],
                     energy=dns_cols[2])

@@ -5,15 +5,24 @@ offending tuple reported), 2 usage errors.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from admles import io as admio
+from admles import solvers
 from admles.cli import main
-from admles.filters import Helmholtz
-from admles.solvers import SimConfig, config_hash
+from admles.filters import Gaussian, Helmholtz, HelmholtzPower
+from admles.solvers import (
+    RandomSpectrumInit,
+    SimConfig,
+    SnapshotForcing,
+    config_hash,
+)
+from admles.spectral import SpectralField, WaveLattice, random_solenoidal
 
 
 @pytest.fixture()
@@ -207,8 +216,9 @@ def test_simulate_cfl_violation_fails(runner, tmp_path):
 
 
 def test_simulate_thread_env(runner, tmp_path):
-    # --threads is the one thread knob left: accepted (>= 1) and ignored;
-    # --deterministic, rates --threads and ADM_THREADS are gone
+    # --threads is the one thread knob: it sets how many processes step the
+    # orders, not the bytes written, and must be >= 1; --deterministic,
+    # rates --threads and ADM_THREADS are gone
     cfg_path = tmp_path / "c.json"
     write_config(cfg_path)
     result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
@@ -216,6 +226,12 @@ def test_simulate_thread_env(runner, tmp_path):
                                   "--threads", "2"],
                            env={"ADM_THREADS": "many"})
     assert result.exit_code == 0, result.output
+    one = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "out1")])
+    assert one.exit_code == 0, one.output
+    for name in ("dns.csv", "series.csv", "snapshots/w1_final.admf"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (tmp_path / "out1" / name).read_bytes(), name
 
     for args in (["simulate", "--config", str(cfg_path),
                   "--out", str(tmp_path / "out2"), "--deterministic"],
@@ -225,6 +241,50 @@ def test_simulate_thread_env(runner, tmp_path):
                   "--out", str(tmp_path / "out4"), "--threads", "0"]):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
+
+
+def _forcing_path(tmp_path) -> str:
+    f = random_solenoidal(WaveLattice(8), decay=1.0, seed=4)
+    path = tmp_path / "force.admf"
+    admio.save_field(SpectralField(f.lattice, 0.5 * f.coeffs), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["taylor_green", "forced_gaussian",
+                                  "helmholtz_power"])
+def test_simulate_bytes_do_not_depend_on_threads(runner, tmp_path,
+                                                 monkeypatch, case):
+    # 1, 2 and 3 processes (the CPU count is raised to 3 so that the
+    # third exists on any machine) write the same bytes everywhere
+    orders = (0, 1, 2, 4, 8)
+    kw = {
+        "taylor_green": dict(N_list=orders, T=0.05, dt=0.005),
+        "forced_gaussian": dict(
+            N_list=orders, T=0.05, dt=0.005, sample_every=3,
+            spec=Gaussian(alpha=0.5),
+            forcing=SnapshotForcing(path=_forcing_path(tmp_path))),
+        "helmholtz_power": dict(
+            N_list=orders, T=0.04, dt=0.005, sample_every=2,
+            spec=HelmholtzPower(mu=0.25, m=2),
+            init=RandomSpectrumInit(decay=1.5, seed=7)),
+    }[case]
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, **kw)
+    monkeypatch.setattr(solvers, "_cpus", lambda: 3)
+    out = tmp_path / "out"
+    runs = []
+    for threads in ("1", "2", "3"):
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(out),
+                                      "--threads", threads])
+        assert result.exit_code == 0, result.output
+        files = {p.relative_to(out): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(files) == 3 + len(orders) + 2
+        runs.append((result.stdout, result.stderr, files))
+        shutil.rmtree(out)
+    assert "[adm N=8]" in runs[0][1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------

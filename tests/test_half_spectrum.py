@@ -10,7 +10,8 @@ truncated spectra, the norm on truncated spectra and on spectra that are
 not truncated, so the 2/3-rule mask is active), pin the keep-set pair to
 the full pocketfft one within 1e-13 of the largest value, pin the
 transforms of one step, check that stepping and sampling make no FFT
-call, and that results do not depend on the BLAS thread count.
+call, and that results depend neither on the BLAS thread count nor on
+the number of processes stepping the orders.
 """
 
 import os
@@ -295,7 +296,9 @@ def test_residual_stress_keep_set_matches_full_spectrum_oracle(
 
 def _simulate_files(tmp_path, blas_threads):
     """Every output file of `admles simulate` run in a fresh interpreter
-    with the BLAS thread count set, by relative path."""
+    with the BLAS thread count and --threads both set to blas_threads, by
+    relative path: with 2, the orders' worker is forked from a process
+    whose BLAS pool is running."""
     out = tmp_path / f"out{blas_threads}"
     cfg = solvers.SimConfig(n=32, nu=0.05, spec=H, T=0.03, dt=0.01,
                             N_list=(0, 2),
@@ -308,7 +311,8 @@ def _simulate_files(tmp_path, blas_threads):
                PYTHONPATH=str(Path(admles.__file__).parents[1]))
     subprocess.run(
         [sys.executable, "-c", "from admles.cli import main; main()",
-         "simulate", "--config", str(cfg_path), "--out", str(out)],
+         "simulate", "--config", str(cfg_path), "--out", str(out),
+         "--threads", str(blas_threads)],
         env=env, check=True, capture_output=True, timeout=300)
     return {p.relative_to(out): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}

@@ -6,6 +6,12 @@ pipeline (transform conventions, dealiasing, projection, symbol placement).
 """
 
 import dataclasses
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 from admles import io as admio
+from admles import solvers
 from admles.deconvolution import DeconvOp, deconv_symbol
 from admles.filters import (
     Gaussian,
@@ -229,6 +236,23 @@ def test_config_rejects_bad_spec_entries(part, entry, key):
     data = {"n": 16, "nu": 0.1, "T": 1.0, "dt": 0.5,
             "filter": {"kind": "helmholtz", "alpha": 1.0}, part: entry}
     with pytest.raises(ValueError, match=f"'{key}'"):
+        SimConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("part,entry,type_name", [
+    ("init", None, "NoneType"),
+    ("forcing", "kind", "str"),
+    ("filter", "helmholtz", "str"),
+    ("init", ["taylor_green"], "list"),
+])
+def test_config_rejects_non_object_entries(part, entry, type_name):
+    # the kind table reads an entry as a JSON object; anything else used to
+    # fail on the lookup with a TypeError that named neither key nor type
+    data = {"n": 16, "nu": 0.1, "T": 1.0, "dt": 0.5,
+            "filter": {"kind": "helmholtz", "alpha": 1.0}, part: entry}
+    with pytest.raises(ValueError,
+                       match=f"'{part}' must be a JSON object, got "
+                             f"{type_name}"):
         SimConfig.from_dict(data)
 
 
@@ -738,3 +762,175 @@ def test_forcing_snapshot_is_validated(tmp_path):
         dns_step(SolverState(field=taylor_green(lat)), cfg)
     with pytest.raises(FieldInvariantError, match="Hermitian"):
         run_experiment(cfg, progress=False)
+
+
+# ---------------------------------------------------------------------------
+# worker processes (threads > 1)
+# ---------------------------------------------------------------------------
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_order_blocks_cap_and_partition():
+    # no process is started here: the helper only plans the split
+    blocks = solvers._order_blocks(10 ** 6, 5, 2)
+    assert blocks == [range(0, 1), range(1, 5)]
+    assert solvers._order_blocks(1, 5, 2) == [range(0, 5)]
+    assert solvers._order_blocks(8, 1, 4) == [range(0, 1)]
+    # threads beyond the orders: one process per order at most
+    assert solvers._order_blocks(9, 3, 16) == [range(0, 1), range(1, 2),
+                                               range(2, 3)]
+    # near-equal contiguous blocks after the caller's order 0
+    assert solvers._order_blocks(3, 6, 8) == [range(0, 1), range(1, 4),
+                                              range(4, 6)]
+    for threads, k, cpus in ((4, 9, 4), (2, 2, 1), (3, 5, 8), (7, 7, 7)):
+        blocks = solvers._order_blocks(threads, k, cpus)
+        assert len(blocks) == max(1, min(threads, k, cpus))
+        assert [j for b in blocks for j in b] == list(range(k))
+        sizes = [len(b) for b in blocks[1:]]
+        assert not sizes or max(sizes) - min(sizes) <= 1
+
+
+def _doomed_cfg(**kw):
+    return small_cfg(n=8, T=0.06, dt=0.01, N_list=(0, 1, 2), **kw)
+
+
+def _doom_last_order(monkeypatch, at_step, log):
+    """Make the last order's stepper return NaNs at step `at_step`, and
+    write the pid of the process that stepped it to `log`; the patch is
+    made before any fork, so a child that steps it inherits it."""
+    real_build = solvers._build_steppers
+    real_advance = solvers._Stepper.advance
+    doomed = []
+
+    def build(*args):
+        steppers, g, pres = real_build(*args)
+        doomed[:] = steppers[-1:]
+        return steppers, g, pres
+
+    def advance(self, c):
+        out = real_advance(self, c)
+        if self is doomed[0]:
+            self.calls = getattr(self, "calls", 0) + 1
+            if self.calls == at_step:
+                log.write_text(str(os.getpid()))
+                return np.full_like(out, np.nan)
+        return out
+
+    monkeypatch.setattr(solvers, "_build_steppers", build)
+    monkeypatch.setattr(solvers._Stepper, "advance", advance)
+
+
+def test_orders_are_stepped_in_another_process(tmp_path, monkeypatch):
+    log = tmp_path / "pids"
+    real_advance = solvers._Stepper.advance
+
+    def advance(self, c):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_advance(self, c)
+
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    monkeypatch.setattr(solvers._Stepper, "advance", advance)
+    run_experiment(_doomed_cfg(), threads=2, progress=False)
+    pids = log.read_text().split()
+    # 6 steps of the reference and 3 orders, 2 processes
+    assert len(pids) == 6 * 4
+    assert pids.count(str(os.getpid())) == 6 * 2
+    assert len(set(pids)) == 2
+    _assert_no_child()
+
+
+def test_blowup_in_a_worker_matches_serial(tmp_path, monkeypatch):
+    log = tmp_path / "pid"
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    _doom_last_order(monkeypatch, 3, log)
+    messages, pids = [], []
+    for threads in (1, 2):
+        with pytest.raises(BlowUpError) as err:
+            run_experiment(_doomed_cfg(), threads=threads, progress=False)
+        messages.append(str(err.value))
+        pids.append(int(log.read_text()))
+        assert err.value.step_index == 3
+        _assert_no_child()
+    assert messages[0] == messages[1]
+    assert pids[0] == os.getpid() != pids[1]
+
+
+def test_cfl_error_mid_run_leaves_no_child(tmp_path, monkeypatch):
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    path = _forcing_file(tmp_path, WaveLattice(8), 400.0)
+    cfg = small_cfg(n=8, forcing=SnapshotForcing(path=path),
+                    N_list=(0, 1, 2), T=0.2, dt=0.01)
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(CflError, match=r"at step \d+ ") as err:
+            run_experiment(cfg, threads=threads, progress=False)
+        messages.append(str(err.value))
+        _assert_no_child()
+    assert messages[0] == messages[1]
+
+
+def test_interrupt_leaves_no_child(monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_progress", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(_doomed_cfg(), threads=2, progress=True)
+    _assert_no_child()
+
+
+_KILLED_PARENT = """
+import os, sys
+from admles.filters import Helmholtz
+from admles.solvers import SimConfig, run_experiment
+fork = os.fork
+
+def announce():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announce
+cfg = SimConfig(n=16, nu=0.05, spec=Helmholtz(alpha=0.5, p=1.0), T=50.0,
+                dt=0.005, N_list=(0, 1))
+run_experiment(cfg, threads=2, progress=False)
+"""
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_worker_exits_when_its_parent_is_killed():
+    # the run is 10000 steps long: a worker that kept stepping after its
+    # parent died would outlast the deadline by far
+    env = dict(os.environ, PYTHONPATH=str(Path(solvers.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT],
+                            stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        assert select.select([proc.stdout], [], [], 30.0)[0], "no fork"
+        child = int(proc.stdout.readline())
+        time.sleep(0.2)
+        assert not _gone_or_zombie(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while not _gone_or_zombie(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone_or_zombie(child)
