@@ -37,9 +37,9 @@ from .spectral import (
     WaveLattice,
     random_solenoidal,
     sobolev_norm,
+    _inverse,
     _kept,
     _kept_weights,
-    _rinverse,
     _Workspace,
 )
 
@@ -111,8 +111,8 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     The keep-set parts of u and of Du_bar go through the same keep-set
     transforms as run_experiment's tau_l2 series, so on a truncated field
     (every solver state) the two agree bit for bit.  Only when u has modes
-    outside the keep set are their samples added, through _rinverse of the
-    remainder (_outside).
+    outside the keep set are their samples added, through the full-layout
+    inverse _inverse of the remainder (_outside).
     """
     lattice = u.lattice
     n = lattice.n
@@ -122,7 +122,7 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     outside = _outside(u)
     rest = None
     if outside is not None:
-        rest = (_rinverse(outside, n), [_rinverse(rho * outside, n)])
+        rest = (_inverse(outside, n), [_inverse(rho * outside, n)])
     norms, _ = _tau_norms(_kept(u.coeffs, n), [_kept(rho, n)],
                           _Workspace(lattice), rest)
     return norms[0]

@@ -29,7 +29,7 @@ stores, combines, projects and filters only the keep-set modes, about 15%
 of the full layout, and goes to the grid and back through the keep-set
 transform pair spectral._kinverse / _kforward: products with the DFT
 matrices restricted to the keep set, (2M+1) n multiply-adds per line
-through numpy's BLAS, which agree with the full pocketfft pair to within
+through numpy's BLAS, which agree with the full-layout pair to within
 1e-13 of the largest value.  A step makes no numpy.fft call, and neither
 does a sample: the per-sample diagnostics, residual stress included, go
 to the grid through the same pair.
@@ -54,9 +54,11 @@ import contextlib
 import json
 import mmap
 import os
+import pickle
 import signal
 import sys
 from dataclasses import MISSING, dataclass, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Union
 
@@ -78,6 +80,7 @@ from .spectral import (
     leray_project,
     random_solenoidal,
     taylor_green,
+    to_physical,
     truncate_field,
     validate_field,
     _SYM_WEIGHTS,
@@ -88,7 +91,6 @@ from .spectral import (
     _kept,
     _kinverse,
     _leray,
-    _rinverse,
     _sobolev_weight,
     _sym_products,
     _tracefree_products,
@@ -127,6 +129,9 @@ class BlowUpError(RuntimeError):
         )
         self.step_index = step_index
         self.t = t
+
+    def __reduce__(self):
+        return BlowUpError, (self.step_index, self.t)
 
 
 class CflError(ValueError):
@@ -226,12 +231,14 @@ class SimConfig:
             if key not in data:
                 raise ValueError(f"config is missing required key '{key}'")
         forcing = data.get("forcing")
-        for key in ("filter", "init", "forcing"):
-            entry = data.get(key, {})
-            if not isinstance(entry, dict) and not (key == "forcing"
+        for key, kind in (("filter", dict), ("init", dict),
+                          ("forcing", dict), ("N_list", list)):
+            entry = data.get(key, kind())
+            if not isinstance(entry, kind) and not (key == "forcing"
                                                     and entry is None):
+                noun = "array" if kind is list else "object"
                 raise ValueError(f"config key '{key}' must be a JSON "
-                                 f"object, got {type(entry).__name__}")
+                                 f"{noun}, got {type(entry).__name__}")
         return cls(
             n=_as_int("n", data["n"]),
             L=float(data.get("L", 2.0 * np.pi)),
@@ -273,8 +280,10 @@ _FORCING_KINDS = {"snapshot": SnapshotForcing}
 
 
 def _as_int(key: str, value) -> int:
-    """int(value), refusing a non-integral number rather than truncating."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) of an integer (numpy's too) or an integral float; any
+    other value, a string or a boolean included, raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (Integral, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"'{key}' must be an integer, got {value!r}")
     return int(value)
 
@@ -378,7 +387,7 @@ def _load_snapshot(path: str, lattice: WaveLattice,
 def check_cfl(cfg: SimConfig, u0: SpectralField) -> None:
     """Enforce dt <= 0.5 dx / max|u0| against the collocation samples of
     the (Hermitian) field u0."""
-    _courant(cfg, _rinverse(u0.coeffs, cfg.n), speed="u0")
+    _courant(cfg, to_physical(u0).samples, speed="u0")
 
 
 def _courant(cfg: SimConfig, grid: np.ndarray, where: str = "",
@@ -632,9 +641,9 @@ _SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
 # Ring slots per worker: a worker may run this many exchange steps ahead of
 # the caller's reads, so it does not stall while the caller records a
 # sample (with one slot it would, at every sample).  Status bytes: a step
-# done, a step that blew up.
+# done, a step that failed (followed by the pickled exception).
 _SLOTS = 4
-_OK, _BLOWUP = b"+", b"!"
+_OK, _FAILED = b"+", b"!"
 
 
 def _cpus() -> int:
@@ -684,8 +693,10 @@ def _worker(steppers: list, states: list, n_steps: int, dt: float,
 
     try:
         _lockstep(steppers, states, n_steps, dt, publish)
-    except BlowUpError:
-        os.write(status_fd, _BLOWUP)
+    except Exception as e:
+        message = pickle.dumps(e)
+        pickle.loads(message)  # one the caller cannot rebuild is not sent
+        os.write(status_fd, _FAILED + message)
 
 
 class _Workers:
@@ -743,14 +754,15 @@ class _Workers:
         self.tokens.append(token_w)
         self.rings.append(ring)
 
-    def receive(self, step: int, t: float, exchange: bool) -> list:
+    def receive(self, step: int, exchange: bool) -> list:
         """Every child's status for `step`, read before the caller moves
-        past it, so a blow-up surfaces at the step and time of a serial
-        run; at an exchange step, the children's states in order."""
+        past it, so a child's exception (a blow-up too) is raised at the
+        step of a serial run; at an exchange step, the children's states."""
         for fd in self.status:
             msg = os.read(fd, 1)
-            if msg == _BLOWUP:
-                raise BlowUpError(step, t)
+            if msg == _FAILED:
+                with open(fd, "rb", closefd=False) as pipe:
+                    raise pickle.load(pipe)
             if msg != _OK:
                 raise RuntimeError(f"a worker process stopped at step {step}")
         if not exchange:
@@ -877,7 +889,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         nonlocal u, states, cursor
         u, *mine = stepped
         exchanged = step in exchange
-        theirs = workers.receive(step, t, exchanged)
+        theirs = workers.receive(step, exchanged)
         if not exchanged:
             return
         states = mine + theirs

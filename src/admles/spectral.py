@@ -14,8 +14,9 @@ inverse transforms of Hermitian data are exactly real.  The quadratic
 nonlinearity is dealiased by the 2/3 rule: modes with any |m_axis| > n/3
 are zeroed after the pointwise product.
 
-Coefficients live in two layouts.  The full layout (..., n, n, n) holds
-every mode; the public API and the snapshots use it.  The time stepper and
+Coefficients live in two layouts, each with one transform pair.  The full
+layout (..., n, n, n) holds every mode, and the public API and the
+snapshots use it; its pair is _inverse / _forward.  The time stepper and
 the per-sample diagnostics keep their state on the 2/3-rule keep set alone:
 with M = n//3 the compact layout (..., 2M+1, 2M+1, M+1) holds the modes
 m1, m2 in 0..M, -M..-1 (full-axis indices 0..M, n-M..n-1) and m3 in 0..M.
@@ -42,8 +43,7 @@ matrices and writes into the buffers through the `out=` argument of
 np.matmul (numpy >= 2.0).  A pass over one line costs (2M+1) n
 multiply-adds through numpy's BLAS and never touches the zero
 lines.  On keep-set data (and, forward, on the kept modes of any grid) the
-pair agrees with the full pocketfft pair to within 1e-13 of the largest
-value.
+pair agrees with the full-layout one to within 1e-13 of the largest value.
 """
 
 from __future__ import annotations
@@ -181,19 +181,6 @@ def _clean(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rforward(samples: np.ndarray) -> np.ndarray:
-    """rfftn series coefficients (..., n, n, n/2+1) of real samples
-    (..., n, n, n): the m3 = 0..n/2 planes of the full layout."""
-    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
-
-
-def _rinverse(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Real samples of Hermitian full-layout coefficients (..., n, n, n);
-    irfftn reads only their m3 = 0..n/2 planes."""
-    return np.fft.irfftn(coeffs[..., : n // 2 + 1], s=(n, n, n),
-                         axes=(-3, -2, -1), norm="forward")
-
-
 # The symmetric products g_i g_j (i <= j) in stacking order and each
 # component's Frobenius weight.
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -213,8 +200,7 @@ def _kept_rows(n: int) -> np.ndarray:
 
 def _kept(a: np.ndarray, n: int) -> np.ndarray:
     """Keep-set part (..., 2M+1, 2M+1, M+1) of a full-layout array, as a
-    contiguous copy.  rfftn output shares the m3 = 0..M planes, so it
-    gathers the same way.
+    contiguous copy.
 
     Axes of length 1 of a broadcastable symbol stay as they are.
     """
@@ -229,11 +215,11 @@ def _kept(a: np.ndarray, n: int) -> np.ndarray:
 def _full(kc: np.ndarray, n: int) -> np.ndarray:
     """Full-layout coefficients (..., n, n, n) of keep-set ones, zero
     outside the keep set; the m3 < 0 planes are the conjugate partners of
-    the m3 > 0 ones."""
+    the m3 > 0 ones, from the partner of the planes 0..n/2-1 alone."""
     full = np.zeros(kc.shape[:-3] + (n, n, n), dtype=np.complex128)
     rows = _kept_rows(n)
     full[..., rows[:, None], rows, : n // 3 + 1] = kc
-    full[..., n // 2 + 1:] = _hermitian_partner(full)[..., n // 2 + 1:]
+    full[..., n // 2 + 1:] = _hermitian_partner(full[..., : n // 2])[..., 1:]
     return full
 
 
@@ -297,7 +283,7 @@ class _Workspace:
 
 def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Real samples of keep-set coefficients (3, 2M+1, 2M+1, M+1), written
-    into ws.grid; _rinverse of _full(kc) to within rounding.
+    into ws.grid; _inverse of _full(kc) to within rounding.
 
     Three products with the DFT matrices restricted to the keep set: Fi
     (n, 2M+1) along m2 and then along m1, and the real R (2(M+1), n) on
@@ -316,7 +302,7 @@ def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _kforward(samples: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Keep-set series coefficients (c, 2M+1, 2M+1, M+1) of real samples
     (c, n, n, n), c <= 6, in the first c components of ws.kspec;
-    _kept(_rforward(samples)) to within rounding, for any samples.
+    _kept(_forward(samples)) to within rounding, for any samples.
 
     Three products with the DFT matrices restricted to the keep set: the
     real Wr (n, 2(M+1)) along m3 into the float view of ws.planes, one
@@ -448,8 +434,8 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     """Dealiased spectral coefficients of div(u (x) v).
 
     Component i is sum_j i k_j F[u_j v_i], with the products formed on the
-    collocation grid, transformed by rfftn and gathered onto the 2/3-rule
-    keep set.
+    collocation grid, transformed by the full-layout pair and masked to
+    the 2/3-rule keep set.
     """
     if u.lattice != v.lattice:
         raise LatticeMismatchError(
@@ -458,14 +444,13 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
         )
     lat = u.lattice
     n = lat.n
-    k = tuple(_kept(kj, n) for kj in lat.wavevectors)
-    ug = _rinverse(u.coeffs, n)
-    vg = _rinverse(v.coeffs, n)
-    prod = _kept(_rforward((vg[:, None] * ug[None, :]).reshape(9, n, n, n)),
-                 n)
-    out = _contract(prod, k, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    ug = _inverse(u.coeffs, n)
+    vg = _inverse(v.coeffs, n)
+    prod = _forward((vg[:, None] * ug[None, :]).reshape(9, n, n, n), n)
+    prod *= lat.dealias_mask
+    out = _contract(prod, lat.wavevectors, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
     out *= 1j
-    return SpectralField(lat, _full(out, n))
+    return SpectralField(lat, out)
 
 
 def truncate_field(f: SpectralField) -> SpectralField:

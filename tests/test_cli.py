@@ -5,6 +5,7 @@ offending tuple reported), 2 usage errors.
 """
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from admles.solvers import (
     config_hash,
 )
 from admles.spectral import SpectralField, WaveLattice, random_solenoidal
+from test_solvers import _doom_last_order, _doomed_cfg
 
 
 @pytest.fixture()
@@ -213,6 +215,29 @@ def test_simulate_cfl_violation_fails(runner, tmp_path):
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 1
     assert "CFL" in result.output
+
+
+def test_simulate_worker_error_reads_as_serial(runner, tmp_path,
+                                               monkeypatch):
+    # a ValueError raised where a worker steps the last order exits 1 with
+    # the serial run's one-line message, and no child is left over
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(_doomed_cfg().to_json())
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    _doom_last_order(monkeypatch, 3, tmp_path / "pid",
+                     ValueError("simulated bad input"))
+    outputs = []
+    for threads in ("1", "2"):
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out"),
+                                      "--threads", threads])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        outputs.append(result.output)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("Error: simulated bad input\n")
 
 
 def test_simulate_thread_env(runner, tmp_path):

@@ -4,14 +4,15 @@ The stepper transforms the 5 components of the trace-free stress, the
 residual-stress norm the 6 distinct products of a symmetric tensor.  Both
 run on the 2/3-rule keep set through the keep-set transform pair (DFT
 matrix products); the norm adds the part of an untruncated field outside
-the keep set through the full inverse.  These tests pin both to the
+the keep set through the full-layout inverse.  These tests pin both to the
 full-spectrum, 9-product restatements in tests/oracles.py (the stepper on
 truncated spectra, the norm on truncated spectra and on spectra that are
 not truncated, so the 2/3-rule mask is active), pin the keep-set pair to
-the full pocketfft one within 1e-13 of the largest value, pin the
-transforms of one step, check that stepping and sampling make no FFT
-call, and that results depend neither on the BLAS thread count nor on
-the number of processes stepping the orders.
+the full-layout pair _inverse / _forward within 1e-13 of the largest
+value, check that the full layout has that one pair (no real-input FFT
+is called), pin the transforms of one step, check that stepping and
+sampling make no FFT call, and that results depend neither on the BLAS
+thread count nor on the number of processes stepping the orders.
 """
 
 import os
@@ -38,12 +39,12 @@ from admles.solvers import _Stepper
 from admles.spectral import (
     WaveLattice,
     random_solenoidal,
+    _forward,
     _full,
+    _inverse,
     _kept,
     _kforward,
     _kinverse,
-    _rforward,
-    _rinverse,
     _Workspace,
 )
 
@@ -97,8 +98,8 @@ def _close(got, want):
 def test_pruned_pair_matches_full_transforms(n):
     lat, c, samples = _pair_inputs(n, seed=40 + n)
     ws = _Workspace(lat)
-    assert _close(_kinverse(_kept(c, n), ws), _rinverse(c, n))
-    assert _close(_kforward(samples, ws), _kept(_rforward(samples), n))
+    assert _close(_kinverse(_kept(c, n), ws), _inverse(c, n))
+    assert _close(_kforward(samples, ws), _kept(_forward(samples, n), n))
     # _full is the inverse of _kept on truncated data; exact on the planes
     # m3 >= 0 that the keep set stores
     half = slice(None, n // 2 + 1)
@@ -258,6 +259,25 @@ def test_experiment_loop_makes_no_fft_call(monkeypatch):
     assert len(calls["_kinverse"]) == 4 * (1 + 3) + 3 * 4 * 3
 
 
+def test_full_layout_has_one_transform_pair(monkeypatch):
+    # every full-layout operator goes through _inverse / _forward (fftn
+    # and ifftn); no real-input FFT is called, on an untruncated field too
+    def refuse(*args, **kwargs):
+        raise AssertionError("real-input FFT called")
+
+    for name in _FFT_NAMES:
+        if name.startswith(("rfft", "irfft")):
+            monkeypatch.setattr(np.fft, name, refuse)
+    lat = WaveLattice(8)
+    u = random_solenoidal(lat, decay=0.5, seed=9, truncate=False)
+    assert _close(spectral.from_physical(spectral.to_physical(u)).coeffs,
+                  u.coeffs)
+    spectral.nonlinear_term(u, u)
+    solvers.check_cfl(solvers.SimConfig(n=8, nu=0.05, spec=H, T=0.01,
+                                        dt=0.01), u)
+    assert residual_stress_norm(u, H, 2) > 0.0
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("spec,order",
                          [(H, 0), (H, 2), (Gaussian(alpha=1.0), 1)])
@@ -279,7 +299,7 @@ def test_residual_stress_matches_full_spectrum_oracle(n, spec, order):
 def test_residual_stress_keep_set_matches_full_spectrum_oracle(
         monkeypatch, n, spec, order):
     # a truncated field has no modes outside the keep set, so the norm
-    # runs on the keep-set pair alone, without the _rinverse remainder
+    # runs on the keep-set pair alone, without the _inverse remainder
     lat = WaveLattice(n)
     u = random_solenoidal(lat, decay=0.5, seed=70 + n)
     assert float(np.max(np.abs(u.coeffs[..., 1]))) > 0.0
@@ -289,7 +309,7 @@ def test_residual_stress_keep_set_matches_full_spectrum_oracle(
     def refuse(*args, **kwargs):
         raise AssertionError("remainder transformed for a truncated field")
 
-    monkeypatch.setattr(diagnostics, "_rinverse", refuse)
+    monkeypatch.setattr(diagnostics, "_inverse", refuse)
     assert residual_stress_norm(u, spec, order) == pytest.approx(
         want, rel=1e-13)
 

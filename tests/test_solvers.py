@@ -203,6 +203,43 @@ def test_config_rejects_non_integral_numbers(key, patch):
         SimConfig.from_dict({**minimal, **patch})
 
 
+@pytest.mark.parametrize("key,patch", [
+    ("N_list", {"N_list": "16"}),
+    ("N_list", {"N_list": 4}),
+    ("N_list", {"N_list": [0, "1"]}),
+    ("N_list", {"N_list": [True]}),
+    ("n", {"n": "16"}),
+    ("n", {"n": None}),
+    ("sample_every", {"sample_every": True}),
+    ("sample_every", {"sample_every": "2"}),
+    ("m", {"filter": {"kind": "gaussian_approx", "alpha": 1.0,
+                      "m": "4"}}),
+    ("seed", {"init": {"kind": "random_spectrum", "decay": 2.0,
+                       "seed": False}}),
+])
+def test_config_rejects_strings_booleans_and_non_arrays(key, patch):
+    # "N_list": "16" used to run the orders (1, 6) and "sample_every":
+    # true the cadence 1; "N_list": 4 failed with a TypeError that did
+    # not name the key
+    minimal = {"n": 16, "nu": 0.1, "T": 0.1, "dt": 0.05,
+               "filter": {"kind": "helmholtz", "alpha": 1.0}}
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        SimConfig.from_dict({**minimal, **patch})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SimConfig.from_dict({
+        "n": np.int64(16), "nu": 0.1, "T": 0.1, "dt": 0.05,
+        "filter": {"kind": "gaussian_approx", "alpha": 1.0,
+                   "m": np.int32(4)},
+        "N_list": [np.int64(0), np.uint8(2)], "sample_every": np.int16(2)})
+    assert cfg == SimConfig.from_dict({
+        "n": 16, "nu": 0.1, "T": 0.1, "dt": 0.05,
+        "filter": {"kind": "gaussian_approx", "alpha": 1.0, "m": 4},
+        "N_list": [0, 2], "sample_every": 2})
+    assert all(type(N) is int for N in cfg.N_list)
+
+
 def test_config_rejects_unknown_and_missing_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         SimConfig.from_dict({"n": 16, "nu": 0.1, "T": 1.0, "dt": 0.5,
@@ -798,10 +835,11 @@ def _doomed_cfg(**kw):
     return small_cfg(n=8, T=0.06, dt=0.01, N_list=(0, 1, 2), **kw)
 
 
-def _doom_last_order(monkeypatch, at_step, log):
-    """Make the last order's stepper return NaNs at step `at_step`, and
-    write the pid of the process that stepped it to `log`; the patch is
-    made before any fork, so a child that steps it inherits it."""
+def _doom_last_order(monkeypatch, at_step, log, error=None):
+    """Make the last order's stepper return NaNs at step `at_step`, or
+    raise `error` there, and write the pid of the process that stepped it
+    to `log`; the patch is made before any fork, so a child that steps it
+    inherits it."""
     real_build = solvers._build_steppers
     real_advance = solvers._Stepper.advance
     doomed = []
@@ -817,6 +855,8 @@ def _doom_last_order(monkeypatch, at_step, log):
             self.calls = getattr(self, "calls", 0) + 1
             if self.calls == at_step:
                 log.write_text(str(os.getpid()))
+                if error is not None:
+                    raise error
                 return np.full_like(out, np.nan)
         return out
 
@@ -858,6 +898,58 @@ def test_blowup_in_a_worker_matches_serial(tmp_path, monkeypatch):
         _assert_no_child()
     assert messages[0] == messages[1]
     assert pids[0] == os.getpid() != pids[1]
+
+
+@pytest.mark.parametrize("error", [ValueError("simulated bad input"),
+                                   MemoryError("simulated")])
+def test_error_in_a_worker_matches_serial(tmp_path, monkeypatch, error):
+    # the worker's exception reaches the caller with its type and message
+    log = tmp_path / "pid"
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    _doom_last_order(monkeypatch, 3, log, error)
+    raised, pids = [], []
+    for threads in (1, 2):
+        with pytest.raises(type(error)) as err:
+            run_experiment(_doomed_cfg(), threads=threads, progress=False)
+        raised.append((type(err.value), str(err.value)))
+        pids.append(int(log.read_text()))
+        _assert_no_child()
+    assert raised[0] == raised[1] == (type(error), str(error))
+    assert pids[0] == os.getpid() != pids[1]
+
+
+class _TwoArgError(Exception):
+    """Pickles, but unpickling calls __init__ with the one message."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.parametrize("how", ["exit", "unpicklable", "unrebuildable"])
+def test_worker_stopping_without_a_message(monkeypatch, how):
+    # a child that ends without sending an exception the caller can
+    # rebuild raises RuntimeError at its step
+    class LocalError(Exception):
+        pass
+
+    caller = os.getpid()
+    real_advance = solvers._Stepper.advance
+
+    def advance(self, c):
+        self.calls = getattr(self, "calls", 0) + 1
+        if os.getpid() != caller and self.calls == 3:
+            if how == "exit":
+                os._exit(0)
+            raise (LocalError("a local class") if how == "unpicklable"
+                   else _TwoArgError("two", "args"))
+        return real_advance(self, c)
+
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    monkeypatch.setattr(solvers._Stepper, "advance", advance)
+    with pytest.raises(RuntimeError,
+                       match="a worker process stopped at step 3"):
+        run_experiment(_doomed_cfg(), threads=2, progress=False)
+    _assert_no_child()
 
 
 def test_cfl_error_mid_run_leaves_no_child(tmp_path, monkeypatch):
