@@ -22,15 +22,18 @@ delta_ij v_3 v_3 with v = c or Dc (Basdevant 1983): div S(v) = div(v (x) v)
 P[-G div S(v)] = P[-G div(v (x) v)].  S(v) has 5 nonzero distinct
 components against 6 for v (x) v, so each stage transforms 5 products.
 
-Every state lives on the 2/3-rule keep set (spectral._kept): it is zero
-outside it from the truncated initial field on, because the products are
-dealiased and every other operator is per-mode.  The stepper therefore
-stores, combines, projects and filters only the keep-set modes, about 15%
-of the full layout, and goes to the grid and back through the keep-set
-transform pair spectral._kinverse / _kforward: products with the DFT
-matrices restricted to the keep set, (2M+1) n multiply-adds per line
-through numpy's BLAS, which agree with the full-layout pair to within
-1e-13 of the largest value.  A step makes no numpy.fft call, and neither
+Every state lives on the 2/3-rule keep set (spectral._kept), an array
+(3, M+1, 2M+1, 2M+1) with axes (m3, m1, m2), M = n//3: it is zero outside
+the keep set from the truncated initial field on, because the products
+are dealiased and every other operator is per-mode.  The stepper
+therefore stores, combines, projects and filters only the keep-set modes,
+about 15% of the full layout, and goes to the grid and back through the
+keep-set transform pair spectral._kinverse / _kforward: products with the
+DFT matrices restricted to the keep set, three passes of one BLAS product
+per component, (2M+1) n multiply-adds per line, which agree with the
+full-layout pair to within 1e-13 of the largest value.  Mode sums weight
+the m3 = 0 plane, the first, by 1 and the others by 2 (_energy,
+spectral._kept_weights).  A step makes no numpy.fft call, and neither
 does a sample: the per-sample diagnostics, residual stress included, go
 to the grid through the same pair.
 
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import mmap
 import os
 import pickle
@@ -241,12 +245,12 @@ class SimConfig:
                                  f"{noun}, got {type(entry).__name__}")
         return cls(
             n=_as_int("n", data["n"]),
-            L=float(data.get("L", 2.0 * np.pi)),
-            nu=float(data["nu"]),
+            L=_as_float("L", data.get("L", 2.0 * np.pi)),
+            nu=_as_float("nu", data["nu"]),
             spec=_kind_from_dict(_FILTER_KINDS, "filter", data["filter"]),
             N_list=tuple(data.get("N_list", [0])),
-            T=float(data["T"]),
-            dt=float(data["dt"]),
+            T=_as_float("T", data["T"]),
+            dt=_as_float("dt", data["dt"]),
             init=_kind_from_dict(_INIT_KINDS, "initial condition",
                                  data.get("init", {"kind": "taylor_green"})),
             forcing=(
@@ -288,8 +292,23 @@ def _as_int(key: str, value) -> int:
     return int(value)
 
 
+def _as_float(key: str, value) -> float:
+    """float(value) of a finite integer or float (numpy's too); any other
+    value, a string, a boolean, NaN, an infinity or an integer beyond the
+    float range included, raises ValueError."""
+    try:
+        finite = (not isinstance(value, bool)
+                  and isinstance(value, (Integral, float, np.floating))
+                  and math.isfinite(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
 # Field annotations are strings here (postponed evaluation of annotations).
-_COERCE = {"float": lambda key, v: float(v), "int": _as_int,
+_COERCE = {"float": _as_float, "int": _as_int,
            "str": lambda key, v: str(v)}
 
 
@@ -410,7 +429,7 @@ def _courant(cfg: SimConfig, grid: np.ndarray, where: str = "",
 
 class _Stepper:
     """Shared integrating-factor SSP-RK3 stepper over raw keep-set
-    coefficients of shape (3, 2M+1, 2M+1, M+1), M = n//3 (spectral._kept).
+    coefficients of shape (3, M+1, 2M+1, 2M+1), M = n//3 (spectral._kept).
 
     pre/post are per-mode symbols on the keep set of `ws` (or None for
     identity); forcing is keep-set coefficients already multiplied by post
@@ -630,8 +649,9 @@ def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 def _energy(kc: np.ndarray) -> float:
     """Half the squared coefficient norm of keep-set coefficients, mean
-    mode included (Hermitian weights 1 on m3 = 0, 2 on m3 = 1..M)."""
-    sq = np.sum(_mode_sq(kc), axis=(-3, -2))
+    mode included (Hermitian weights 1 on m3 = 0, 2 on m3 = 1..M): the
+    per-plane sums over m1 and m2, plane 0 being m3 = 0."""
+    sq = np.sum(_mode_sq(kc), axis=(-2, -1))
     return float(0.5 * sq[0] + np.sum(sq[1:]))
 
 
@@ -932,7 +952,7 @@ def _tau_norms(u: np.ndarray, rhos: list, ws: _Workspace,
     """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
     for each Du = rho u with rho in rhos; and the collocation samples of u.
 
-    u (3, 2M+1, 2M+1, M+1) and the rho are keep-set arrays.  u goes to the
+    u (3, M+1, 2M+1, 2M+1) and the rho are keep-set arrays.  u goes to the
     grid through _kinverse once for all rho, into a copy; each Du goes into
     the workspace grid.  `rest` = (u_rest, [Du_rest per rho]) adds the
     collocation samples of the parts outside the keep set, which only a

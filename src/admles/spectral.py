@@ -18,21 +18,22 @@ Coefficients live in two layouts, each with one transform pair.  The full
 layout (..., n, n, n) holds every mode, and the public API and the
 snapshots use it; its pair is _inverse / _forward.  The time stepper and
 the per-sample diagnostics keep their state on the 2/3-rule keep set alone:
-with M = n//3 the compact layout (..., 2M+1, 2M+1, M+1) holds the modes
-m1, m2 in 0..M, -M..-1 (full-axis indices 0..M, n-M..n-1) and m3 in 0..M.
-The modes with m3 < 0 are the complex conjugates of their partners,
-u_hat_{-k} = conj(u_hat_k), so a mode sum over the full layout equals the
-keep-set sum with weight 1 on the m3 = 0 plane and 2 on m3 = 1..M
-(_kept_weights).  _kept gathers a full-layout array onto the keep set and
-_full scatters it back, with the conjugate fill of the m3 < 0 planes.  The
-products of a field with itself form a symmetric tensor.  The
-residual-stress norm transforms its 6 distinct components g_i g_j with
-i <= j; in a Frobenius sum the 3 off-diagonal ones count twice.  The
-stepper transforms only the 5 components of the trace-free form u_i u_j -
-delta_ij u_3 u_3 (Basdevant, J. Comput. Phys. 50:209, 1983): u_1^2 - u_3^2,
-u_2^2 - u_3^2, u_1 u_2, u_1 u_3, u_2 u_3.  The dropped part delta_ij u_3 u_3
-has the divergence grad(u_3^2), a pure gradient, which the Leray projection
-removes, so the projected transport term is the same.
+with M = n//3 the compact layout (..., M+1, 2M+1, 2M+1), axes (m3, m1, m2),
+holds the modes m3 in 0..M and m1, m2 in 0..M, -M..-1 (full-axis indices
+0..M, n-M..n-1).  The modes with m3 < 0 are the complex conjugates of
+their partners, u_hat_{-k} = conj(u_hat_k), so a mode sum over the full
+layout equals the keep-set sum with weight 1 on the m3 = 0 plane and 2 on
+m3 = 1..M (_kept_weights, shape (M+1, 1, 1)).  _kept gathers a full-layout
+array onto the keep set, moving m3 to the front, and _full scatters it
+back, with the conjugate fill of the m3 < 0 planes.  The products of a
+field with itself form a symmetric tensor.  The residual-stress norm
+transforms its 6 distinct components g_i g_j with i <= j; in a Frobenius
+sum the 3 off-diagonal ones count twice.  The stepper transforms only the
+5 components of the trace-free form u_i u_j - delta_ij u_3 u_3 (Basdevant,
+J. Comput. Phys. 50:209, 1983): u_1^2 - u_3^2, u_2^2 - u_3^2, u_1 u_2,
+u_1 u_3, u_2 u_3.  The dropped part delta_ij u_3 u_3 has the divergence
+grad(u_3^2), a pure gradient, which the Leray projection removes, so the
+projected transport term is the same.
 
 A _Workspace holds one lattice's keep set: its geometry (k, k/|k|^2,
 |k|^2, |k| and the weights), on which per-mode symbols are evaluated
@@ -40,10 +41,15 @@ directly, the DFT matrices restricted to it (along m3 a real matrix on the
 interleaved real and imaginary parts) and preallocated buffers.  The
 keep-set transform pair, _kinverse and _kforward, multiplies by those
 matrices and writes into the buffers through the `out=` argument of
-np.matmul (numpy >= 2.0).  A pass over one line costs (2M+1) n
-multiply-adds through numpy's BLAS and never touches the zero
-lines.  On keep-set data (and, forward, on the kept modes of any grid) the
-pair agrees with the full-layout one to within 1e-13 of the largest value.
+np.matmul (numpy >= 2.0).  Each transform makes three passes, one matmul
+call each.  The real pass along m3 (x3) is one product for all
+components; each complex pass is one product per component, on an
+operand reshaped to a matrix and transposed as a view, without a copy.
+The inverse goes along m2, m1, m3 and the forward along x3, x1, x2, so
+the contracted axis is always an operand's first or last.  A pass over
+one line costs (2M+1) n multiply-adds and never touches the zero lines.
+On keep-set data (and, forward, on the kept modes of any grid) the pair
+agrees with the full-layout one to within 1e-13 of the largest value.
 """
 
 from __future__ import annotations
@@ -199,8 +205,8 @@ def _kept_rows(n: int) -> np.ndarray:
 
 
 def _kept(a: np.ndarray, n: int) -> np.ndarray:
-    """Keep-set part (..., 2M+1, 2M+1, M+1) of a full-layout array, as a
-    contiguous copy.
+    """Keep-set part (..., M+1, 2M+1, 2M+1) of a full-layout array, axes
+    (m3, m1, m2), as a contiguous copy.
 
     Axes of length 1 of a broadcastable symbol stay as they are.
     """
@@ -209,7 +215,7 @@ def _kept(a: np.ndarray, n: int) -> np.ndarray:
         a = a[..., rows, :, :]
     if a.shape[-2] != 1:
         a = a[..., rows, :]
-    return np.ascontiguousarray(a[..., : n // 3 + 1])
+    return np.ascontiguousarray(np.moveaxis(a[..., : n // 3 + 1], -1, -3))
 
 
 def _full(kc: np.ndarray, n: int) -> np.ndarray:
@@ -218,37 +224,40 @@ def _full(kc: np.ndarray, n: int) -> np.ndarray:
     the m3 > 0 ones, from the partner of the planes 0..n/2-1 alone."""
     full = np.zeros(kc.shape[:-3] + (n, n, n), dtype=np.complex128)
     rows = _kept_rows(n)
-    full[..., rows[:, None], rows, : n // 3 + 1] = kc
+    full[..., rows[:, None], rows, : n // 3 + 1] = np.moveaxis(kc, -3, -1)
     full[..., n // 2 + 1:] = _hermitian_partner(full[..., : n // 2])[..., 1:]
     return full
 
 
 def _kept_weights(n: int) -> np.ndarray:
-    """Per-m3 Hermitian weights of the keep set, 1 on m3 = 0 and 2 on
-    m3 = 1..M: a weighted keep-set mode sum of Hermitian data equals the
-    full-layout sum over the keep set."""
-    w = np.full(n // 3 + 1, 2.0)
+    """Per-m3 Hermitian weights of the keep set, shape (M+1, 1, 1), 1 on
+    m3 = 0 and 2 on m3 = 1..M: a weighted keep-set mode sum of Hermitian
+    data equals the full-layout sum over the keep set."""
+    w = np.full((n // 3 + 1, 1, 1), 2.0)
     w[0] = 1.0
     return w
 
 
 class _Workspace:
-    """One lattice's keep set, M = n//3, in the compact layout, built once
-    and shared by every stepper and diagnostic on the lattice.
+    """One lattice's keep set, M = n//3, in the compact layout (m3, m1,
+    m2), built once and shared by every stepper and diagnostic on the
+    lattice.
 
     Geometry, read-only, each bit for bit _kept of its full-layout
-    counterpart: the wavevector components k (broadcastable), kov =
-    k/|k|^2, ksq = |k|^2, kmag = |k| and the Hermitian weights w.  A
-    per-mode symbol evaluated on ksq is thus _kept of the full-layout one.
+    counterpart: the wavevector components k, of shapes (1, 2M+1, 1),
+    (1, 1, 2M+1) and (M+1, 1, 1), kov = k/|k|^2, ksq = |k|^2, kmag = |k|
+    and the Hermitian weights w (M+1, 1, 1).  A per-mode symbol evaluated
+    on ksq is thus _kept of the full-layout one.
 
     Transforms: the keep-set pair's DFT matrices and buffers for a velocity
     grid (3, n, n, n), up to 6 products (6, n, n, n), their keep-set
-    coefficients (6, 2M+1, 2M+1, M+1) and the partial passes,
-    (6, 2M+1, n, M+1) and (6, n, n, M+1).  Each transform uses the leading
-    components it needs: 3 for the inverse, 5 for the stepper's trace-free
-    stress and 6 for the residual stress.  Every use overwrites the
-    buffers, so a workspace serves callers that run one after another in
-    one thread.
+    coefficients (6, M+1, 2M+1, 2M+1) and the partial passes, lines
+    (6, n, M+1, 2M+1), axes (x2, m3, m1), and planes (6, n, n, M+1), axes
+    (x1, x2, m3), which both transforms pass through.  Each transform uses
+    the leading components it needs: 3 for the inverse, 5 for the
+    stepper's trace-free stress and 6 for the residual stress.  Every use
+    overwrites the buffers, so a workspace serves callers that run one
+    after another in one thread.
     """
 
     def __init__(self, lattice: WaveLattice):
@@ -261,9 +270,9 @@ class _Workspace:
         self.w = _kept_weights(n)
         self.grid = np.empty((3, n, n, n))
         self.prod = np.empty((6, n, n, n))
-        self.lines = np.empty((6, 2 * m + 1, n, m + 1), np.complex128)
+        self.lines = np.empty((6, n, m + 1, 2 * m + 1), np.complex128)
         self.planes = np.empty((6, n, n, m + 1), np.complex128)
-        self.kspec = np.empty((6, 2 * m + 1, 2 * m + 1, m + 1), np.complex128)
+        self.kspec = np.empty((6, m + 1, 2 * m + 1, 2 * m + 1), np.complex128)
         # Angles 2 pi (k x mod n) / n, reduced before the exp, of the kept
         # modes k (rows) against the samples x (columns), and of x (rows)
         # against the kept modes m3 = 0..M.
@@ -278,21 +287,24 @@ class _Workspace:
         cs = np.stack([np.cos(ang3), -np.sin(ang3)], axis=-1)
         self.Wr = cs.reshape(n, 2 * (m + 1)) / n
         self.R = np.ascontiguousarray(
-            (cs * self.w[:, None]).reshape(n, 2 * (m + 1)).T)
+            (cs * self.w.reshape(m + 1, 1)).reshape(n, 2 * (m + 1)).T)
 
 
 def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Real samples of keep-set coefficients (3, 2M+1, 2M+1, M+1), written
+    """Real samples of keep-set coefficients (3, M+1, 2M+1, 2M+1), written
     into ws.grid; _inverse of _full(kc) to within rounding.
 
-    Three products with the DFT matrices restricted to the keep set: Fi
-    (n, 2M+1) along m2 and then along m1, and the real R (2(M+1), n) on
-    the interleaved Re/Im float view along m3, one dgemm.
+    Three matmul calls with the DFT matrices restricted to the keep set:
+    Fi (n, 2M+1) along m2 into ws.lines and then along m1 into ws.planes,
+    each one product per component with the coefficients transposed as a
+    view, and the real R (2(M+1), n) on the interleaved Re/Im float view
+    along m3, one dgemm.
     """
     n = ws.n
-    k, h = kc.shape[-3], kc.shape[-1]
-    a = np.matmul(ws.Fi, kc, out=ws.lines[:3])
-    b = np.matmul(ws.Fi, a.reshape(3, k, n * h),
+    h, k = kc.shape[-3], kc.shape[-1]
+    a = np.matmul(ws.Fi, kc.reshape(3, h * k, k).mT,
+                  out=ws.lines[:3].reshape(3, n, h * k))
+    b = np.matmul(ws.Fi, a.reshape(3, n * h, k).mT,
                   out=ws.planes[:3].reshape(3, n, n * h))
     np.matmul(b.view(np.float64).reshape(3 * n * n, 2 * h), ws.R,
               out=ws.grid.reshape(3 * n * n, n))
@@ -300,22 +312,26 @@ def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
 
 
 def _kforward(samples: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Keep-set series coefficients (c, 2M+1, 2M+1, M+1) of real samples
+    """Keep-set series coefficients (c, M+1, 2M+1, 2M+1) of real samples
     (c, n, n, n), c <= 6, in the first c components of ws.kspec;
     _kept(_forward(samples)) to within rounding, for any samples.
 
-    Three products with the DFT matrices restricted to the keep set: the
-    real Wr (n, 2(M+1)) along m3 into the float view of ws.planes, one
-    dgemm, then Ff (2M+1, n) along m1 and along m2.
+    Three matmul calls with the DFT matrices restricted to the keep set:
+    the real Wr (n, 2(M+1)) along x3 into the float view of ws.planes, one
+    dgemm, then Ff^T (n, 2M+1) along x1 into ws.lines (m1 lands last) and
+    along x2, each one product per component with the samples transposed
+    as a view.
     """
     n, c = ws.n, samples.shape[0]
-    k, h = ws.kspec.shape[-3], ws.kspec.shape[-1]
-    p, lines = ws.planes[:c], ws.lines[:c]
+    h, k = ws.kspec.shape[-3], ws.kspec.shape[-1]
+    p, lines, out = ws.planes[:c], ws.lines[:c], ws.kspec[:c]
     np.matmul(samples.reshape(-1, n), ws.Wr,
               out=p.view(np.float64).reshape(-1, 2 * h))
-    np.matmul(ws.Ff, p.reshape(c, n, n * h),
-              out=lines.reshape(c, k, n * h))
-    return np.matmul(ws.Ff, lines, out=ws.kspec[:c])
+    np.matmul(p.reshape(c, n, n * h).mT, ws.Ff.T,
+              out=lines.reshape(c, n * h, k))
+    np.matmul(lines.reshape(c, n, h * k).mT, ws.Ff.T,
+              out=out.reshape(c, h * k, k))
+    return out
 
 
 def _sym_products(grid: np.ndarray, minus: np.ndarray,
@@ -325,7 +341,7 @@ def _sym_products(grid: np.ndarray, minus: np.ndarray,
 
     grid and minus hold collocation samples (3, n, n, n); the differences
     are formed on the grid before the one transform.  Returns ws.kspec,
-    shape (6, 2M+1, 2M+1, M+1) in _SYM_PAIRS order; it is valid until the
+    shape (6, M+1, 2M+1, 2M+1) in _SYM_PAIRS order; it is valid until the
     workspace is used again.
     """
     prod = ws.prod

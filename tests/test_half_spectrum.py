@@ -9,8 +9,10 @@ full-spectrum, 9-product restatements in tests/oracles.py (the stepper on
 truncated spectra, the norm on truncated spectra and on spectra that are
 not truncated, so the 2/3-rule mask is active), pin the keep-set pair to
 the full-layout pair _inverse / _forward within 1e-13 of the largest
-value, check that the full layout has that one pair (no real-input FFT
-is called), pin the transforms of one step, check that stepping and
+value, pin the keep-set layout (m3, m1, m2) and the pair's structure (3
+matmul calls per transform, none stacking more products than there are
+components), check that the full layout has that one pair (no real-input
+FFT is called), pin the transforms of one step, check that stepping and
 sampling make no FFT call, and that results depend neither on the BLAS
 thread count nor on the number of processes stepping the orders.
 """
@@ -94,16 +96,86 @@ def _close(got, want):
         np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 16, 32, 48])
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 24, 32, 48])
 def test_pruned_pair_matches_full_transforms(n):
     lat, c, samples = _pair_inputs(n, seed=40 + n)
     ws = _Workspace(lat)
     assert _close(_kinverse(_kept(c, n), ws), _inverse(c, n))
-    assert _close(_kforward(samples, ws), _kept(_forward(samples, n), n))
+    # 3 velocity components, the 5 of the trace-free stress and the 6 of
+    # the residual stress
+    for comps in (3, 5, 6):
+        assert _close(_kforward(samples[:comps], ws),
+                      _kept(_forward(samples[:comps], n), n))
     # _full is the inverse of _kept on truncated data; exact on the planes
     # m3 >= 0 that the keep set stores
     half = slice(None, n // 2 + 1)
     assert np.array_equal(_full(_kept(c, n), n)[..., half], c[..., half])
+
+
+class _CountingNumpy:
+    """numpy as admles.spectral sees it, with every np.matmul call's `out`
+    shape recorded; a call without `out=` fails."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, *, out):
+        self.shapes.append(out.shape)
+        return np.matmul(a, b, out=out)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("comps", [3, 5, 6])
+def test_pruned_pair_makes_one_product_per_component_per_pass(
+        monkeypatch, n, comps):
+    # each transform is 3 matmul calls, one per pass, and no call stacks
+    # more products than there are components: no pass loops over a mode
+    # axis
+    lat, c, samples = _pair_inputs(n, seed=n)
+    ws = _Workspace(lat)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(spectral, "np", counting)
+    for transform, arg, batch in ((_kinverse, _kept(c, n), 3),
+                                  (_kforward, samples[:comps], comps)):
+        counting.shapes.clear()
+        transform(arg, ws)
+        assert len(counting.shapes) == 3
+        assert all(int(np.prod(shape[:-2])) <= batch
+                   for shape in counting.shapes), counting.shapes
+
+
+@pytest.mark.parametrize("n", [6, 8, 16])
+def test_keep_set_layout_is_m3_m1_m2(n):
+    # _kept moves m3 to the front: kept[..., j3, i1, i2] is the full-layout
+    # mode (rows[i1], rows[i2], j3)
+    m = n // 3
+    rows = np.r_[0: m + 1, n - m: n]
+    full = np.random.default_rng(n).standard_normal((2, 3, n, n, n))
+    kept = _kept(full, n)
+    assert kept.shape == (2, 3, m + 1, 2 * m + 1, 2 * m + 1)
+    assert kept.flags.c_contiguous
+    assert np.array_equal(
+        kept, full[..., rows[:, None], rows, : m + 1].transpose(0, 1, 4, 2, 3))
+    lat = WaveLattice(n)
+    ws = _Workspace(lat)
+    shapes = [(1, 2 * m + 1, 1), (1, 1, 2 * m + 1), (m + 1, 1, 1)]
+    assert [_kept(k, n).shape for k in lat.wavevectors] == shapes
+    assert [k.shape for k in ws.k] == shapes
+    w = spectral._kept_weights(n)
+    assert w.shape == ws.w.shape == (m + 1, 1, 1)
+    assert w[0, 0, 0] == 1.0 and np.all(w[1:] == 2.0)
+
+
+@pytest.mark.parametrize("n", [6, 8, 16, 32])
+def test_energy_sums_m3_planes_with_hermitian_weights(n):
+    # plane 0 of the keep set is m3 = 0; the weighted keep-set sum is half
+    # the full-layout sum of a truncated field
+    c = random_solenoidal(WaveLattice(n), decay=0.5, seed=80 + n).coeffs
+    want = 0.5 * float(np.sum(np.abs(c) ** 2))
+    assert solvers._energy(_kept(c, n)) == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [6, 16])

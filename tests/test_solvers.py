@@ -227,6 +227,40 @@ def test_config_rejects_strings_booleans_and_non_arrays(key, patch):
         SimConfig.from_dict({**minimal, **patch})
 
 
+@pytest.mark.parametrize("key,patch", [
+    ("nu", {"nu": "0.05"}),
+    ("nu", {"nu": True}),
+    ("T", {"T": "0.1"}),
+    ("L", {"L": "inf"}),
+    ("alpha", {"filter": {"kind": "helmholtz", "alpha": "0.5", "p": True}}),
+    ("p", {"filter": {"kind": "helmholtz", "alpha": 0.5, "p": True}}),
+    ("dt", {"dt": float("nan")}),
+    ("dt", {"dt": 10 ** 400}),
+    ("L", {"L": float("inf")}),
+    ("decay", {"init": {"kind": "random_spectrum", "decay": -np.inf,
+                        "seed": 5}}),
+])
+def test_config_rejects_non_numbers_and_non_finite_floats(key, patch):
+    # float() used to accept these: "nu": true ran at nu = 1 and "L": "inf"
+    # built a lattice with an infinite dx
+    minimal = {"n": 16, "nu": 0.1, "T": 0.1, "dt": 0.05,
+               "filter": {"kind": "helmholtz", "alpha": 1.0}}
+    with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
+        SimConfig.from_dict({**minimal, **patch})
+
+
+def test_config_accepts_numpy_floats_and_integers_as_floats():
+    cfg = SimConfig.from_dict({
+        "n": 16, "nu": np.float32(0.5), "T": np.int64(1), "dt": 0.25,
+        "L": np.float64(3.0),
+        "filter": {"kind": "helmholtz", "alpha": np.int8(1), "p": 2}})
+    assert cfg == SimConfig.from_dict({
+        "n": 16, "nu": 0.5, "T": 1.0, "dt": 0.25, "L": 3.0,
+        "filter": {"kind": "helmholtz", "alpha": 1.0, "p": 2.0}})
+    assert all(type(v) is float for v in (cfg.nu, cfg.T, cfg.L,
+                                          cfg.spec.alpha, cfg.spec.p))
+
+
 def test_config_accepts_numpy_integers():
     cfg = SimConfig.from_dict({
         "n": np.int64(16), "nu": 0.1, "T": 0.1, "dt": 0.05,
