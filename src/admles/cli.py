@@ -326,7 +326,7 @@ def rates(config_path, out, constant) -> None:
     if (out_dir / "series.csv").exists():
         try:
             output = read_outputs(out_dir)
-        except ValueError as e:
+        except (ValueError, FileNotFoundError) as e:
             raise click.ClickException(str(e))
         if config_hash(output.config) != config_hash(cfg):
             raise click.ClickException(

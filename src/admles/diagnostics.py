@@ -39,7 +39,6 @@ from .spectral import (
     sobolev_norm,
     _inverse,
     _kept,
-    _kept_weights,
     _Workspace,
 )
 
@@ -108,24 +107,32 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
 
     The tensor is formed pseudo-spectrally with 2/3-rule dealiasing; the
     mean mode participates (plain grid quadrature of the tensor agrees).
-    The keep-set parts of u and of Du_bar go through the same keep-set
-    transforms as run_experiment's tau_l2 series, so on a truncated field
-    (every solver state) the two agree bit for bit.  Only when u has modes
-    outside the keep set are their samples added, through the full-layout
-    inverse _inverse of the remainder (_outside).
+    The symbol rho = D_N G is evaluated on the lattice's keep set
+    (WaveLattice.keep), and the keep-set parts of u and of Du_bar go
+    through the same keep-set transforms as run_experiment's tau_l2
+    series, so on a truncated field (every solver state) the two agree bit
+    for bit.  Each call allocates its own transform buffers (_Workspace),
+    so calls may run at the same time.  Only when u has modes outside the
+    keep set is rho evaluated on the full layout and the samples of the
+    remainder (_outside) added, through the full-layout inverse _inverse.
     """
     lattice = u.lattice
     n = lattice.n
-    ksq = lattice.k_squared
-    rho = np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)) \
-        * np.asarray(filter_symbol(spec, ksq))
     outside = _outside(u)
     rest = None
     if outside is not None:
+        rho = _rho(spec, order, lattice.k_squared)
         rest = (_inverse(outside, n), [_inverse(rho * outside, n)])
-    norms, _ = _tau_norms(_kept(u.coeffs, n), [_kept(rho, n)],
+    norms, _ = _tau_norms(_kept(u.coeffs, n),
+                          [_rho(spec, order, lattice.keep.ksq)],
                           _Workspace(lattice), rest)
     return norms[0]
+
+
+def _rho(spec: FilterSpec, order: int, ksq: np.ndarray) -> np.ndarray:
+    """The symbol D_N G of the deconvolved filter, on the modes ksq."""
+    return np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)) \
+        * np.asarray(filter_symbol(spec, ksq))
 
 
 def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
@@ -133,22 +140,25 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
 
     Exact mode sum sqrt( sum (x/(1+x))^(2(order+1)) |k| |u_hat|^2 ) with
     x the filter's dimensionless symbol argument; only the inverse-form
-    (Helmholtz) filter admits this closed form.  The keep-set sum is
-    run_experiment's half_norm series, bit for bit; the full-layout sum of
-    the modes outside the keep set (_outside) is added only when u has any.
+    (Helmholtz) filter admits this closed form.  The weight is evaluated on
+    the lattice's keep set (WaveLattice.keep), so the keep-set sum is
+    run_experiment's half_norm series, bit for bit; the weight on the full
+    layout and the sum over the modes outside the keep set (_outside) are
+    formed only when u has any.
     """
     if not isinstance(spec, Helmholtz):
         raise TypeError(
             f"defect half-norm requires a Helmholtz filter, got "
             f"{type(spec).__name__}"
         )
-    n = u.lattice.n
-    weight = _defect_weight(spec, order, u.lattice.k_squared)
-    total = np.sum(_kept(weight, n) * _kept_weights(n)
-                   * _mode_sq(_kept(u.coeffs, n)))
+    lattice = u.lattice
+    keep = lattice.keep
+    total = np.sum(_defect_weight(spec, order, keep.ksq) * keep.w
+                   * _mode_sq(_kept(u.coeffs, lattice.n)))
     outside = _outside(u)
     if outside is not None:
-        total += np.sum(weight * _mode_sq(outside))
+        total += np.sum(_defect_weight(spec, order, lattice.k_squared)
+                        * _mode_sq(outside))
     return float(np.sqrt(total))
 
 
@@ -161,10 +171,16 @@ def bound_residual(u_h1: float, constant: float, alpha: float, p: float,
                    order: int) -> float:
     """2 C alpha (2p(order+1))^(-1/(2p)) u_h1^4, dominating the integrated
     squared residual stress."""
-    if constant <= 0.0:
-        raise ValueError(f"the product constant must be positive: {constant}")
+    _check_constant(constant)
     return 2.0 * constant * alpha \
         * (2.0 * p * (order + 1)) ** (-0.5 / p) * u_h1 ** 4
+
+
+def _check_constant(constant: float) -> None:
+    """Refuse a product constant that is not finite and > 0, NaN included."""
+    if not (math.isfinite(constant) and constant > 0.0):
+        raise ValueError(
+            f"the product constant must be finite and positive: {constant}")
 
 
 def _gronwall_exp_log10(u_l4h1: float, nu: float) -> float:
@@ -359,10 +375,18 @@ def error_report(output: ExperimentOutput,
     eps_hs^2 + nu * grad_integral (trapezoid rule on the sample cadence),
     the residual-stress and defect series, and the snapshot-level bounds.
     Per order: the max of that energy against bound_main (log-space).
-    constant is the configurable Sobolev product constant C.
+    constant is the configurable Sobolev product constant C, finite and
+    > 0.  Every order must be sampled at the reference's times, since the
+    snapshot bounds pair each sample with the reference's u_h1 there;
+    ValueError otherwise.
     """
-    if constant <= 0.0:
-        raise ValueError(f"the product constant must be positive: {constant}")
+    _check_constant(constant)
+    times = output.dns.times
+    for run in output.runs:
+        if not np.array_equal(run.times, times):
+            raise ValueError(
+                f"order N={run.N} is sampled at {len(run.times)} times that "
+                f"differ from the reference's {len(times)}")
     cfg = output.config
     spec = cfg.spec
     nu = cfg.nu
@@ -370,7 +394,6 @@ def error_report(output: ExperimentOutput,
     is_helm = isinstance(spec, Helmholtz)
     is_power = isinstance(spec, (HelmholtzPower, GaussianApprox))
 
-    times = output.dns.times
     u_h1 = output.dns.u_h1
     u_l4h1 = float(_trapz(u_h1 ** 4, times)) ** 0.25 if len(times) > 1 \
         else float(u_h1[0])

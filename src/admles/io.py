@@ -135,7 +135,8 @@ def read_csv(path, config_token: str | None = None) -> tuple:
     """Inverse of write_csv: returns (header, rows-of-strings).
 
     The leading comment line must be a `# config=` stamp; when config_token
-    is given, the stamped token must equal it.
+    is given, the stamped token must equal it.  A header line must follow,
+    and every non-empty row must have as many fields as the header.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# config="):
@@ -144,6 +145,17 @@ def read_csv(path, config_token: str | None = None) -> tuple:
     if config_token is not None and stamp != config_token:
         raise SnapshotFormatError(
             f"{path}: stamped config {stamp} does not match {config_token}")
+    if len(lines) < 2:
+        raise SnapshotFormatError(f"{path}: no header line")
     header = lines[1].split(",")
-    rows = [line.split(",") for line in lines[2:] if line]
+    rows = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != len(header):
+            raise SnapshotFormatError(
+                f"{path}: line {lineno} has {len(row)} fields, the header "
+                f"{len(header)}")
+        rows.append(row)
     return header, rows

@@ -33,22 +33,25 @@ DFT matrices restricted to the keep set, three passes of one BLAS product
 per component, (2M+1) n multiply-adds per line, which agree with the
 full-layout pair to within 1e-13 of the largest value.  Mode sums weight
 the m3 = 0 plane, the first, by 1 and the others by 2 (_energy,
-spectral._kept_weights).  A step makes no numpy.fft call, and neither
+WaveLattice.keep.w).  A step makes no numpy.fft call, and neither
 does a sample: the per-sample diagnostics, residual stress included, go
 to the grid through the same pair.
 
 run_experiment advances the reference and every model order in lockstep:
-each step moves the reference and then each order, and the steppers of a
-process share one spectral._Workspace: the keep set's geometry, on which
-every symbol is evaluated once, and the transform buffers (numpy >= 2.0
-writes matmul results into them through `out=`).  At a sample step each
-order is compared with the live reference state, so no reference sample
-is stored.  With threads = W > 1 the orders are split over up to W
-processes: forked children step contiguous blocks of them with the same
-loop and hand their states back through a small ring in shared memory,
-while the calling process steps the reference and the first order and
-records every sample.  Each order's arithmetic is the same in any
-process, so the outputs do not depend on W.
+each step moves the reference and then each order.  Every symbol and
+per-sample weight is evaluated once, on the lattice's keep set
+(WaveLattice.keep: the geometry and DFT matrices, built once per lattice
+and read-only), and the steppers of a process share one
+spectral._Workspace, the transform buffers (numpy >= 2.0 writes matmul
+results into them through `out=`).  The residual-stress norm of each
+sample (_tau_norms) runs in the same workspace, after the steps.  At a
+sample step each order is compared with the live reference state, so no
+reference sample is stored.  With threads = W > 1 the orders are split
+over up to W processes: forked children step contiguous blocks of them
+with the same loop and hand their states back through a small ring in
+shared memory, while the calling process steps the reference and the
+first order and records every sample.  Each order's arithmetic is the
+same in any process, so the outputs do not depend on W.
 """
 
 from __future__ import annotations
@@ -433,18 +436,19 @@ class _Stepper:
 
     pre/post are per-mode symbols on the keep set of `ws` (or None for
     identity); forcing is keep-set coefficients already multiplied by post
-    and projected.  The keep-set geometry and the transforms of rhs come
-    from the workspace `ws`, which steppers advanced one after another
-    share.
+    and projected.  The geometry comes from the lattice's keep set,
+    ws.keep, and the transforms of rhs run in the buffers of `ws`, which
+    steppers advanced one after another share.
     """
 
     def __init__(self, ws: _Workspace, nu: float, dt: float,
                  pre=None, post=None, forcing=None):
         self.ws = ws
         self.dt = dt
-        self.E1 = np.exp(-nu * ws.ksq * dt)
-        self.Eh = np.exp(-nu * ws.ksq * (0.5 * dt))
-        self.Ehi = np.exp(nu * ws.ksq * (0.5 * dt))
+        ksq = ws.keep.ksq
+        self.E1 = np.exp(-nu * ksq * dt)
+        self.Eh = np.exp(-nu * ksq * (0.5 * dt))
+        self.Ehi = np.exp(nu * ksq * (0.5 * dt))
         self.pre = pre
         self.forcing = forcing
         # -i post: the divergence's factor i, the sign of the transport
@@ -454,10 +458,11 @@ class _Stepper:
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         ws = self.ws
+        keep = ws.keep
         q = c if self.pre is None else self.pre * c
         grid = _kinverse(q, ws)
         products = _tracefree_products(grid, ws)
-        out = _leray(_contract(products, ws.k, _TF_ROWS), ws.k, ws.kov)
+        out = _leray(_contract(products, keep.k, _TF_ROWS), keep.k, keep.kov)
         out *= self._scale
         if self.forcing is not None:
             out += self.forcing
@@ -477,13 +482,14 @@ def _build_steppers(cfg: SimConfig, lattice: WaveLattice,
     symbol D_N before the product, filter symbol G after it).
 
     Returns the steppers, G and the D_N (None for the reference), the
-    symbols evaluated on the workspace's keep set.  The forcing snapshot is
-    loaded once and gathered onto the keep set.
+    symbols evaluated on the lattice's keep set (WaveLattice.keep).  The
+    forcing snapshot is loaded once and gathered onto the keep set.
     """
     ws = _Workspace(lattice)
-    g = np.asarray(filter_symbol(cfg.spec, ws.ksq))
+    keep = lattice.keep
+    g = np.asarray(filter_symbol(cfg.spec, keep.ksq))
     pres = [None if N is None
-            else np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), ws.ksq))
+            else np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), keep.ksq))
             for N in orders]
     dns_forcing = model_forcing = None
     if cfg.forcing is not None:
@@ -495,8 +501,8 @@ def _build_steppers(cfg: SimConfig, lattice: WaveLattice,
         f = _kept(f.coeffs * lattice.dealias_mask, lattice.n)
         # Project once (P G f for the models); the projection commutes with
         # the per-mode symbols.
-        model_forcing = _leray(f * g, ws.k, ws.kov)
-        dns_forcing = _leray(f, ws.k, ws.kov)
+        model_forcing = _leray(f * g, keep.k, keep.kov)
+        dns_forcing = _leray(f, keep.k, keep.kov)
     steppers = [
         _Stepper(ws, cfg.nu, cfg.dt, forcing=dns_forcing)
         if d is None else
@@ -825,9 +831,9 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     children step contiguous blocks of the orders after the first and hand
     their states back at every sample and progress step; this process
     steps the reference and the first order and does all the recording.
-    The symbols and per-sample weights are evaluated on the workspace's
-    keep-set geometry; only the final snapshots go back to the full
-    layout.  At each sample step every order is compared with the live
+    The symbols and per-sample weights are evaluated on the lattice's
+    keep set (WaveLattice.keep); only the final snapshots go back to the
+    full layout.  At each sample step every order is compared with the live
     reference state on the keep set, so no reference sample is stored;
     everything downstream (error norms, residual stress, defect series,
     divergence ratio, the peak Courant number) is computed here, so reports
@@ -857,17 +863,19 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     (dns_stepper, *steppers), g, (_, *d_syms) = _build_steppers(
         cfg, lattice, (None, *cfg.N_list))
     ws = dns_stepper.ws
+    keep = lattice.keep
 
     # Keep-set weights of the per-sample norms; the defect norms are
     # half_norm_defect's keep-set sums, to the last bit.
     _, s_level = energy_weight(cfg.spec)
-    w_0, w_1, w_s, w_s1 = (_sobolev_weight(ws.ksq, s) * ws.w
+    w_0, w_1, w_s, w_s1 = (_sobolev_weight(keep.ksq, s) * keep.w
                            for s in (0.0, 1.0, s_level, s_level + 1.0))
     w_err = np.stack([w_0, w_s, w_1, w_s1])[:, None]  # _SERIES[:4]
     is_helmholtz = isinstance(cfg.spec, Helmholtz)
     if is_helmholtz:
-        defect_weights = np.stack([_defect_weight(cfg.spec, N, ws.ksq) * ws.w
-                                   for N in cfg.N_list])
+        defect_weights = np.stack(
+            [_defect_weight(cfg.spec, N, keep.ksq) * keep.w
+             for N in cfg.N_list])
     rhos = [d * g for d in d_syms]
 
     dns_cols = np.empty((3, len(samples)))
@@ -895,7 +903,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         if is_helmholtz:
             series["half_norm"][:, idx] = _weighted_norm(defect_weights,
                                                          u_sq)
-        np.maximum(div_max, _div_ratio(w, ws.k, ws.kmag), out=div_max)
+        np.maximum(div_max, _div_ratio(w, keep.k, keep.kmag), out=div_max)
 
     u = _kept(u0.coeffs, n)
     # One initial array for every order: a step never writes into its input.
@@ -958,12 +966,12 @@ def _tau_norms(u: np.ndarray, rhos: list, ws: _Workspace,
     collocation samples of the parts outside the keep set, which only a
     field that is not truncated has.  The tensor is symmetric, so its 6
     distinct components are formed and transformed once; the mode sum over
-    the keep set uses the off-diagonal weights and _kept_weights.
+    the keep set uses the off-diagonal weights and the keep set's w.
     """
     u_grid = _kinverse(u, ws).copy()
     if rest is not None:
         u_grid += rest[0]
-    weight = _SYM_WEIGHTS[:, None, None, None] * ws.w
+    weight = _SYM_WEIGHTS[:, None, None, None] * ws.keep.w
     norms = []
     for j, rho in enumerate(rhos):
         d_grid = _kinverse(rho * u, ws)
@@ -1024,24 +1032,39 @@ def read_outputs(out_dir) -> ExperimentOutput:
     """Reconstruct series (not fields) from an experiment directory.
 
     Raises SnapshotFormatError when the `# config=` stamp of dns.csv or
-    series.csv is not the hash of the directory's config.json.
+    series.csv is not the hash of the directory's config.json, when either
+    file lacks a column or does not parse as a table (admio.read_csv), and
+    when series.csv has no rows for an order of N_list or rows for an
+    order outside it.
     """
     out = Path(out_dir)
     cfg = SimConfig.from_json((out / "config.json").read_text())
     lattice = WaveLattice(cfg.n, cfg.L)
     token = config_hash(cfg)
 
-    header, rows = admio.read_csv(out / "dns.csv", token)
+    dns_path = out / "dns.csv"
+    header, rows = admio.read_csv(dns_path, token)
+    idx = _column_index(dns_path, header, ("t", "u_l2", "u_h1", "energy"))
     cols = {name: np.array([row[i] for row in rows], dtype=float)
-            for i, name in enumerate(header)}
+            for name, i in idx.items()}
     dns = DnsSeries(times=cols["t"], u_l2=cols["u_l2"], u_h1=cols["u_h1"],
                     energy=cols["energy"])
 
-    header, rows = admio.read_csv(out / "series.csv", token)
-    idx = {name: i for i, name in enumerate(header)}
+    series_path = out / "series.csv"
+    header, rows = admio.read_csv(series_path, token)
+    idx = _column_index(series_path, header, ("N", "t", *_SERIES))
+    orders = [int(float(row[idx["N"]])) for row in rows]
+    stray = sorted(set(orders) - set(cfg.N_list))
+    if stray:
+        raise admio.SnapshotFormatError(
+            f"{series_path}: rows for order N={stray[0]}, which is not in "
+            f"N_list {list(cfg.N_list)}")
     runs = []
     for N in cfg.N_list:
-        sel = [row for row in rows if int(float(row[idx["N"]])) == N]
+        sel = [row for row, order in zip(rows, orders) if order == N]
+        if not sel:
+            raise admio.SnapshotFormatError(
+                f"{series_path}: no rows for order N={N}")
         col = lambda name: np.array(
             [float(r[idx[name]]) for r in sel], dtype=float)
         runs.append(RunSeries(
@@ -1049,3 +1072,13 @@ def read_outputs(out_dir) -> ExperimentOutput:
             div_ratio_max=float("nan"),
         ))
     return ExperimentOutput(config=cfg, lattice=lattice, dns=dns, runs=runs)
+
+
+def _column_index(path: Path, header: list, names) -> dict:
+    """{name: column} of each of names in a CSV header; SnapshotFormatError
+    naming path and the first missing column otherwise."""
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise admio.SnapshotFormatError(
+            f"{path}: missing column {missing[0]!r}")
+    return {name: header.index(name) for name in names}

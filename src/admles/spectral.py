@@ -23,7 +23,7 @@ holds the modes m3 in 0..M and m1, m2 in 0..M, -M..-1 (full-axis indices
 0..M, n-M..n-1).  The modes with m3 < 0 are the complex conjugates of
 their partners, u_hat_{-k} = conj(u_hat_k), so a mode sum over the full
 layout equals the keep-set sum with weight 1 on the m3 = 0 plane and 2 on
-m3 = 1..M (_kept_weights, shape (M+1, 1, 1)).  _kept gathers a full-layout
+m3 = 1..M (lattice.keep.w, shape (M+1, 1, 1)).  _kept gathers a full-layout
 array onto the keep set, moving m3 to the front, and _full scatters it
 back, with the conjugate fill of the m3 < 0 planes.  The products of a
 field with itself form a symmetric tensor.  The residual-stress norm
@@ -35,13 +35,17 @@ u_1 u_3, u_2 u_3.  The dropped part delta_ij u_3 u_3 has the divergence
 grad(u_3^2), a pure gradient, which the Leray projection removes, so the
 projected transport term is the same.
 
-A _Workspace holds one lattice's keep set: its geometry (k, k/|k|^2,
-|k|^2, |k| and the weights), on which per-mode symbols are evaluated
-directly, the DFT matrices restricted to it (along m3 a real matrix on the
-interleaved real and imaginary parts) and preallocated buffers.  The
-keep-set transform pair, _kinverse and _kforward, multiplies by those
-matrices and writes into the buffers through the `out=` argument of
-np.matmul (numpy >= 2.0).  Each transform makes three passes, one matmul
+Each lattice builds its keep set once, on first use: WaveLattice.keep
+(a _KeepSet) holds the geometry (k, k/|k|^2, |k|^2, |k| and the weights),
+on which per-mode symbols are evaluated directly, and the DFT matrices
+restricted to it (along m3 a real matrix on the interleaved real and
+imaginary parts).  Its arrays are read-only, so every stepper and
+diagnostic on the lattice can share them.  A _Workspace adds the scratch
+buffers of the transforms; it is cheap to build, and callers that may run
+at the same time each build their own.  The keep-set transform pair,
+_kinverse and _kforward, multiplies by the keep set's matrices and writes
+into a workspace's buffers through the `out=` argument of np.matmul
+(numpy >= 2.0).  Each transform makes three passes, one matmul
 call each.  The real pass along m3 (x3) is one product for all
 components; each complex pass is one product per component, on an
 operand reshaped to a matrix and transposed as a view, without a copy.
@@ -127,6 +131,12 @@ class WaveLattice:
         """True where no mode component equals -n/2."""
         keep = self.modes != -(self.n // 2)
         return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+
+    @cached_property
+    def keep(self) -> _KeepSet:
+        """The 2/3-rule keep set in the compact layout: its geometry and
+        the DFT matrices restricted to it, read-only (_KeepSet)."""
+        return _KeepSet(self)
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Collocation coordinates, indexing='ij'."""
@@ -229,50 +239,33 @@ def _full(kc: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def _kept_weights(n: int) -> np.ndarray:
-    """Per-m3 Hermitian weights of the keep set, shape (M+1, 1, 1), 1 on
-    m3 = 0 and 2 on m3 = 1..M: a weighted keep-set mode sum of Hermitian
-    data equals the full-layout sum over the keep set."""
-    w = np.full((n // 3 + 1, 1, 1), 2.0)
-    w[0] = 1.0
-    return w
+class _KeepSet:
+    """One lattice's 2/3-rule keep set, M = n//3, in the compact layout
+    (m3, m1, m2): its geometry and the DFT matrices restricted to it, all
+    read-only (WaveLattice.keep).
 
+    Geometry, each bit for bit _kept of its full-layout counterpart: the
+    wavevector components k, of shapes (1, 2M+1, 1), (1, 1, 2M+1) and
+    (M+1, 1, 1), kov = k/|k|^2, ksq = |k|^2, kmag = |k| and the Hermitian
+    weights w (M+1, 1, 1), 1 on m3 = 0 and 2 on m3 = 1..M: a weighted
+    keep-set mode sum of Hermitian data equals the full-layout sum over the
+    keep set.  A per-mode symbol evaluated on ksq is thus _kept of the
+    full-layout one.
 
-class _Workspace:
-    """One lattice's keep set, M = n//3, in the compact layout (m3, m1,
-    m2), built once and shared by every stepper and diagnostic on the
-    lattice.
-
-    Geometry, read-only, each bit for bit _kept of its full-layout
-    counterpart: the wavevector components k, of shapes (1, 2M+1, 1),
-    (1, 1, 2M+1) and (M+1, 1, 1), kov = k/|k|^2, ksq = |k|^2, kmag = |k|
-    and the Hermitian weights w (M+1, 1, 1).  A per-mode symbol evaluated
-    on ksq is thus _kept of the full-layout one.
-
-    Transforms: the keep-set pair's DFT matrices and buffers for a velocity
-    grid (3, n, n, n), up to 6 products (6, n, n, n), their keep-set
-    coefficients (6, M+1, 2M+1, 2M+1) and the partial passes, lines
-    (6, n, M+1, 2M+1), axes (x2, m3, m1), and planes (6, n, n, M+1), axes
-    (x1, x2, m3), which both transforms pass through.  Each transform uses
-    the leading components it needs: 3 for the inverse, 5 for the
-    stepper's trace-free stress and 6 for the residual stress.  Every use
-    overwrites the buffers, so a workspace serves callers that run one
-    after another in one thread.
+    Transforms: Fi (n, 2M+1) and Ff (2M+1, n) along m1 and m2, and along m3
+    the real R (2(M+1), n) and Wr (n, 2(M+1)) on the interleaved real and
+    imaginary parts.
     """
 
     def __init__(self, lattice: WaveLattice):
-        n = self.n = lattice.n
+        n = lattice.n
         m = n // 3
         self.k = tuple(_kept(k, n) for k in lattice.wavevectors)
         self.ksq = _kept(lattice.k_squared, n)
         self.kov = _k_over_ksq(self.k, self.ksq)
         self.kmag = np.sqrt(self.ksq)
-        self.w = _kept_weights(n)
-        self.grid = np.empty((3, n, n, n))
-        self.prod = np.empty((6, n, n, n))
-        self.lines = np.empty((6, n, m + 1, 2 * m + 1), np.complex128)
-        self.planes = np.empty((6, n, n, m + 1), np.complex128)
-        self.kspec = np.empty((6, m + 1, 2 * m + 1, 2 * m + 1), np.complex128)
+        self.w = np.full((m + 1, 1, 1), 2.0)
+        self.w[0] = 1.0
         # Angles 2 pi (k x mod n) / n, reduced before the exp, of the kept
         # modes k (rows) against the samples x (columns), and of x (rows)
         # against the kept modes m3 = 0..M.
@@ -282,12 +275,42 @@ class _Workspace:
         self.Fi = np.ascontiguousarray(np.exp(1j * ang).T)
         ang3 = (2.0 * np.pi / n) * (np.outer(x, np.arange(m + 1)) % n)
         # Real-to-complex along m3 on the float view: columns interleave
-        # Re and Im of each mode, and R weights them with _kept_weights,
-        # dropping Im at m3 = 0 as irfft does.
+        # Re and Im of each mode, and R weights them with w, dropping Im
+        # at m3 = 0 as irfft does.
         cs = np.stack([np.cos(ang3), -np.sin(ang3)], axis=-1)
         self.Wr = cs.reshape(n, 2 * (m + 1)) / n
         self.R = np.ascontiguousarray(
             (cs * self.w.reshape(m + 1, 1)).reshape(n, 2 * (m + 1)).T)
+        for a in (*self.k, *self.kov, self.ksq, self.kmag, self.w, self.Ff,
+                  self.Fi, self.Wr, self.R):
+            a.setflags(write=False)
+
+
+class _Workspace:
+    """Scratch buffers for the keep-set transform pair on one lattice, and
+    that lattice's keep set (keep = lattice.keep), which every workspace
+    on the lattice shares.
+
+    Buffers for a velocity grid (3, n, n, n), up to 6 products
+    (6, n, n, n), their keep-set coefficients (6, M+1, 2M+1, 2M+1) and the
+    partial passes, lines (6, n, M+1, 2M+1), axes (x2, m3, m1), and planes
+    (6, n, n, M+1), axes (x1, x2, m3), which both transforms pass through.
+    Each transform uses the leading components it needs: 3 for the
+    inverse, 5 for the stepper's trace-free stress and 6 for the residual
+    stress.  Every use overwrites the buffers, so a workspace serves
+    callers that run one after another in one thread; callers that may
+    run at the same time each build their own.
+    """
+
+    def __init__(self, lattice: WaveLattice):
+        self.keep = lattice.keep
+        n = self.n = lattice.n
+        m = n // 3
+        self.grid = np.empty((3, n, n, n))
+        self.prod = np.empty((6, n, n, n))
+        self.lines = np.empty((6, n, m + 1, 2 * m + 1), np.complex128)
+        self.planes = np.empty((6, n, n, m + 1), np.complex128)
+        self.kspec = np.empty((6, m + 1, 2 * m + 1, 2 * m + 1), np.complex128)
 
 
 def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -300,13 +323,13 @@ def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
     view, and the real R (2(M+1), n) on the interleaved Re/Im float view
     along m3, one dgemm.
     """
-    n = ws.n
+    n, keep = ws.n, ws.keep
     h, k = kc.shape[-3], kc.shape[-1]
-    a = np.matmul(ws.Fi, kc.reshape(3, h * k, k).mT,
+    a = np.matmul(keep.Fi, kc.reshape(3, h * k, k).mT,
                   out=ws.lines[:3].reshape(3, n, h * k))
-    b = np.matmul(ws.Fi, a.reshape(3, n * h, k).mT,
+    b = np.matmul(keep.Fi, a.reshape(3, n * h, k).mT,
                   out=ws.planes[:3].reshape(3, n, n * h))
-    np.matmul(b.view(np.float64).reshape(3 * n * n, 2 * h), ws.R,
+    np.matmul(b.view(np.float64).reshape(3 * n * n, 2 * h), keep.R,
               out=ws.grid.reshape(3 * n * n, n))
     return ws.grid
 
@@ -322,14 +345,14 @@ def _kforward(samples: np.ndarray, ws: _Workspace) -> np.ndarray:
     along x2, each one product per component with the samples transposed
     as a view.
     """
-    n, c = ws.n, samples.shape[0]
+    n, keep, c = ws.n, ws.keep, samples.shape[0]
     h, k = ws.kspec.shape[-3], ws.kspec.shape[-1]
     p, lines, out = ws.planes[:c], ws.lines[:c], ws.kspec[:c]
-    np.matmul(samples.reshape(-1, n), ws.Wr,
+    np.matmul(samples.reshape(-1, n), keep.Wr,
               out=p.view(np.float64).reshape(-1, 2 * h))
-    np.matmul(p.reshape(c, n, n * h).mT, ws.Ff.T,
+    np.matmul(p.reshape(c, n, n * h).mT, keep.Ff.T,
               out=lines.reshape(c, n * h, k))
-    np.matmul(lines.reshape(c, n, h * k).mT, ws.Ff.T,
+    np.matmul(lines.reshape(c, n, h * k).mT, keep.Ff.T,
               out=out.reshape(c, h * k, k))
     return out
 

@@ -377,6 +377,101 @@ def test_rates_rejects_stale_csv_stamp(runner, tmp_path, name):
     assert f"{name}: stamped config" in result.output
 
 
+@pytest.fixture(scope="module")
+def stamped(tmp_path_factory):
+    """A config and the output directory simulate writes for it."""
+    root = tmp_path_factory.mktemp("stamped")
+    cfg_path = root / "c.json"
+    write_config(cfg_path, n=16, T=0.05, dt=0.005, N_list=(0, 1, 2, 4))
+    out = root / "out"
+    result = CliRunner().invoke(main, ["simulate", "--config", str(cfg_path),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return cfg_path, out
+
+
+def _edited_copy(tmp_path, stamped, edit) -> Path:
+    """A copy of the stamped output directory, changed by edit(dir)."""
+    out = tmp_path / "out"
+    shutil.copytree(stamped[1], out)
+    edit(out)
+    return out
+
+
+def _rates(runner, stamped, out, *extra):
+    return runner.invoke(main, ["rates", "--config", str(stamped[0]),
+                                "--out", str(out), *extra])
+
+
+def _edit_lines(path: Path, edit) -> None:
+    """Rewrite path as edit(its lines, line ends kept)."""
+    path.write_text("".join(edit(path.read_text().splitlines(True))))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_rates_refuses_non_finite_constant(runner, tmp_path, stamped, value):
+    out = _edited_copy(tmp_path, stamped, lambda out: None)
+    result = _rates(runner, stamped, out, "--constant", value)
+    assert result.exit_code == 1, result.output
+    assert f"finite and positive: {value}" in result.output
+    assert "ok N=" not in result.output
+
+
+def test_rates_refuses_series_missing_a_sample(runner, tmp_path, stamped):
+    # without its t = 0.005 row, N = 2's later samples would be paired
+    # with the reference's u_h1 one sample early
+    out = _edited_copy(tmp_path, stamped, lambda out: _edit_lines(
+        out / "series.csv",
+        lambda lines: [x for x in lines if not x.startswith("2,0.005,")]))
+    result = _rates(runner, stamped, out)
+    assert result.exit_code == 1, result.output
+    assert "N=2 is sampled" in result.output
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: [x for x in lines if not x.startswith("2,")],
+     "no rows for order N=2"),
+    (lambda lines: ["3" + x[1:] if x.startswith("4,") else x
+                    for x in lines],
+     "rows for order N=3, which is not in N_list"),
+], ids=["order_without_rows", "rows_of_other_order"])
+def test_read_outputs_matches_series_orders_to_n_list(tmp_path, stamped,
+                                                      edit, message):
+    out = _edited_copy(tmp_path, stamped,
+                       lambda out: _edit_lines(out / "series.csv", edit))
+    with pytest.raises(admio.SnapshotFormatError,
+                       match=f"series.csv: {message}"):
+        solvers.read_outputs(out)
+
+
+def _rename_half_norm(out):
+    _edit_lines(out / "series.csv",
+                lambda lines: [lines[0], lines[1].replace("half_norm", "x"),
+                               *lines[2:]])
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("series.csv", _rename_half_norm, "missing column 'half_norm'"),
+    ("dns.csv", lambda out: _edit_lines(
+        out / "dns.csv", lambda lines: [*lines[:-1],
+                                        lines[-1].rsplit(",", 1)[0]]),
+     "has 3 fields, the header 4"),
+    ("dns.csv", lambda out: _edit_lines(out / "dns.csv", lambda l: l[:1]),
+     "no header line"),
+    ("dns.csv", lambda out: (out / "dns.csv").unlink(), "No such file"),
+], ids=["missing_column", "short_row", "stamp_only", "deleted"])
+def test_rates_refuses_malformed_csv(runner, tmp_path, stamped, name, edit,
+                                     message):
+    # a stamped file that is not a well-formed table is a one-line error
+    # naming the file, not a traceback
+    out = _edited_copy(tmp_path, stamped, edit)
+    result = _rates(runner, stamped, out)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert name in result.output and message in result.output
+
+
 # ---------------------------------------------------------------------------
 # gaussian-approx
 # ---------------------------------------------------------------------------

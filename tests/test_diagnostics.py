@@ -1,12 +1,13 @@
 """Residual-stress, defect-norm, bound, and report-assembly tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from admles import diagnostics
+from admles import diagnostics, solvers
 from admles.deconvolution import _defect_weight
 from admles.diagnostics import (
     LogValue,
@@ -153,6 +154,35 @@ def test_half_norm_adds_modes_outside_keep_set(monkeypatch, n, p, order):
     shapes.clear()
     half_norm_defect(random_solenoidal(lat, decay=0.5, seed=n), spec, order)
     assert shapes and (3, n, n, n) not in shapes
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_snapshot_norms_evaluate_symbols_on_keep_set(monkeypatch, n):
+    # on a truncated field both norms evaluate their symbols on the
+    # lattice's keep set alone; only a field with modes outside it makes
+    # them evaluate a symbol on the full layout
+    lat = WaveLattice(n)
+    shapes = []
+
+    def spy(name):
+        original = getattr(diagnostics, name)
+
+        def recording(*args):
+            shapes.append(np.shape(args[-1]))
+            return original(*args)
+        monkeypatch.setattr(diagnostics, name, recording)
+
+    for name in ("filter_symbol", "deconv_symbol", "_defect_weight"):
+        spy(name)
+    spec = Helmholtz(alpha=0.5, p=1.0)
+    for truncate in (True, False):
+        shapes.clear()
+        u = random_solenoidal(lat, decay=0.5, seed=n, truncate=truncate)
+        residual_stress_norm(u, spec, 2)
+        half_norm_defect(u, spec, 2)
+        assert shapes
+        assert ((n, n, n) in shapes) is not truncate, shapes
+        assert lat.keep.ksq.shape in shapes
 
 
 def test_half_norm_rejects_non_helmholtz():
@@ -362,6 +392,31 @@ def test_error_report_invariants(small_output):
 def test_error_report_rejects_bad_constant(small_output):
     with pytest.raises(ValueError, match="positive"):
         error_report(small_output, constant=0.0)
+
+
+@pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf])
+def test_non_finite_constant_is_refused(small_output, constant):
+    # NaN compares false with 0, so a plain `constant <= 0` check lets it
+    # through and every verdict reads ok
+    with pytest.raises(ValueError, match=f"finite and positive: {constant}"):
+        error_report(small_output, constant=constant)
+    with pytest.raises(ValueError, match=f"finite and positive: {constant}"):
+        bound_residual(1.0, constant, 1.0, 1.0, 1)
+
+
+def test_error_report_refuses_runs_sampled_off_the_reference(small_output):
+    # a run missing one sample would pair its later samples with the
+    # reference's u_h1 at earlier times
+    run = small_output.runs[2]
+    keep = np.arange(len(run.times)) != 2
+    short = dataclasses.replace(
+        run, **{name: getattr(run, name)[keep]
+                for name in ("times", *solvers._SERIES)})
+    output = dataclasses.replace(
+        small_output, runs=[*small_output.runs[:2], short,
+                            *small_output.runs[3:]])
+    with pytest.raises(ValueError, match=f"N={run.N} is sampled"):
+        error_report(output)
 
 
 def test_error_report_non_helmholtz_rows_are_nan():

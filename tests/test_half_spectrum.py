@@ -163,10 +163,47 @@ def test_keep_set_layout_is_m3_m1_m2(n):
     ws = _Workspace(lat)
     shapes = [(1, 2 * m + 1, 1), (1, 1, 2 * m + 1), (m + 1, 1, 1)]
     assert [_kept(k, n).shape for k in lat.wavevectors] == shapes
-    assert [k.shape for k in ws.k] == shapes
-    w = spectral._kept_weights(n)
-    assert w.shape == ws.w.shape == (m + 1, 1, 1)
+    assert [k.shape for k in ws.keep.k] == shapes
+    w = lat.keep.w
+    assert w.shape == ws.keep.w.shape == (m + 1, 1, 1)
     assert w[0, 0, 0] == 1.0 and np.all(w[1:] == 2.0)
+
+
+def test_lattice_builds_its_keep_set_once():
+    lat = WaveLattice(8)
+    assert lat.keep is lat.keep
+    # an equal lattice is a different instance with its own cache
+    other = WaveLattice(8)
+    assert other == lat and other.keep is not lat.keep
+    assert np.array_equal(other.keep.ksq, lat.keep.ksq)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_workspaces_share_keep_set_not_buffers(n):
+    # the read-only keep set is the lattice's; each workspace allocates
+    # its own scratch buffers, so two never alias each other's results
+    lat = WaveLattice(n)
+    a, b = _Workspace(lat), _Workspace(lat)
+    assert a.keep is b.keep is lat.keep
+    for name in ("grid", "prod", "lines", "planes", "kspec"):
+        assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+    _, c, _ = _pair_inputs(n, seed=90 + n)
+    got = _kinverse(_kept(c, n), a)
+    want = got.copy()
+    _kinverse(_kept(2.0 * c, n), b)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_keep_set_arrays_are_read_only(n):
+    keep = WaveLattice(n).keep
+    arrays = [*keep.k, *keep.kov, keep.ksq, keep.kmag, keep.w, keep.Ff,
+              keep.Fi, keep.Wr, keep.R]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 1.0
 
 
 @pytest.mark.parametrize("n", [6, 8, 16, 32])
@@ -224,7 +261,7 @@ def test_build_steppers_share_keep_set_workspace_and_symbols(n, spec):
     assert pres[0] is None
     for d, order in zip(pres[1:], (0, 4)):
         assert np.array_equal(d, _kept(_symbols(lat, spec, order)[0], n))
-    assert np.array_equal(ws.ksq, _kept(lat.k_squared, n))
+    assert np.array_equal(ws.keep.ksq, _kept(lat.k_squared, n))
 
 
 def test_experiment_gathers_only_fields(monkeypatch):
