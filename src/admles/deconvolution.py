@@ -10,7 +10,8 @@ wavenumbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,7 +102,11 @@ class PropertyCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+# The checks made at every grid point, in row order.
+_PER_POINT = ("range_low", "range_high", "below_inverse")
+
+
+@dataclass(frozen=True, eq=False)
 class PropertyReport:
     """Structural checks of the deconvolution symbol on a k2 grid.
 
@@ -113,22 +118,54 @@ class PropertyReport:
                      the largest grid point exceeds 1e12
     Diagnostic (never asserted): tail_deviation, the relative deviation of
     D_hat from (order+1)(1+x)/x at the largest grid point.
+
+    The per-point checks are held as arrays with one row per name of
+    _PER_POINT and one column per grid point; `rows` builds the
+    PropertyCheck tuple from them when it is first read.
     """
 
     op: DeconvOp
-    rows: tuple
+    k2: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ok: np.ndarray
+    saturation: Optional[PropertyCheck]
     tail_deviation: float
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return bool(self.ok.all()) and (
+            self.saturation is None or self.saturation.passed)
+
+    @property
+    def n_rows(self) -> int:
+        """len(rows), without building them."""
+        return self.ok.size + (self.saturation is not None)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Every check, point by point in grid order (the _PER_POINT checks
+        of each point in turn), then the saturation row if any."""
+        rows = [
+            PropertyCheck(name, k2, lhs, rhs, ok)
+            for k2, *point in zip(self.k2.tolist(), self.lhs.T.tolist(),
+                                  self.rhs.T.tolist(), self.ok.T.tolist())
+            for name, lhs, rhs, ok in zip(_PER_POINT, *point)
+        ]
+        if self.saturation is not None:
+            rows.append(self.saturation)
+        return tuple(rows)
 
     def failures(self):
         return [r for r in self.rows if not r.passed]
 
 
 def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
-    """Evaluate the symbol properties pointwise on a nonempty grid."""
+    """Evaluate the symbol properties on a nonempty grid of k2 >= 0.
+
+    Raises ValueError for an empty grid or one holding a negative or NaN
+    k2, and TypeError for a filter other than Helmholtz.
+    """
     if not isinstance(op.spec, Helmholtz):
         raise TypeError(
             "property checks require a Helmholtz filter, got "
@@ -137,33 +174,30 @@ def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
     k2 = np.asarray(list(k2_grid), dtype=np.float64)
     if k2.size == 0:
         raise ValueError("empty verification grid")
+    bad = k2[np.logical_not(k2 >= 0.0)]
+    if bad.size:
+        raise ValueError(
+            f"verification grid values must be k2 >= 0, got {float(bad[0])!r}")
     k2 = np.sort(k2)
     d = np.asarray(deconv_symbol(op, k2))
     a = np.asarray(inverse_symbol(op.spec, k2))
     top = float(op.order + 1)
     tol = 1e-12
+    lhs = np.stack([np.ones_like(d), d, d])
+    rhs = np.stack([d, np.full_like(d, top), a])
+    ok = np.stack([d >= 1.0 - tol, d <= top * (1.0 + tol),
+                   d <= a * (1.0 + tol)])
+    for arr in (k2, lhs, rhs, ok):  # so rows, built later, match them
+        arr.flags.writeable = False
 
-    rows = []
-    for k2i, di, ai in zip(k2, d, a):
-        rows.append(PropertyCheck(
-            "range_low", float(k2i), 1.0, float(di),
-            di >= 1.0 - tol,
-        ))
-        rows.append(PropertyCheck(
-            "range_high", float(k2i), float(di), top,
-            di <= top * (1.0 + tol),
-        ))
-        rows.append(PropertyCheck(
-            "below_inverse", float(k2i), float(di), float(ai),
-            di <= ai * (1.0 + tol),
-        ))
     k2_max = float(k2[-1])
+    saturation = None
     if k2_max > _SATURATION_K2:
         gap = abs(float(d[-1]) - top)
-        rows.append(PropertyCheck(
+        saturation = PropertyCheck(
             "saturation", k2_max, gap, _SATURATION_REL * top,
             gap <= _SATURATION_REL * top,
-        ))
+        )
 
     x_max = float(_helmholtz_x(op.spec, k2_max))
     if x_max > 0.0:
@@ -171,5 +205,5 @@ def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
         tail_dev = abs(float(d[-1]) / equiv - 1.0)
     else:
         tail_dev = float("nan")
-    return PropertyReport(op=op, rows=tuple(rows), tail_deviation=tail_dev)
-
+    return PropertyReport(op=op, k2=k2, lhs=lhs, rhs=rhs, ok=ok,
+                          saturation=saturation, tail_deviation=tail_dev)

@@ -177,17 +177,21 @@ def apply_inverse(spec: FilterSpec, f: SpectralField) -> SpectralField:
                          divergence_free=f.divergence_free)
 
 
-def gaussian_approx_error(alpha: float, m: int, k2):
+def gaussian_approx_error(alpha: float, m, k2):
     """|Gaussian symbol - m-th approximant symbol| at squared wavenumber k2.
 
     Uniformly bounded by 2/m for every alpha and k2; the difference is
     computed cancellation-free (the approximant is always the larger one).
+    m may be an array of indices broadcast against k2: a column gives one
+    row per index, with the same bits as the call with that index.
     """
-    if m < 1:
-        raise ValueError(f"approximant index must be >= 1, got {m}")
+    m = np.asarray(m)
+    bad = m[np.logical_not(m >= 1)]
+    if bad.size:
+        raise ValueError(f"approximant index must be >= 1, got {bad[0]}")
     k2 = np.asarray(k2, dtype=np.float64)
     y = alpha ** 2 * k2 / 24.0
-    _, diff = kernels.exp_limit_terms(y, float(m))
+    _, diff = kernels.exp_limit_terms(y, m.astype(np.float64))
     return diff if diff.ndim else float(diff)
 
 

@@ -15,9 +15,12 @@ Verification is a margin check with floating-point slack 1e-12 max(1, rhs).
 
 Each family is written once, as one evaluator of (lhs, rhs, side condition)
 that takes x as a float or an array: the scalar checks call it on one
-tuple, the sweeps on a whole x grid per exponent combination.  A sweep
-rejects a grid outside the domain (an x < 0 or NaN, an exponent < 1)
-before evaluating anything.
+tuple, the sweeps on a whole x grid at once.  A two-exponent family takes
+its second exponent as a float or as a column, so a sweep calls it once
+per first exponent with every second exponent stacked as rows; a
+one-exponent family is called once per exponent, since its x grid is
+already as long as those stacked rows.  A sweep rejects a grid outside the
+domain (an x < 0 or NaN, an exponent < 1) before evaluating anything.
 """
 
 from __future__ import annotations
@@ -66,16 +69,27 @@ class IneqCase:
         return self.side_ok and self.margin >= -_SLACK * max(1.0, self.rhs)
 
 
-# Family evaluators: (lhs, rhs, side_ok) for x a float or an array.
+# Family evaluators: (lhs, rhs, side_ok) for x a float or an array.  The
+# second exponent m of a two-exponent family may be a column; its rhs
+# coefficients are still computed with math, one float at a time, so a
+# row of the column form has the same bits as the call with that m.
+
+def _each(fn, m):
+    """fn(m) for a float m; fn of each entry, in m's shape, for an array."""
+    if np.ndim(m) == 0:
+        return fn(m)
+    return np.array([fn(v) for v in np.ravel(m).tolist()]).reshape(np.shape(m))
+
 
 def _highpass_power(x, a, m):
     return (kernels.compl_power(x, a, m),
-            m * x * math.exp(-math.log(a) / m), True)
+            m * x * _each(lambda v: math.exp(-math.log(a) / v), m), True)
 
 
 def _highpass_power_sq(x, a, m):
     return (kernels.compl_power(x * x, a, m),
-            math.sqrt(m) * x * math.exp(-math.log(2.0 * a) / (2.0 * m)),
+            _each(math.sqrt, m) * x
+            * _each(lambda v: math.exp(-math.log(2.0 * a) / (2.0 * v)), m),
             True)
 
 
@@ -226,23 +240,39 @@ def sweep(name: str, grid: Optional[GridSpec] = None,
             f"grid outside the domain of {name} (x >= 0, "
             f"{', '.join(exp_names)} >= 1): {grid}")
 
+    # One call per block of exponent tuples, in itertools.product order:
+    # (a, every m) for two exponents, (n,) for one.
+    if len(exp_names) == 2:
+        column = np.array(grid.exps)[:, None]
+        blocks = [((a, column), [(a, m) for m in grid.exps])
+                  for a in grid.exps]
+    else:
+        blocks = [((n,), [(n,)]) for n in grid.exps]
+
     n_cases = 0
     min_rel_margin = math.inf
     worst_params = None
     failures = []
-    for combo in itertools.product(grid.exps, repeat=len(exp_names)):
-        lhs, rhs, side_ok = terms(xs, *combo)
+    for args, combos in blocks:
+        lhs, rhs, side_ok = terms(xs, *args)
         margin = rhs - lhs
         scale = np.maximum(1.0, rhs)
-        rel = margin / scale
-        n_cases += len(xs)
-        i_min = int(np.argmin(rel))
-        if rel[i_min] < min_rel_margin:
-            min_rel_margin = float(rel[i_min])
-            worst_params = (float(xs[i_min]), *combo)
+        # row j holds the x grid of combos[j]
+        rel = np.broadcast_to(margin / scale, (len(combos), len(xs)))
+        n_cases += rel.size
+        # Each row's first minimum, as np.argmin picks it (a row holding a
+        # NaN yields that NaN and is never the worst); then the first row
+        # whose minimum beats the running one.
+        i_min = np.argmin(rel, axis=1)
+        row_min = rel[np.arange(len(combos)), i_min]
+        j = int(np.argmin(np.where(np.isnan(row_min), np.inf, row_min)))
+        if row_min[j] < min_rel_margin:
+            min_rel_margin = float(row_min[j])
+            worst_params = (float(xs[i_min[j]]), *combos[j])
         bad = (margin < -_SLACK * scale) | np.logical_not(side_ok)
-        for i in np.flatnonzero(bad):
-            failures.append(_check(name, float(xs[i]), *combo))
+        for k in np.flatnonzero(np.broadcast_to(bad, rel.shape)):
+            row, i = divmod(int(k), len(xs))
+            failures.append(_check(name, float(xs[i]), *combos[row]))
     worst = _check(name, *worst_params)
     return SweepResult(
         name=name, grid=grid, n_cases=n_cases,

@@ -98,15 +98,20 @@ def load_field(path) -> SpectralField:
     return SpectralField(lattice, coeffs, divergence_free=bool(flags & 1))
 
 
-def _cell(value) -> str:
-    # repr() keeps floats round-trippable; numpy scalars are unwrapped first.
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _float_text(value) -> str:
+    return repr(float(value))
+
+
+# CSV cell text by exact type.  Floats are written with repr(), which
+# round-trips; np.float64 subclasses float, so float.__repr__ serves it,
+# and the other numpy floats are unwrapped first.  Every other type is
+# written with str(), which for numpy ints and bools gives the text of the
+# Python int or bool.
+_CELL_TEXT = {
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    **{np.dtype(c).type: _float_text for c in "efg"},
+}
 
 
 def sha256_token(params: dict) -> str:
@@ -122,8 +127,9 @@ def csv_text(config_token: str, header, rows) -> str:
     Floats are written with repr() so re-reading reproduces them exactly.
     """
     lines = [f"# config={config_token}", ",".join(header)]
+    text = _CELL_TEXT.get
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        lines.append(",".join([text(type(v), str)(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,9 @@
 inequality code.
 
 Every public function takes float64 arrays (any shape, 0-d included) and
-returns arrays of the same shape, vectorized in numpy.  The point of these
+returns arrays of the same shape, vectorized in numpy.  The exponents of
+compl_power and exp_limit_terms may also be arrays, broadcast against x: an
+exponent column against an x row evaluates one row per exponent.  The point of these
 kernels is numerical stability, not speed: all of them hit regimes
 (x -> 0, huge exponents, symbols underflowing to 0) where the textbook
 formulas lose every significant digit, so they are written in expm1/log1p
@@ -47,12 +49,13 @@ def ratio_power(x, e):
 def compl_power(x, a, m):
     """(1-(1+x)**(-m))**a elementwise for x >= 0, a, m >= 1."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    q = -np.expm1(-m * np.log1p(x[pos]))  # 1 - (1+x)^(-m), in (0, 1]
-    q = np.minimum(q, 1.0)
-    out[pos] = np.exp(a * np.log(q))
-    return out
+    # At x = 0, q = 0 and log(q) = -inf, so the power is already 0; the
+    # where also maps x < 0 and NaN to 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -np.expm1(-m * np.log1p(x))  # 1 - (1+x)^(-m), in [0, 1]
+        q = np.minimum(q, 1.0)
+        out = np.exp(a * np.log(q))
+    return np.where(x > 0.0, out, 0.0)
 
 
 def y_minus_log1p(y):

@@ -24,6 +24,7 @@ from admles.solvers import (
     config_hash,
 )
 from admles.spectral import SpectralField, WaveLattice, random_solenoidal
+from test_deconvolution import VERIFY_K2, VERIFY_OPS, eager_property_rows
 from test_solvers import _doom_last_order, _doomed_cfg
 
 
@@ -93,6 +94,19 @@ def test_verify_all_with_property_csv(runner, tmp_path):
     assert all(line.rsplit(",", 1)[1] == "True" for line in props[2:])
 
 
+def test_verify_property_csv_matches_eager_rows(runner, tmp_path):
+    csv_path = tmp_path / "all.csv"
+    result = runner.invoke(main, ["verify", "--csv", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    header, rows = admio.read_csv(tmp_path / "all_properties.csv")
+    assert header == ["property", "k2", "lhs", "rhs", "pass"]
+    expected = [[c.name, repr(c.k2), repr(c.lhs), repr(c.rhs),
+                 str(bool(c.passed))]
+                for op in VERIFY_OPS
+                for c in eager_property_rows(op, VERIFY_K2)]
+    assert rows == expected
+
+
 # ---------------------------------------------------------------------------
 # symbols
 # ---------------------------------------------------------------------------
@@ -141,6 +155,15 @@ def test_symbols_bad_orders(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["symbols", "--kmax", "0"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--kmax", "nan"), ("--kmax", "inf"), ("--alpha", "nan"),
+])
+def test_symbols_non_finite_option_is_usage_error(runner, option, value):
+    result = runner.invoke(main, ["symbols", option, value])
+    assert result.exit_code == 2, result.output
+    assert option.lstrip("-") in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +520,13 @@ def test_gaussian_approx_usage_errors(runner):
     assert runner.invoke(main, ["gaussian-approx", "--alpha", "0"]).exit_code == 2
     assert runner.invoke(main, ["gaussian-approx", "--m-max", "0"]).exit_code == 2
     assert runner.invoke(main, ["gaussian-approx", "--n", "7"]).exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gaussian_approx_non_finite_alpha_is_usage_error(runner, value):
+    result = runner.invoke(main, ["gaussian-approx", "--alpha", value])
+    assert result.exit_code == 2, result.output
+    assert "--alpha" in result.output
 
 
 def test_help_runs(runner):

@@ -1,6 +1,9 @@
 """Deconvolution symbol tests: closed form vs the literal truncated series,
 range/saturation structure, and the survived-fraction identity."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from admles.deconvolution import (
     DeconvOp,
+    PropertyCheck,
     apply_deconv,
     check_properties,
     deconv_symbol,
@@ -195,3 +199,65 @@ def test_below_inverse_row_uses_inverse_symbol():
     row = [r for r in report.rows if r.name == "below_inverse"][0]
     assert row.rhs == pytest.approx(inverse_symbol(spec, 4.0), rel=1e-15)
     assert row.lhs <= row.rhs
+
+
+def eager_property_rows(op, k2_grid):
+    """The property rows built point by point, one PropertyCheck at a time:
+    the reference for the array form of check_properties."""
+    k2 = np.sort(np.asarray(list(k2_grid), dtype=np.float64))
+    d = np.asarray(deconv_symbol(op, k2))
+    a = np.asarray(inverse_symbol(op.spec, k2))
+    top = float(op.order + 1)
+    tol = 1e-12
+    rows = []
+    for k2i, di, ai in zip(k2, d, a):
+        rows.append(PropertyCheck("range_low", float(k2i), 1.0, float(di),
+                                  di >= 1.0 - tol))
+        rows.append(PropertyCheck("range_high", float(k2i), float(di), top,
+                                  di <= top * (1.0 + tol)))
+        rows.append(PropertyCheck("below_inverse", float(k2i), float(di),
+                                  float(ai), di <= ai * (1.0 + tol)))
+    if k2[-1] > 1e12:
+        gap = abs(float(d[-1]) - top)
+        rows.append(PropertyCheck("saturation", float(k2[-1]), gap,
+                                  1e-6 * top, gap <= 1e-6 * top))
+    return rows
+
+
+# the grid, filters and orders of `admles verify`
+VERIFY_K2 = np.logspace(-2.0, 14.0, 33)
+VERIFY_OPS = [DeconvOp(Helmholtz(alpha=alpha, p=p), order)
+              for p in (0.75, 1.0, 2.0, 4.0) for alpha in (0.1, 1.0)
+              for order in (0, 1, 2, 4, 8, 16, 32)]
+
+
+def test_check_properties_rows_match_eager_build():
+    for op in VERIFY_OPS + [DeconvOp(H11, 3)]:
+        for grid in (VERIFY_K2, [10.0, 0.0, 0.5]):
+            report = check_properties(op, grid)
+            expected = eager_property_rows(op, grid)
+            assert report.rows == tuple(expected), op
+            assert report.n_rows == len(expected)
+            assert report.passed == all(r.passed for r in expected)
+            for got, want in zip(report.rows, expected):
+                for field in ("k2", "lhs", "rhs"):
+                    assert struct.pack("<d", getattr(got, field)) == \
+                        struct.pack("<d", getattr(want, field))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+def test_check_properties_rejects_nan_and_negative_k2(bad):
+    # (alpha^2 k2)^p is taken as 0 for k2 <= 0 or NaN, so such a grid
+    # point would pass every check without being a wavenumber
+    for spec in (Helmholtz(alpha=1.0, p=0.75), H11):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            check_properties(DeconvOp(spec, 2), [bad, 1.0])
+
+
+def test_property_report_arrays_are_read_only():
+    # rows are built from the arrays when first read, so the arrays must
+    # not change under them
+    report = check_properties(DeconvOp(H11, 2), [0.1, 1.0])
+    for arr in (report.k2, report.lhs, report.rhs, report.ok):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[..., 0] = 0

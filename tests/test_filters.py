@@ -181,6 +181,22 @@ def test_gaussian_approx_error_uniform_bound(m, alpha):
     assert float(np.max(err)) <= 2.0 / m
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_gaussian_approx_error_column_matches_per_m(alpha):
+    k2 = np.concatenate([[0.0], np.logspace(-4, 10, 500)])
+    ms = np.arange(1, 41)
+    table = gaussian_approx_error(alpha, ms[:, None], k2)
+    assert table.shape == (len(ms), len(k2))
+    for m, row in zip(ms.tolist(), table):
+        assert row.tobytes() == gaussian_approx_error(alpha, m, k2).tobytes()
+
+
+@pytest.mark.parametrize("ms", [[[3], [0], [2]], [[1], [-4]], [[2.0], [np.nan]]])
+def test_gaussian_approx_error_column_refuses_index_below_one(ms):
+    with pytest.raises(ValueError, match="approximant index must be >= 1"):
+        gaussian_approx_error(1.0, np.array(ms), np.array([0.0, 1.0]))
+
+
 def test_sandwich_at_zero():
     for m in (1, 2, 3, 8):
         lo, mid, hi = helmholtz_power_sandwich(0.7, m, 0.0)

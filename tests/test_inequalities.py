@@ -1,7 +1,9 @@
 """Scalar-inequality verifier tests: pinned examples, property sweeps,
 and the sweep bookkeeping itself."""
 
+import itertools
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admles import inequalities
 from admles.inequalities import (
     NAMES,
     GridSpec,
@@ -229,6 +232,58 @@ def test_default_sweeps_pinned(name, n_cases, min_margin, worst_params):
     assert result.n_cases == n_cases
     assert result.min_margin == pytest.approx(min_margin, rel=1e-12)
     assert result.worst.params == worst_params
+
+
+SMALL_GRID = GridSpec(x_points=24, x_lo=1e-3, x_hi=1e3)
+
+
+def scalar_sweep(result):
+    """n_cases, the smallest relative margin and its params, from the scalar
+    path: SweepResult.cases(), one case at a time in itertools.product
+    order, the first smallest margin winning."""
+    n, best, params = 0, math.inf, None
+    for case in result.cases():
+        n += 1
+        rel = case.margin / max(1.0, case.rhs)
+        if rel < best:
+            best, params = rel, case.params
+    return n, best, params
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("grid", [
+    SMALL_GRID, GridSpec(x_points=24, x_lo=1e-3, x_hi=1e3, include_zero=False),
+], ids=["with_zero", "without_zero"])
+def test_sweep_matches_scalar_path(name, grid):
+    result = sweep(name, grid=grid)
+    n, best, params = scalar_sweep(result)
+    assert result.n_cases == n
+    assert struct.pack("<d", result.min_margin) == struct.pack("<d", best)
+    assert result.worst.params == params
+
+
+@pytest.mark.parametrize("name", ["highpass_power_sq", "exp_limit"])
+def test_sweep_failures_keep_product_order(monkeypatch, name):
+    terms, exp_names = inequalities._FAMILIES[name]
+
+    def failing(x, *exps):
+        # lhs past rhs wherever x > 1 and the last exponent is 4 or 64
+        lhs, rhs, side_ok = terms(x, *exps)
+        bad = (np.asarray(x) > 1.0) & np.isin(exps[-1], (4.0, 64.0))
+        return np.where(bad, rhs + 1.0, lhs), rhs, side_ok
+
+    monkeypatch.setitem(inequalities._FAMILIES, name, (failing, exp_names))
+    result = sweep(name, grid=SMALL_GRID)
+    xs = SMALL_GRID.x_values().tolist()
+    expected = [
+        (x, *combo)
+        for combo in itertools.product(SMALL_GRID.exps,
+                                       repeat=len(exp_names))
+        for x in xs if x > 1.0 and combo[-1] in (4.0, 64.0)
+    ]
+    assert not result.passed
+    assert [c.params for c in result.failures] == expected
+    assert all(not c.passed for c in result.failures)
 
 
 def test_sweep_cases_regenerate():

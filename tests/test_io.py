@@ -105,6 +105,16 @@ def test_csv_text_formatting():
     assert text.endswith("\n")
 
 
+def test_csv_text_numpy_scalars_match_python_values():
+    row = [np.True_, np.False_, np.int64(-3), np.uint8(200),
+           np.float64(1e-300), np.float32(0.1), np.float16(0.5),
+           np.longdouble(0.25), np.float64("-inf"), None]
+    cells = io.csv_text("t", ["h"], [row]).splitlines()[2].split(",")
+    assert cells == ["True", "False", "-3", "200", "1e-300",
+                     repr(float(np.float32(0.1))), "0.5", "0.25", "-inf",
+                     "None"]
+
+
 def test_read_csv_requires_stamp(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
