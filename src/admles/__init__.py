@@ -45,6 +45,7 @@ from .deconvolution import (
     recovery_symbol,
     apply_deconv,
     check_properties,
+    property_reports,
 )
 from .io import save_field, load_field, SnapshotFormatError
 from .solvers import (

@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import io as admio
-from .deconvolution import DeconvOp, check_properties, deconv_symbol
+from .deconvolution import DeconvOp, deconv_symbol, property_reports
 from .filters import (
     Helmholtz,
     NonInvertibleFilterError,
@@ -95,15 +95,14 @@ def _verify_deconvolution(rows, reports) -> None:
     n_rows = 0
     for p in (0.75, 1.0, 2.0, 4.0):
         for alpha in (0.1, 1.0):
-            for order in (0, 1, 2, 4, 8, 16, 32):
-                report = check_properties(
-                    DeconvOp(Helmholtz(alpha=alpha, p=p), order), k2_grid)
+            for report in property_reports(Helmholtz(alpha=alpha, p=p),
+                                           (0, 1, 2, 4, 8, 16, 32), k2_grid):
                 reports.append(report)
                 n_rows += report.n_rows
                 if not report.passed:
                     c = report.failures()[0]
                     _fail("deconvolution properties",
-                          f"alpha={alpha} p={p} order={order} "
+                          f"alpha={alpha} p={p} order={report.op.order} "
                           f"property={c.name} k2={c.k2!r} lhs={c.lhs!r} "
                           f"rhs={c.rhs!r}")
     rows.append(["deconvolution", "symbol_properties", n_rows, math.nan,
@@ -353,9 +352,8 @@ def rates(config_path, out, constant) -> None:
         out_dir / "rates_detail.csv", token,
         ["N", "t", "eps_l2", "eps_hs", "grad_integral", "energy_lhs",
          "tau_l2", "half_norm", "bound_fin", "bound_tau"],
-        [[r.order, r.t, r.eps_l2, r.eps_hs, r.grad_integral, r.energy_lhs,
-          r.tau_l2, r.half_norm, r.bound_fin, r.bound_tau]
-         for r in report.rows],
+        # the columns are in the header's order (ReportRow's fields)
+        zip(*(col.tolist() for col in report.columns.values())),
     )
     admio.write_csv(
         out_dir / "rates_summary.csv", token,

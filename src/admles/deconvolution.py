@@ -33,6 +33,7 @@ __all__ = [
     "recovery_symbol",
     "apply_deconv",
     "check_properties",
+    "property_reports",
 ]
 
 # Saturation tolerance at the far end of a verification grid.
@@ -163,13 +164,25 @@ class PropertyReport:
 def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
     """Evaluate the symbol properties on a nonempty grid of k2 >= 0.
 
-    Raises ValueError for an empty grid or one holding a negative or NaN
-    k2, and TypeError for a filter other than Helmholtz.
+    The one-order case of property_reports, with its refusals.
     """
-    if not isinstance(op.spec, Helmholtz):
+    return property_reports(op.spec, (op.order,), k2_grid)[0]
+
+
+def property_reports(spec: FilterSpec, orders: Sequence[int],
+                     k2_grid: Sequence[float]) -> tuple:
+    """check_properties of DeconvOp(spec, N) for each N in orders, from one
+    evaluation of the filter symbol, its inverse and the per-point checks
+    on the grid (deconv_from_g with an order column).
+
+    Raises ValueError for a negative order, an empty grid or one holding a
+    negative or NaN k2, and TypeError for a filter other than Helmholtz.
+    """
+    ops = [DeconvOp(spec, N) for N in orders]
+    if not isinstance(spec, Helmholtz):
         raise TypeError(
             "property checks require a Helmholtz filter, got "
-            f"{type(op.spec).__name__}"
+            f"{type(spec).__name__}"
         )
     k2 = np.asarray(list(k2_grid), dtype=np.float64)
     if k2.size == 0:
@@ -179,31 +192,40 @@ def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
         raise ValueError(
             f"verification grid values must be k2 >= 0, got {float(bad[0])!r}")
     k2 = np.sort(k2)
-    d = np.asarray(deconv_symbol(op, k2))
-    a = np.asarray(inverse_symbol(op.spec, k2))
-    top = float(op.order + 1)
+    order_col = np.array([op.order for op in ops])[:, None]
+    tops = order_col + 1.0
+    d = kernels.deconv_from_g(
+        np.asarray(filter_symbol(spec, k2), dtype=np.float64), order_col)
+    a = np.asarray(inverse_symbol(spec, k2))
     tol = 1e-12
-    lhs = np.stack([np.ones_like(d), d, d])
-    rhs = np.stack([d, np.full_like(d, top), a])
-    ok = np.stack([d >= 1.0 - tol, d <= top * (1.0 + tol),
-                   d <= a * (1.0 + tol)])
+    # (order, check, point), the checks in _PER_POINT order
+    lhs = np.stack([np.ones_like(d), d, d], axis=1)
+    rhs = np.stack([d, np.broadcast_to(tops, d.shape),
+                    np.broadcast_to(a, d.shape)], axis=1)
+    ok = np.stack([d >= 1.0 - tol, d <= tops * (1.0 + tol),
+                   d <= a * (1.0 + tol)], axis=1)
     for arr in (k2, lhs, rhs, ok):  # so rows, built later, match them
         arr.flags.writeable = False
 
     k2_max = float(k2[-1])
-    saturation = None
-    if k2_max > _SATURATION_K2:
-        gap = abs(float(d[-1]) - top)
-        saturation = PropertyCheck(
-            "saturation", k2_max, gap, _SATURATION_REL * top,
-            gap <= _SATURATION_REL * top,
-        )
-
-    x_max = float(_helmholtz_x(op.spec, k2_max))
-    if x_max > 0.0:
-        equiv = top * (1.0 + x_max) / x_max
-        tail_dev = abs(float(d[-1]) / equiv - 1.0)
-    else:
-        tail_dev = float("nan")
-    return PropertyReport(op=op, k2=k2, lhs=lhs, rhs=rhs, ok=ok,
-                          saturation=saturation, tail_deviation=tail_dev)
+    x_max = float(_helmholtz_x(spec, k2_max))
+    reports = []
+    for i, op in enumerate(ops):
+        top = float(op.order + 1)
+        d_max = float(d[i, -1])
+        saturation = None
+        if k2_max > _SATURATION_K2:
+            gap = abs(d_max - top)
+            saturation = PropertyCheck(
+                "saturation", k2_max, gap, _SATURATION_REL * top,
+                gap <= _SATURATION_REL * top,
+            )
+        if x_max > 0.0:
+            equiv = top * (1.0 + x_max) / x_max
+            tail_dev = abs(d_max / equiv - 1.0)
+        else:
+            tail_dev = float("nan")
+        reports.append(PropertyReport(
+            op=op, k2=k2, lhs=lhs[i], rhs=rhs[i], ok=ok[i],
+            saturation=saturation, tail_deviation=tail_dev))
+    return tuple(reports)

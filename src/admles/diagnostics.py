@@ -12,8 +12,10 @@ computed in log10 space and only exponentiated when representable.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -162,9 +164,30 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
     return float(np.sqrt(total))
 
 
-def defect_bound(u_h1: float, alpha: float, p: float, order: int) -> float:
-    """alpha (2p(order+1))^(-1/(2p)) u_h1^2, dominating half_norm_defect^2."""
-    return alpha * (2.0 * p * (order + 1)) ** (-0.5 / p) * u_h1 ** 2
+def defect_bound(u_h1, alpha: float, p: float, order):
+    """alpha (2p(order+1))^(-1/(2p)) u_h1^2, dominating half_norm_defect^2.
+
+    u_h1 and order may also be arrays, broadcast together (a u_h1 row
+    against an order column gives one row per order).  Each element has
+    the bits of the call with its own scalars, because both powers are
+    taken one value at a time (_pow_each).
+    """
+    return alpha * _pow_each(2.0 * p * (order + 1), -0.5 / p) \
+        * _pow_each(u_h1, 2)
+
+
+def _pow_each(x, e):
+    """x ** e, one value at a time for an array x.
+
+    Python's and numpy's scalar ** call the C library's pow; numpy's array
+    power does not (x ** 2 is a multiply), and its result can differ from
+    pow's by an ulp.
+    """
+    if np.ndim(x) == 0:
+        return x ** e
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(e)),
+                       np.float64, x.size).reshape(x.shape)
 
 
 def bound_residual(u_h1: float, constant: float, alpha: float, p: float,
@@ -176,11 +199,11 @@ def bound_residual(u_h1: float, constant: float, alpha: float, p: float,
         * (2.0 * p * (order + 1)) ** (-0.5 / p) * u_h1 ** 4
 
 
-def _check_constant(constant: float) -> None:
-    """Refuse a product constant that is not finite and > 0, NaN included."""
-    if not (math.isfinite(constant) and constant > 0.0):
-        raise ValueError(
-            f"the product constant must be finite and positive: {constant}")
+def _check_constant(value: float, name: str = "the product constant") -> None:
+    """Refuse a constant that is not finite and > 0, NaN included, with a
+    ValueError naming it."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive: {value}")
 
 
 def _gronwall_exp_log10(u_l4h1: float, nu: float) -> float:
@@ -193,10 +216,11 @@ def bound_main(u_l4h1: float, nu: float, constant: float, alpha: float,
 
     Dominates the model-error energy (squared norms plus the viscous
     time integral).  Returned as a LogValue; the Gronwall exponential makes
-    the plain value overflow for any realistically small nu.
+    the plain value overflow for any realistically small nu.  nu and
+    constant must be finite and > 0 (ValueError naming the argument).
     """
-    if nu <= 0.0:
-        raise ValueError(f"viscosity must be positive: {nu}")
+    _check_constant(nu, "the viscosity nu")
+    _check_constant(constant)
     if u_l4h1 == 0.0:
         return LogValue(-math.inf)
     pref = 16.0 * constant * alpha / (
@@ -214,9 +238,10 @@ def bound_main_helmholtz_power(u_l4h1: float, nu: float, constant: float,
     main: 14 C mu sqrt(m) / (nu (4(order+1))^(1/(2m))) u^4 exp(u^4/nu^3).
     limit: the m-uniform companion 70 C alpha / (same denominator) with
     alpha = mu sqrt(24 m), the Gaussian length this family approximates.
+    nu and constant must be finite and > 0, m >= 1 (ValueError).
     """
-    if nu <= 0.0:
-        raise ValueError(f"viscosity must be positive: {nu}")
+    _check_constant(nu, "the viscosity nu")
+    _check_constant(constant)
     if m < 1:
         raise ValueError(f"power must be >= 1: {m}")
     if u_l4h1 == 0.0:
@@ -236,10 +261,10 @@ def gronwall_log10(u_l4h1: float, nu: float) -> float:
     """log10 of (1/nu) u^4 exp(u^4/nu^3), entirely in log space.
 
     This is the prefactor that makes the energy bound astronomically loose
-    for small viscosity; u = 0 returns -inf.
+    for small viscosity; u = 0 returns -inf.  nu must be finite and > 0
+    (ValueError).
     """
-    if nu <= 0.0:
-        raise ValueError(f"viscosity must be positive: {nu}")
+    _check_constant(nu, "the viscosity nu")
     if u_l4h1 == 0.0:
         return -math.inf
     return 4.0 * math.log10(u_l4h1) - math.log10(nu) \
@@ -337,18 +362,31 @@ class ReportSummary:
     passed: Optional[bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
+    """The error ledger of one experiment.
+
+    The per-(order, t) ledger is held as columns: `columns` maps each
+    ReportRow field name, in field order, to a read-only array with one
+    element per row, the rows ordered by order, then time.  `rows` builds
+    the ReportRow tuple from them when it is first read.
+    """
+
     constant: float
     nu: float
     weight: float
     s_level: float
     u_l4h1: float
     gronwall_log10: float
-    rows: tuple
+    columns: dict
     summaries: tuple
     beta: float
     beta_r2: float
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(map(ReportRow, *(self.columns[f.name].tolist()
+                                      for f in fields(ReportRow))))
 
     def passed(self) -> bool:
         return all(s.passed for s in self.summaries
@@ -356,10 +394,13 @@ class ErrorReport:
 
 
 def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The running trapezoid integral of values over times, along the last
+    axis."""
     out = np.zeros_like(values)
     if len(times) > 1:
-        increments = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
-        out[1:] = np.cumsum(increments)
+        increments = 0.5 * (values[..., 1:] + values[..., :-1]) \
+            * np.diff(times)
+        out[..., 1:] = np.cumsum(increments, axis=-1)
     return out
 
 
@@ -400,46 +441,48 @@ def error_report(output: ExperimentOutput,
     kappa = gronwall_log10(u_l4h1, nu)
     gron_log10 = _gronwall_exp_log10(u_l4h1, nu)
 
-    rows = []
+    runs = output.runs
+    orders = np.array([run.N for run in runs])
+
+    def stack(name):  # (order, t)
+        return np.stack([getattr(run, name) for run in runs])
+
+    eps_l2 = stack("eps_l2")
+    eps_hs = stack("eps_hs")
+    half_norm = stack("half_norm")
+    grad_int = _cumulative_trapezoid(
+        times, stack("eps_grad_l2") ** 2 + weight * stack("eps_grad_hs") ** 2)
+    energy_lhs = eps_l2 ** 2 + weight * eps_hs ** 2 + nu * grad_int
+    if is_helm:
+        bound_fin = defect_bound(u_h1, spec.alpha, spec.p, orders[:, None])
+        bound_tau = math.sqrt(2.0 * constant) * u_h1 * half_norm
+    else:
+        bound_fin = bound_tau = np.full(eps_l2.shape, math.nan)
+    columns = {
+        "order": np.repeat(orders, len(times)), "t": stack("times"),
+        "eps_l2": eps_l2, "eps_hs": eps_hs, "grad_integral": grad_int,
+        "energy_lhs": energy_lhs, "tau_l2": stack("tau_l2"),
+        "half_norm": half_norm, "bound_fin": bound_fin,
+        "bound_tau": bound_tau,
+    }
+    for name, col in columns.items():
+        columns[name] = col = col.ravel()
+        col.flags.writeable = False  # so rows, built later, match them
+
     summaries = []
     finals = []
-    for run in output.runs:
-        grad_sq = run.eps_grad_l2 ** 2 + weight * run.eps_grad_hs ** 2
-        grad_int = _cumulative_trapezoid(run.times, grad_sq)
-        energy_lhs = run.eps_l2 ** 2 + weight * run.eps_hs ** 2 \
-            + nu * grad_int
+    for run, lhs_row in zip(runs, energy_lhs):
         tau_sq_int = float(_trapz(run.tau_l2 ** 2, run.times)) \
             if len(run.times) > 1 else 0.0
-
-        for i, t in enumerate(run.times):
-            if is_helm:
-                b_fin = defect_bound(u_h1[i], spec.alpha, spec.p, run.N)
-                b_tau = math.sqrt(2.0 * constant) * u_h1[i] \
-                    * run.half_norm[i]
-            else:
-                b_fin = math.nan
-                b_tau = math.nan
-            rows.append(ReportRow(
-                order=run.N, t=float(t), eps_l2=float(run.eps_l2[i]),
-                eps_hs=float(run.eps_hs[i]),
-                grad_integral=float(grad_int[i]),
-                energy_lhs=float(energy_lhs[i]),
-                tau_l2=float(run.tau_l2[i]),
-                half_norm=float(run.half_norm[i]),
-                bound_fin=b_fin, bound_tau=b_tau,
-            ))
-
         if is_helm:
             bm = bound_main(u_l4h1, nu, constant, spec.alpha, spec.p,
                             run.N).log10
         elif is_power:
-            mu = spec.mu
-            m = spec.m
-            bm = bound_main_helmholtz_power(u_l4h1, nu, constant, mu, m,
-                                            run.N).main.log10
+            bm = bound_main_helmholtz_power(u_l4h1, nu, constant, spec.mu,
+                                            spec.m, run.N).main.log10
         else:
             bm = math.nan
-        lhs_max = float(np.max(energy_lhs))
+        lhs_max = float(np.max(lhs_row))
         passed = None if bm != bm else bool(_log10_or_ninf(lhs_max) <= bm)
         summaries.append(ReportSummary(
             order=run.N,
@@ -460,6 +503,6 @@ def error_report(output: ExperimentOutput,
     return ErrorReport(
         constant=constant, nu=nu, weight=weight, s_level=s_level,
         u_l4h1=u_l4h1, gronwall_log10=kappa,
-        rows=tuple(rows), summaries=tuple(summaries),
+        columns=columns, summaries=tuple(summaries),
         beta=beta, beta_r2=beta_r2,
     )

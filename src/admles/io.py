@@ -36,6 +36,7 @@ __all__ = [
     "csv_text",
     "write_csv",
     "read_csv",
+    "read_columns",
     "SnapshotFormatError",
     "MAGIC",
     "VERSION",
@@ -144,6 +145,34 @@ def read_csv(path, config_token: str | None = None) -> tuple:
     is given, the stamped token must equal it.  A header line must follow,
     and every non-empty row must have as many fields as the header.
     """
+    header, rows, _ = _read_rows(path, config_token)
+    return header, rows
+
+
+def read_columns(path, config_token: str | None, names) -> dict:
+    """read_csv, then {name: float64 array} of each column of names.
+
+    Every cell of the table is converted once, in one numpy array build
+    (which parses each cell as float() does).  SnapshotFormatError names
+    path and the first missing column of names, or the line and column of
+    the first cell that does not parse as a float.
+    """
+    header, rows, linenos = _read_rows(path, config_token)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise SnapshotFormatError(f"{path}: missing column {missing[0]!r}")
+    try:
+        table = np.array(rows, dtype=np.float64)
+    except ValueError:
+        _refuse_first_bad_cell(path, header, rows, linenos)
+        raise
+    # one contiguous row per column
+    table = np.ascontiguousarray(table.reshape(len(rows), len(header)).T)
+    return {name: table[header.index(name)] for name in names}
+
+
+def _read_rows(path, config_token: str | None) -> tuple:
+    """read_csv's (header, rows), and the file line number of each row."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# config="):
         raise SnapshotFormatError(f"{path}: missing '# config=' stamp")
@@ -155,6 +184,7 @@ def read_csv(path, config_token: str | None = None) -> tuple:
         raise SnapshotFormatError(f"{path}: no header line")
     header = lines[1].split(",")
     rows = []
+    linenos = []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
@@ -164,4 +194,18 @@ def read_csv(path, config_token: str | None = None) -> tuple:
                 f"{path}: line {lineno} has {len(row)} fields, the header "
                 f"{len(header)}")
         rows.append(row)
-    return header, rows
+        linenos.append(lineno)
+    return header, rows, linenos
+
+
+def _refuse_first_bad_cell(path, header, rows, linenos) -> None:
+    """SnapshotFormatError naming the line and column of the first cell of
+    rows that float() refuses, if any."""
+    for lineno, row in zip(linenos, rows):
+        for name, cell in zip(header, row):
+            try:
+                float(cell)
+            except ValueError:
+                raise SnapshotFormatError(
+                    f"{path}: line {lineno}, column {name!r}: {cell!r} is "
+                    f"not a number") from None

@@ -84,14 +84,15 @@ def exp_limit_terms(x, n):
     f = y_minus_log1p(y)  # so (1+y)^(-n) = e^(-x) e^(n f)
     pw = np.exp(-n * np.log1p(y))
     nf = n * f
+    ex = np.exp(-x)
     # Past the cut e^(n f) is astronomically larger than 1: there is no
     # cancellation in the direct difference (exp(-x) typically underflows
     # to 0 there).
     with np.errstate(over="ignore"):
         diff = np.where(
             nf > _EXPM1_CUT,
-            pw - np.exp(-x),
-            np.exp(-x) * np.expm1(np.minimum(nf, _EXPM1_CUT)),
+            pw - ex,
+            ex * np.expm1(np.minimum(nf, _EXPM1_CUT)),
         )
     zero = x <= 0.0
     pw = np.where(zero, 1.0, pw)
@@ -101,24 +102,31 @@ def exp_limit_terms(x, n):
 
 def deconv_from_g(g, order):
     """Van Cittert symbol (1-(1-g)**(order+1))/g elementwise for g in (0,1],
-    with an explicit geometric sum below g=1e-8."""
+    with an explicit geometric sum below g=1e-8.
+
+    order is an integer >= 0 or an array of them broadcast against g (an
+    order column against a g row gives one row per order); each element
+    has the bits of the call with its own scalar order.
+    """
     g = np.asarray(g, dtype=np.float64)
-    if order == 0:
-        # identity operator; the closed form would cost an ulp here
-        return np.ones_like(g)
+    order = np.asarray(order)
     with np.errstate(divide="ignore", invalid="ignore"):
         closed = -np.expm1((order + 1.0) * np.log1p(-g)) / g
-    closed = np.where(g >= 1.0, 1.0, closed)
-    small = g < _G_SERIES_CUT
+    # Order 0 is the identity operator; the closed form would cost an ulp
+    # there.
+    closed = np.where((g >= 1.0) | (order == 0), 1.0, closed)
+    small = np.broadcast_to(g < _G_SERIES_CUT, closed.shape)
     if np.any(small):
         # Explicit geometric sum; every term is ~1 so the sum is exact to
         # rounding while the closed form would divide two tiny numbers.
-        gs = g[small]
+        # Each element stops adding terms at its own order.
+        gs = np.broadcast_to(g, closed.shape)[small]
+        ns = np.broadcast_to(order, closed.shape)[small]
         base = 1.0 - gs
         acc = np.ones_like(gs)
         term = np.ones_like(gs)
-        for _ in range(order):
+        for j in range(int(ns.max())):
             term = term * base
-            acc = acc + term
+            acc = np.where(j < ns, acc + term, acc)
         closed[small] = acc
     return closed

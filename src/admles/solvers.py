@@ -1031,54 +1031,41 @@ def write_outputs(output: ExperimentOutput, out_dir) -> dict:
 def read_outputs(out_dir) -> ExperimentOutput:
     """Reconstruct series (not fields) from an experiment directory.
 
-    Raises SnapshotFormatError when the `# config=` stamp of dns.csv or
+    Each CSV is converted to floats in one pass (admio.read_columns) and
+    each order's rows are selected with one mask.  Raises
+    SnapshotFormatError when the `# config=` stamp of dns.csv or
     series.csv is not the hash of the directory's config.json, when either
-    file lacks a column or does not parse as a table (admio.read_csv), and
-    when series.csv has no rows for an order of N_list or rows for an
-    order outside it.
+    file lacks a column, holds a cell that is not a number or does not
+    parse as a table (admio.read_csv), and when series.csv has no rows for
+    an order of N_list or rows for an order outside it.
     """
     out = Path(out_dir)
     cfg = SimConfig.from_json((out / "config.json").read_text())
     lattice = WaveLattice(cfg.n, cfg.L)
     token = config_hash(cfg)
 
-    dns_path = out / "dns.csv"
-    header, rows = admio.read_csv(dns_path, token)
-    idx = _column_index(dns_path, header, ("t", "u_l2", "u_h1", "energy"))
-    cols = {name: np.array([row[i] for row in rows], dtype=float)
-            for name, i in idx.items()}
+    cols = admio.read_columns(out / "dns.csv", token,
+                              ("t", "u_l2", "u_h1", "energy"))
     dns = DnsSeries(times=cols["t"], u_l2=cols["u_l2"], u_h1=cols["u_h1"],
                     energy=cols["energy"])
 
     series_path = out / "series.csv"
-    header, rows = admio.read_csv(series_path, token)
-    idx = _column_index(series_path, header, ("N", "t", *_SERIES))
-    orders = [int(float(row[idx["N"]])) for row in rows]
-    stray = sorted(set(orders) - set(cfg.N_list))
-    if stray:
+    cols = admio.read_columns(series_path, token, ("N", "t", *_SERIES))
+    orders = cols["N"]
+    stray = np.sort(orders[~np.isin(orders, cfg.N_list)])
+    if stray.size:
         raise admio.SnapshotFormatError(
-            f"{series_path}: rows for order N={stray[0]}, which is not in "
-            f"N_list {list(cfg.N_list)}")
+            f"{series_path}: rows for order N={stray[0]:g}, which is not "
+            f"in N_list {list(cfg.N_list)}")
     runs = []
     for N in cfg.N_list:
-        sel = [row for row, order in zip(rows, orders) if order == N]
-        if not sel:
+        sel = orders == N
+        if not sel.any():
             raise admio.SnapshotFormatError(
                 f"{series_path}: no rows for order N={N}")
-        col = lambda name: np.array(
-            [float(r[idx[name]]) for r in sel], dtype=float)
         runs.append(RunSeries(
-            N=N, times=col("t"), **{name: col(name) for name in _SERIES},
+            N=N, times=cols["t"][sel],
+            **{name: cols[name][sel] for name in _SERIES},
             div_ratio_max=float("nan"),
         ))
     return ExperimentOutput(config=cfg, lattice=lattice, dns=dns, runs=runs)
-
-
-def _column_index(path: Path, header: list, names) -> dict:
-    """{name: column} of each of names in a CSV header; SnapshotFormatError
-    naming path and the first missing column otherwise."""
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise admio.SnapshotFormatError(
-            f"{path}: missing column {missing[0]!r}")
-    return {name: header.index(name) for name in names}

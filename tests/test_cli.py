@@ -4,6 +4,7 @@ Exit-code contract: 0 all checks pass, 1 a numerical check failed (first
 offending tuple reported), 2 usage errors.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -14,8 +15,9 @@ import pytest
 from click.testing import CliRunner
 
 from admles import io as admio
-from admles import solvers
+from admles import cli, solvers
 from admles.cli import main
+from admles.deconvolution import DeconvOp, deconv_symbol
 from admles.filters import Gaussian, Helmholtz, HelmholtzPower
 from admles.solvers import (
     RandomSpectrumInit,
@@ -92,6 +94,29 @@ def test_verify_all_with_property_csv(runner, tmp_path):
     names = {line.split(",")[0] for line in props[2:]}
     assert {"range_low", "range_high", "below_inverse"} <= names
     assert all(line.rsplit(",", 1)[1] == "True" for line in props[2:])
+
+
+def test_verify_names_the_first_failing_property(runner, monkeypatch):
+    real = cli.property_reports
+
+    def one_failure(spec, orders, k2_grid):
+        # order 4 of the first filter fails range_high at the 6th point
+        reports = real(spec, orders, k2_grid)
+        if spec != Helmholtz(alpha=0.1, p=0.75):
+            return reports
+        ok = reports[3].ok.copy()
+        ok[1, 5] = False
+        return (*reports[:3], dataclasses.replace(reports[3], ok=ok),
+                *reports[4:])
+
+    monkeypatch.setattr(cli, "property_reports", one_failure)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1, result.output
+    k2 = float(VERIFY_K2[5])
+    d = float(deconv_symbol(DeconvOp(Helmholtz(alpha=0.1, p=0.75), 4), k2))
+    assert result.output.splitlines()[-1] == (
+        f"FAIL deconvolution properties: alpha=0.1 p=0.75 order=4 "
+        f"property=range_high k2={k2!r} lhs={d!r} rhs=5.0")
 
 
 def test_verify_property_csv_matches_eager_rows(runner, tmp_path):
@@ -493,6 +518,30 @@ def test_rates_refuses_malformed_csv(runner, tmp_path, stamped, name, edit,
     assert isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     assert name in result.output and message in result.output
+
+
+def _replace_cell(path: Path, lineno: int, column: str, text: str) -> None:
+    """Set the cell of column on file line lineno (1-based) to text."""
+    def edit(lines):
+        header = lines[1].rstrip("\n").split(",")
+        cells = lines[lineno - 1].rstrip("\n").split(",")
+        cells[header.index(column)] = text
+        return [*lines[:lineno - 1], ",".join(cells) + "\n", *lines[lineno:]]
+    _edit_lines(path, edit)
+
+
+@pytest.mark.parametrize("name", ["series.csv", "dns.csv"])
+def test_rates_names_the_cell_that_is_not_a_number(runner, tmp_path,
+                                                   stamped, name):
+    out = _edited_copy(tmp_path, stamped,
+                       lambda out: _replace_cell(out / name, 6, "t", "abc"))
+    message = f"{name}: line 6, column 't': 'abc' is not a number"
+    with pytest.raises(admio.SnapshotFormatError, match=message):
+        solvers.read_outputs(out)
+    result = _rates(runner, stamped, out)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in result.output
 
 
 # ---------------------------------------------------------------------------

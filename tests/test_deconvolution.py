@@ -15,6 +15,7 @@ from admles.deconvolution import (
     apply_deconv,
     check_properties,
     deconv_symbol,
+    property_reports,
     recovery_symbol,
 )
 from admles.filters import (
@@ -25,6 +26,7 @@ from admles.filters import (
     apply_filter,
     filter_symbol,
     inverse_symbol,
+    _helmholtz_x,
 )
 from admles.spectral import WaveLattice, random_solenoidal, sobolev_norm
 
@@ -261,3 +263,52 @@ def test_property_report_arrays_are_read_only():
     for arr in (report.k2, report.lhs, report.rhs, report.ok):
         with pytest.raises(ValueError, match="read-only"):
             arr[..., 0] = 0
+
+
+def eager_tail_deviation(op, k2_grid):
+    """The relative deviation of D_hat from (order+1)(1+x)/x at the largest
+    grid point, from one scalar symbol evaluation."""
+    k2_max = float(max(k2_grid))
+    x = float(_helmholtz_x(op.spec, k2_max))
+    top = float(op.order + 1)
+    return abs(float(deconv_symbol(op, k2_max)) / (top * (1.0 + x) / x)
+               - 1.0)
+
+
+VERIFY_ORDERS = (0, 1, 2, 4, 8, 16, 32)
+
+
+def test_property_reports_match_one_order_at_a_time():
+    # one evaluation per filter for all orders gives, order by order, the
+    # report of the eager one-order build
+    for spec in sorted({op.spec for op in VERIFY_OPS}, key=repr):
+        for grid in (VERIFY_K2, [10.0, 0.0, 0.5]):
+            reports = property_reports(spec, VERIFY_ORDERS, grid)
+            assert len(reports) == len(VERIFY_ORDERS)
+            for order, report in zip(VERIFY_ORDERS, reports):
+                op = DeconvOp(spec, order)
+                expected = eager_property_rows(op, grid)
+                assert report.op == op
+                assert report.rows == tuple(expected), op
+                assert report.n_rows == len(expected)
+                assert report.passed == all(r.passed for r in expected)
+                assert report.failures() == \
+                    [r for r in expected if not r.passed]
+                for got, want in zip(report.rows, expected):
+                    for field in ("k2", "lhs", "rhs"):
+                        assert struct.pack("<d", getattr(got, field)) == \
+                            struct.pack("<d", getattr(want, field))
+                tail = eager_tail_deviation(op, grid)
+                assert struct.pack("<d", report.tail_deviation) == \
+                    struct.pack("<d", tail), op
+
+
+def test_property_reports_refusals():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        property_reports(H11, (0, -1), [1.0])
+    with pytest.raises(TypeError, match="Helmholtz"):
+        property_reports(Gaussian(alpha=1.0), (0, 1), [1.0])
+    with pytest.raises(ValueError, match="empty"):
+        property_reports(H11, (0, 1), [])
+    with pytest.raises(ValueError, match="got nan"):
+        property_reports(H11, (0, 1), [1.0, math.nan])

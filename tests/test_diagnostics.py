@@ -11,6 +11,7 @@ from admles import diagnostics, solvers
 from admles.deconvolution import _defect_weight
 from admles.diagnostics import (
     LogValue,
+    ReportRow,
     bound_main,
     bound_main_helmholtz_power,
     bound_residual,
@@ -30,7 +31,10 @@ from admles.filters import (
     apply_filter,
 )
 from admles.solvers import (
+    DnsSeries,
+    ExperimentOutput,
     RandomSpectrumInit,
+    RunSeries,
     SimConfig,
     initial_field,
     run_experiment,
@@ -435,3 +439,133 @@ def test_error_report_power_family_has_verdict():
     for s in report.summaries:
         assert s.passed is True
         assert math.isfinite(s.bound_main_log10)
+
+
+# ---------------------------------------------------------------------------
+# the ledger's columns against the scalar formulas
+# ---------------------------------------------------------------------------
+
+
+def scalar_ledger_rows(output, constant):
+    """The ledger built one row at a time, each bound from the scalar
+    formulas: the reference for the column form of error_report."""
+    spec = output.config.spec
+    nu = output.config.nu
+    weight, _ = solvers.energy_weight(spec)
+    u_h1 = output.dns.u_h1
+    rows = []
+    for run in output.runs:
+        grad_sq = run.eps_grad_l2 ** 2 + weight * run.eps_grad_hs ** 2
+        grad_int = np.zeros_like(grad_sq)
+        grad_int[1:] = np.cumsum(
+            0.5 * (grad_sq[1:] + grad_sq[:-1]) * np.diff(run.times))
+        energy_lhs = run.eps_l2 ** 2 + weight * run.eps_hs ** 2 \
+            + nu * grad_int
+        for i, t in enumerate(run.times):
+            if isinstance(spec, Helmholtz):
+                b_fin = defect_bound(u_h1[i], spec.alpha, spec.p, run.N)
+                assert struct_bits(b_fin) == struct_bits(
+                    spec.alpha * (2.0 * spec.p * (run.N + 1))
+                    ** (-0.5 / spec.p) * u_h1[i] ** 2)
+                b_tau = math.sqrt(2.0 * constant) * u_h1[i] \
+                    * run.half_norm[i]
+            else:
+                b_fin = b_tau = math.nan
+            rows.append(ReportRow(
+                order=run.N, t=float(t), eps_l2=float(run.eps_l2[i]),
+                eps_hs=float(run.eps_hs[i]),
+                grad_integral=float(grad_int[i]),
+                energy_lhs=float(energy_lhs[i]),
+                tau_l2=float(run.tau_l2[i]),
+                half_norm=float(run.half_norm[i]),
+                bound_fin=b_fin, bound_tau=b_tau))
+    return rows
+
+
+def struct_bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def assert_rows_match_scalar_build(output, constant):
+    got = error_report(output, constant=constant).rows
+    want = scalar_ledger_rows(output, constant)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g.order) is int and g.order == w.order
+        for field in dataclasses.fields(ReportRow)[1:]:
+            assert struct_bits(getattr(g, field.name)) == \
+                struct_bits(getattr(w, field.name)), (w, field.name)
+
+
+def test_error_report_rows_match_scalar_build_tg16(tg16_output):
+    assert_rows_match_scalar_build(tg16_output, 2.0)
+    assert_rows_match_scalar_build(tg16_output, 0.37)
+
+
+@pytest.mark.parametrize("spec", [Gaussian(alpha=0.5),
+                                  HelmholtzPower(mu=0.25, m=2)],
+                         ids=["gaussian", "helmholtz_power"])
+def test_error_report_rows_match_scalar_build_nan_bounds(spec):
+    cfg = SimConfig(n=8, nu=0.05, spec=spec, T=0.05, dt=0.01,
+                    N_list=(0, 1, 3))
+    output = run_experiment(cfg, progress=False)
+    assert_rows_match_scalar_build(output, 2.0)
+    report = error_report(output)
+    assert np.all(np.isnan(report.columns["bound_fin"]))
+    assert np.all(np.isnan(report.columns["bound_tau"]))
+
+
+def test_error_report_bound_fin_keeps_the_scalar_square():
+    # numpy's array square is a multiply, which differs from the scalar
+    # power (the C library's pow) by an ulp on some values; this many
+    # random u_h1 samples hold such values
+    rng = np.random.default_rng(5)
+    n_t = 4001
+    times = np.linspace(0.0, 1.0, n_t)
+    u_h1 = rng.uniform(0.1, 10.0, n_t)
+    assert np.any(u_h1 * u_h1 != np.array([v ** 2 for v in u_h1.tolist()]))
+    cfg = SimConfig(n=8, nu=0.05, spec=Helmholtz(alpha=0.7, p=1.5), T=1.0,
+                    dt=0.00025, N_list=(0, 3, 8))
+    series = lambda: rng.uniform(0.0, 1.0, n_t)  # noqa: E731
+    output = ExperimentOutput(
+        config=cfg, lattice=WaveLattice(8),
+        dns=DnsSeries(times=times, u_l2=series(), u_h1=u_h1,
+                      energy=series()),
+        runs=[RunSeries(N=N, times=times.copy(),
+                        **{name: series() for name in solvers._SERIES},
+                        div_ratio_max=math.nan)
+              for N in cfg.N_list])
+    assert_rows_match_scalar_build(output, 2.0)
+
+
+def test_error_report_columns_are_read_only(small_output):
+    # rows are built from the columns when first read
+    report = error_report(small_output)
+    assert list(report.columns) == [f.name for f in
+                                    dataclasses.fields(ReportRow)]
+    for col in report.columns.values():
+        assert len(col) == len(report.rows)
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# the bounds refuse a viscosity or constant that is not finite and > 0
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bounds_refuse_bad_viscosity_and_constant(bad):
+    nu_msg = f"viscosity nu must be finite and positive: {bad}"
+    c_msg = f"product constant must be finite and positive: {bad}"
+    for u in (1.0, 0.0):
+        with pytest.raises(ValueError, match=nu_msg):
+            bound_main(u, bad, 2.0, 0.5, 1.0, 0)
+        with pytest.raises(ValueError, match=c_msg):
+            bound_main(u, 0.05, bad, 0.5, 1.0, 0)
+        with pytest.raises(ValueError, match=nu_msg):
+            bound_main_helmholtz_power(u, bad, 2.0, 0.25, 2, 0)
+        with pytest.raises(ValueError, match=c_msg):
+            bound_main_helmholtz_power(u, 0.05, bad, 0.25, 2, 0)
+        with pytest.raises(ValueError, match=nu_msg):
+            gronwall_log10(u, bad)

@@ -1,6 +1,7 @@
 """Snapshot binary format, stamped-CSV round-trip and atomic-write tests."""
 
 import builtins
+import math
 import errno
 import io as pyio
 import struct
@@ -198,3 +199,51 @@ def test_write_atomic_replaces_whole_file(tmp_path):
     io.write_atomic(target, "new\n")
     assert target.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
+def _per_cell_columns(path, names):
+    header, rows = io.read_csv(path)
+    return {name: np.array([float(row[header.index(name)]) for row in rows])
+            for name in names}
+
+
+def test_read_columns_matches_per_cell_float(tmp_path):
+    # random floats over the whole exponent range, written with repr, and
+    # the special values: one array build gives float()'s bits
+    rng = np.random.default_rng(11)
+    n = 3000
+    values = rng.standard_normal((n, 3)) \
+        * 10.0 ** rng.integers(-320, 308, (n, 3))
+    values[:8, 1] = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     1.7976931348623157e308, 2.2250738585072014e-308]
+    path = tmp_path / "r.csv"
+    io.write_csv(path, "tok", ["N", "a", "b", "c"],
+                 [[i % 5, *row] for i, row in enumerate(values.tolist())])
+    names = ("a", "b", "c", "N")
+    got = io.read_columns(path, "tok", names)
+    want = _per_cell_columns(path, names)
+    for name in names:
+        assert got[name].dtype == np.float64
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_read_columns_names_the_bad_cell(tmp_path):
+    path = tmp_path / "r.csv"
+    # a blank line does not shift the line numbers
+    path.write_text("# config=tok\nt,x\n0.0,1.0\n\n0.5,abc\n1.0,\n")
+    with pytest.raises(io.SnapshotFormatError,
+                       match=r"r\.csv: line 5, column 'x': 'abc' is not a "
+                             r"number"):
+        io.read_columns(path, "tok", ("t", "x"))
+    with pytest.raises(io.SnapshotFormatError,
+                       match=r"r\.csv: missing column 'y'"):
+        io.read_columns(path, "tok", ("t", "y"))
+    with pytest.raises(io.SnapshotFormatError, match="stamped config"):
+        io.read_columns(path, "other", ("t",))
+
+
+def test_read_columns_of_an_empty_table(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("# config=tok\nt,x\n")
+    got = io.read_columns(path, "tok", ("x", "t"))
+    assert [got[name].shape for name in ("x", "t")] == [(0,), (0,)]

@@ -203,3 +203,20 @@ def test_zero_edges():
     assert float(kernels.y_minus_log1p(0.0)) == 0.0
     pw, diff = kernels.exp_limit_terms(0.0, 5.0)
     assert float(pw) == 1.0 and float(diff) == 0.0
+
+
+def test_deconv_from_g_order_column_matches_scalar_calls():
+    # g below, at and above the geometric-sum cut, and g = 1; the column
+    # holds order 0, whose row must stay exactly 1
+    g = np.array([5e-324, 1e-300, 1e-12, 3e-9, 9.99e-9, 1e-8, 2e-8, 1e-4,
+                  0.3, 0.999999, 1.0])
+    orders = np.array([0, 1, 2, 3, 5, 8, 16, 32, 100])
+    table = kernels.deconv_from_g(g, orders[:, None])
+    assert table.shape == (len(orders), len(g))
+    assert np.all(table[0] == 1.0)
+    for row, order in zip(table, orders.tolist()):
+        want = np.asarray(kernels.deconv_from_g(g, order))
+        assert row.tobytes() == want.tobytes(), order
+        for gi, got in zip(g.tolist(), row.tolist()):
+            assert np.float64(kernels.deconv_from_g(gi, order)).tobytes() \
+                == np.float64(got).tobytes(), (gi, order)

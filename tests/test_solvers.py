@@ -1060,3 +1060,38 @@ def test_worker_exits_when_its_parent_is_killed():
     while not _gone_or_zombie(child) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert _gone_or_zombie(child)
+
+
+def per_cell_read(out_dir):
+    """dns.csv's columns and series.csv's per-order columns, every cell
+    parsed with its own float(): the reference for read_outputs."""
+    header, rows = admio.read_csv(Path(out_dir) / "dns.csv")
+    dns = {name: np.array([float(r[header.index(name)]) for r in rows])
+           for name in ("t", "u_l2", "u_h1", "energy")}
+    header, rows = admio.read_csv(Path(out_dir) / "series.csv")
+    runs = {}
+    for r in rows:
+        run = runs.setdefault(int(float(r[0])), {})
+        for name in ("t", *_SERIES):
+            run.setdefault(name, []).append(float(r[header.index(name)]))
+    return dns, {N: {name: np.array(col) for name, col in run.items()}
+                 for N, run in runs.items()}
+
+
+def test_read_outputs_matches_per_cell_parse(tmp_path, tg16_output):
+    # the benchmark's post-processing input: one parse per file gives the
+    # bits of a float() per cell
+    write_outputs(tg16_output, tmp_path)
+    back = read_outputs(tmp_path)
+    dns, runs = per_cell_read(tmp_path)
+    assert back.dns.times.tobytes() == dns["t"].tobytes()
+    for name in ("u_l2", "u_h1", "energy"):
+        assert getattr(back.dns, name).tobytes() == dns[name].tobytes()
+    assert [run.N for run in back.runs] == list(tg16_output.config.N_list)
+    for run in back.runs:
+        want = runs[run.N]
+        assert run.times.tobytes() == want["t"].tobytes()
+        for name in _SERIES:
+            got = getattr(run, name)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want[name].tobytes(), (run.N, name)
