@@ -19,6 +19,7 @@ from . import kernels
 from .filters import (
     FilterSpec,
     Helmholtz,
+    complement_power,
     filter_symbol,
     inverse_symbol,
     _helmholtz_x,
@@ -63,25 +64,20 @@ def deconv_symbol(op: DeconvOp, k2):
 def recovery_symbol(op: DeconvOp, k2):
     """Symbol of D_N G, the fraction of a mode surviving filter+deconvolution.
 
-    Helmholtz filters only: with x = alpha^(2p) |k|^(2p) the value is
-    1 - (x/(1+x))^(N+1), always in (0, 1].  It equals
+    For every filter family the value is 1 - (1 - G)^(N+1), always in
+    [0, 1], formed from the complement power (complement_power) so it
+    keeps its digits where G is near 0 or 1.  It equals
     deconv_symbol * filter_symbol to roundoff.
     """
-    if not isinstance(op.spec, Helmholtz):
-        raise TypeError(
-            "recovery symbol is defined for Helmholtz filters, got "
-            f"{type(op.spec).__name__}"
-        )
-    x = _helmholtz_x(op.spec, np.asarray(k2, dtype=np.float64))
-    out = 1.0 - kernels.ratio_power(x, float(op.order + 1))
-    return out if out.ndim else float(out)
+    return 1.0 - complement_power(op.spec, k2, float(op.order + 1))
 
 
-def _defect_weight(spec: Helmholtz, order: int, k2: np.ndarray) -> np.ndarray:
-    """(x/(1+x))^(2(order+1)) |k|, the per-mode weight of the squared
-    deconvolution-defect half-norm, with x = (alpha^2 k2)^p."""
-    return kernels.ratio_power(_helmholtz_x(spec, k2), 2.0 * (order + 1)) \
-        * np.sqrt(k2)
+def _defect_weight(spec: FilterSpec, order: int,
+                   k2: np.ndarray) -> np.ndarray:
+    """(1 - G)^(2(order+1)) |k|, the per-mode weight of the squared
+    deconvolution-defect half-norm; (x/(1+x))^(2(order+1)) |k| with
+    x = (alpha^2 k2)^p for a Helmholtz filter."""
+    return complement_power(spec, k2, 2.0 * (order + 1)) * np.sqrt(k2)
 
 
 def apply_deconv(op: DeconvOp, f: SpectralField) -> SpectralField:

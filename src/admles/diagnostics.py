@@ -26,11 +26,11 @@ from .filters import (
     GaussianApprox,
     Helmholtz,
     HelmholtzPower,
+    energy_weight,
     filter_symbol,
 )
 from .solvers import (
     ExperimentOutput,
-    energy_weight,
     _mode_sq,
     _tau_norms,
 )
@@ -140,19 +140,13 @@ def _rho(spec: FilterSpec, order: int, ksq: np.ndarray) -> np.ndarray:
 def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
     """Interpolation-level norm of the deconvolution defect u - Du_bar.
 
-    Exact mode sum sqrt( sum (x/(1+x))^(2(order+1)) |k| |u_hat|^2 ) with
-    x the filter's dimensionless symbol argument; only the inverse-form
-    (Helmholtz) filter admits this closed form.  The weight is evaluated on
-    the lattice's keep set (WaveLattice.keep), so the keep-set sum is
-    run_experiment's half_norm series, bit for bit; the weight on the full
-    layout and the sum over the modes outside the keep set (_outside) are
-    formed only when u has any.
+    Exact mode sum sqrt( sum (1-G)^(2(order+1)) |k| |u_hat|^2 ), for every
+    filter family: the defect symbol of order N is 1 - D_N G = (1-G)^(N+1).
+    The weight is evaluated on the lattice's keep set (WaveLattice.keep),
+    so the keep-set sum is run_experiment's half_norm series, bit for bit;
+    the weight on the full layout and the sum over the modes outside the
+    keep set (_outside) are formed only when u has any.
     """
-    if not isinstance(spec, Helmholtz):
-        raise TypeError(
-            f"defect half-norm requires a Helmholtz filter, got "
-            f"{type(spec).__name__}"
-        )
     lattice = u.lattice
     keep = lattice.keep
     total = np.sum(_defect_weight(spec, order, keep.ksq) * keep.w
@@ -295,7 +289,7 @@ def fit_rate(series) -> tuple[float, float]:
 
 
 def calibrate_sobolev_constant(
-    spec: Helmholtz,
+    spec: FilterSpec,
     n: int = 16,
     orders=(0, 1, 2, 4, 8),
     n_fields: int = 8,
@@ -453,11 +447,9 @@ def error_report(output: ExperimentOutput,
     grad_int = _cumulative_trapezoid(
         times, stack("eps_grad_l2") ** 2 + weight * stack("eps_grad_hs") ** 2)
     energy_lhs = eps_l2 ** 2 + weight * eps_hs ** 2 + nu * grad_int
-    if is_helm:
-        bound_fin = defect_bound(u_h1, spec.alpha, spec.p, orders[:, None])
-        bound_tau = math.sqrt(2.0 * constant) * u_h1 * half_norm
-    else:
-        bound_fin = bound_tau = np.full(eps_l2.shape, math.nan)
+    bound_fin = defect_bound(u_h1, spec.alpha, spec.p, orders[:, None]) \
+        if is_helm else np.full(eps_l2.shape, math.nan)
+    bound_tau = math.sqrt(2.0 * constant) * u_h1 * half_norm
     columns = {
         "order": np.repeat(orders, len(times)), "t": stack("times"),
         "eps_l2": eps_l2, "eps_hs": eps_hs, "grad_integral": grad_int,

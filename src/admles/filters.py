@@ -10,11 +10,18 @@ Four families, each an immutable spec:
 ``GaussianApprox(alpha, m)`` and ``HelmholtzPower(mu, m)`` describe the same
 operator when alpha^2 = 24 m mu^2; the approximants converge to the Gaussian
 symbol uniformly at rate 2/m as m grows.
+
+Each family's math is written once, as one row of ``_FAMILIES``: the
+symbol G, the complement power (1 - G)^e, the inverse (where the family
+has one) and the energy weight.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -30,7 +37,9 @@ __all__ = [
     "FilterSpec",
     "NonInvertibleFilterError",
     "filter_symbol",
+    "complement_power",
     "inverse_symbol",
+    "energy_weight",
     "apply_filter",
     "apply_inverse",
     "gaussian_approx_error",
@@ -41,6 +50,19 @@ __all__ = [
 
 class NonInvertibleFilterError(ValueError):
     """Inversion requested for a filter without a usable inverse."""
+
+
+def _require(spec, name: str, ok, need: str) -> None:
+    """ValueError naming the field unless its value is a finite number
+    for which ok holds."""
+    v = getattr(spec, name)
+    if not (isinstance(v, Real) and math.isfinite(v) and ok(v)):
+        raise ValueError(
+            f"{type(spec).__name__} {name} must be {need}, got {v!r}")
+
+
+def _is_index(v) -> bool:
+    return v >= 1 and v == int(v)
 
 
 @dataclass(frozen=True)
@@ -55,10 +77,8 @@ class Helmholtz:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError(f"filter radius must be >= 0, got {self.alpha}")
-        if self.p < 0.75:
-            raise ValueError(f"filter order p must be >= 3/4, got {self.p}")
+        _require(self, "alpha", lambda v: v >= 0.0, "finite and >= 0")
+        _require(self, "p", lambda v: v >= 0.75, "finite and >= 3/4")
 
 
 @dataclass(frozen=True)
@@ -66,8 +86,7 @@ class Gaussian:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"filter radius must be > 0, got {self.alpha}")
+        _require(self, "alpha", lambda v: v > 0.0, "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -78,10 +97,8 @@ class GaussianApprox:
     m: int
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"filter radius must be > 0, got {self.alpha}")
-        if self.m < 1:
-            raise ValueError(f"approximant index must be >= 1, got {self.m}")
+        _require(self, "alpha", lambda v: v > 0.0, "finite and > 0")
+        _require(self, "m", _is_index, "an integer >= 1")
 
     @property
     def mu(self) -> float:
@@ -97,10 +114,8 @@ class HelmholtzPower:
     m: int
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"filter radius must be > 0, got {self.mu}")
-        if self.m < 1:
-            raise ValueError(f"power must be >= 1, got {self.m}")
+        _require(self, "mu", lambda v: v > 0.0, "finite and > 0")
+        _require(self, "m", _is_index, "an integer >= 1")
 
 
 FilterSpec = Union[Helmholtz, Gaussian, GaussianApprox, HelmholtzPower]
@@ -109,31 +124,6 @@ FilterSpec = Union[Helmholtz, Gaussian, GaussianApprox, HelmholtzPower]
 def as_helmholtz_power(spec: GaussianApprox) -> HelmholtzPower:
     """The HelmholtzPower form of a Gaussian approximant (same symbol)."""
     return HelmholtzPower(mu=spec.mu, m=spec.m)
-
-
-def filter_symbol(spec: FilterSpec, k2):
-    """Transfer symbol G_hat in (0, 1] at squared wavenumber k2 (>= 0).
-
-    Accepts scalars or arrays; exactly 1 at k2 = 0.  Large exponents are
-    evaluated in log space (m log1p(x)) so the symbol underflows gracefully
-    instead of overflowing.
-    """
-    k2 = np.asarray(k2, dtype=np.float64)
-    if isinstance(spec, Helmholtz):
-        x = _helmholtz_x(spec, k2)
-        out = 1.0 / (1.0 + x)
-    elif isinstance(spec, Gaussian):
-        out = np.exp(-(spec.alpha ** 2) * k2 / 24.0)
-    elif isinstance(spec, GaussianApprox):
-        # Route through the induced mu^2 so the HelmholtzPower equivalence
-        # is exact whenever alpha^2/(24m) and mu^2 are the same float.
-        mu2 = spec.alpha ** 2 / (24.0 * spec.m)
-        out = np.exp(-spec.m * np.log1p(mu2 * k2))
-    elif isinstance(spec, HelmholtzPower):
-        out = np.exp(-spec.m * np.log1p(spec.mu ** 2 * k2))
-    else:
-        raise TypeError(f"not a filter spec: {spec!r}")
-    return out if out.ndim else float(out)
 
 
 def _helmholtz_x(spec: Helmholtz, k2: np.ndarray) -> np.ndarray:
@@ -145,18 +135,95 @@ def _helmholtz_x(spec: Helmholtz, k2: np.ndarray) -> np.ndarray:
         return np.where(y > 0.0, np.exp(spec.p * np.log(np.maximum(y, 1e-300))), 0.0)
 
 
+# One row per filter family: the symbol G, the complement power (1 - G)^e
+# and the inverse 1/G (None for a family without one), functions of
+# (spec, k2) and, for the complement, e; and the energy weight, a function
+# of the spec.
+_Family = namedtuple("_Family", "symbol complement inverse energy")
+
+
+def _exp_family(phi, invertible: bool, energy) -> _Family:
+    """The row of a family with G = exp(-phi(spec, k2)): (1 - G)^e is
+    exp(e log1mexp(phi)), which keeps its digits for every phi >= 0."""
+    return _Family(
+        lambda spec, k2: np.exp(-phi(spec, k2)),
+        lambda spec, k2, e: np.exp(e * kernels.log1mexp(phi(spec, k2))),
+        (lambda spec, k2: np.exp(phi(spec, k2))) if invertible else None,
+        energy)
+
+
+def _power_family(mu2, invertible: bool) -> _Family:
+    """The row of a power family, (1 + mu^2 k2)^(-m) with mu^2 = mu2(spec):
+    phi = m log1p(mu^2 k2), so the symbol underflows instead of
+    overflowing."""
+    return _exp_family(
+        lambda spec, k2: spec.m * np.log1p(mu2(spec) * k2), invertible,
+        energy=lambda spec: (spec.mu ** (2.0 * spec.m), float(spec.m)))
+
+
+# GaussianApprox forms its mu^2 from alpha, so the HelmholtzPower
+# equivalence is exact whenever alpha^2/(24m) and mu^2 are the same float.
+_FAMILIES = {
+    Helmholtz: _Family(
+        lambda spec, k2: 1.0 / (1.0 + _helmholtz_x(spec, k2)),
+        lambda spec, k2, e: kernels.ratio_power(_helmholtz_x(spec, k2), e),
+        lambda spec, k2: 1.0 + _helmholtz_x(spec, k2),
+        lambda spec: (spec.alpha ** (2.0 * spec.p), spec.p)),
+    Gaussian: _exp_family(
+        lambda spec, k2: spec.alpha ** 2 * k2 / 24.0, invertible=False,
+        energy=lambda spec: (spec.alpha ** 2 / 24.0, 1.0)),
+    GaussianApprox: _power_family(
+        lambda spec: spec.alpha ** 2 / (24.0 * spec.m), invertible=False),
+    HelmholtzPower: _power_family(lambda spec: spec.mu ** 2, invertible=True),
+}
+
+
+def _family(spec) -> _Family:
+    if type(spec) not in _FAMILIES:
+        raise TypeError(f"not a filter spec: {spec!r}")
+    return _FAMILIES[type(spec)]
+
+
+def _at(spec: FilterSpec, entry: str, k2, *e):
+    """The `entry` of spec's row at k2 (and e); a float for a scalar k2."""
+    fn = getattr(_family(spec), entry)
+    if fn is None:
+        raise NonInvertibleFilterError(
+            f"non-invertible filter: {type(spec).__name__}")
+    out = fn(spec, np.asarray(k2, dtype=np.float64), *e)
+    return out if out.ndim else float(out)
+
+
+def filter_symbol(spec: FilterSpec, k2):
+    """Transfer symbol G_hat in (0, 1] at squared wavenumber k2 (>= 0).
+
+    Accepts scalars or arrays; exactly 1 at k2 = 0.
+    """
+    return _at(spec, "symbol", k2)
+
+
+def complement_power(spec: FilterSpec, k2, e):
+    """(1 - G_hat)^e at squared wavenumber k2 (>= 0), e > 0; 0 at k2 = 0.
+
+    Formed without cancellation, so it keeps its digits where G_hat is
+    near 0 or 1 and for large e.  e = N + 1 gives the defect symbol
+    1 - D_N G of the van Cittert deconvolution of order N.
+    """
+    return _at(spec, "complement", k2, e)
+
+
 def inverse_symbol(spec: FilterSpec, k2):
     """Symbol of the inverse operator A = G^(-1), where defined."""
-    k2 = np.asarray(k2, dtype=np.float64)
-    if isinstance(spec, Helmholtz):
-        out = 1.0 + _helmholtz_x(spec, k2)
-    elif isinstance(spec, HelmholtzPower):
-        out = np.exp(spec.m * np.log1p(spec.mu ** 2 * k2))
-    else:
-        raise NonInvertibleFilterError(
-            f"non-invertible filter: {type(spec).__name__}"
-        )
-    return out if out.ndim else float(out)
+    return _at(spec, "inverse", k2)
+
+
+def energy_weight(spec: FilterSpec) -> tuple[float, float]:
+    """(weight, s) such that weight * ||.||_s^2 is the filter's natural
+    higher-order energy term: alpha^(2p) ||.||_p^2 for Helmholtz,
+    mu^(2m) ||.||_m^2 for the power families, and the leading differential
+    approximation alpha^2/24 ||.||_1^2 for the Gaussian.
+    """
+    return _family(spec).energy(spec)
 
 
 def apply_filter(spec: FilterSpec, f: SpectralField) -> SpectralField:
@@ -206,22 +273,13 @@ def helmholtz_power_sandwich(mu: float, m: int, k2):
 
     The bracket follows from 1 + x^m <= (1+x)^m <= 2^(m-1) (1 + x^m).
     """
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
-    k2 = np.asarray(k2, dtype=np.float64)
-    y = mu ** 2 * k2
-    if m == 1:
-        # The bracket collapses; route all three through one expression so
-        # the collapse is exact in floating point.
-        mid = 1.0 / (1.0 + y)
-        lo = hi = mid
-    else:
-        mid = np.exp(-m * np.log1p(y))
-        with np.errstate(divide="ignore", over="ignore"):
-            logy = np.where(y > 0.0, np.log(np.maximum(y, 1e-300)), -np.inf)
-            ym = np.exp(m * logy)  # y^m; 0 at k2 = 0, may overflow to inf
-            hi = np.where(np.isinf(ym), np.exp(-m * logy), 1.0 / (1.0 + ym))
-        lo = hi * 2.0 ** (1.0 - m)
+    power = HelmholtzPower(mu=mu, m=m)  # refuses m < 1, as ValueError
+    # hi is the Helmholtz symbol of order p = m, 0 where (mu^2 k2)^m
+    # overflows; for m = 1 the bracket collapses exactly onto it.
+    with np.errstate(over="ignore"):
+        hi = np.asarray(filter_symbol(Helmholtz(alpha=mu, p=m), k2))
+    mid = hi if m == 1 else np.asarray(filter_symbol(power, k2))
+    lo = hi * 2.0 ** (1.0 - m)
     if mid.ndim:
         return lo, mid, hi
     return float(lo), float(mid), float(hi)

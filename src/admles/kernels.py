@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "ratio_power",
     "compl_power",
+    "log1mexp",
     "exp_limit_terms",
     "deconv_from_g",
     "y_minus_log1p",
@@ -56,6 +57,16 @@ def compl_power(x, a, m):
         q = np.minimum(q, 1.0)
         out = np.exp(a * np.log(q))
     return np.where(x > 0.0, out, 0.0)
+
+
+def log1mexp(phi):
+    """log(1 - exp(-phi)) elementwise for phi >= 0, -inf at 0: the form
+    log(-expm1(-phi)) up to ln 2 and log1p(-exp(-phi)) beyond, so neither
+    cancels (Maechler 2012, "Accurately computing log(1 - exp(-|a|))")."""
+    phi = np.asarray(phi, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.where(phi <= np.log(2.0), np.log(-np.expm1(-phi)),
+                        np.log1p(-np.exp(-phi)))
 
 
 def y_minus_log1p(y):

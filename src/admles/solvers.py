@@ -79,6 +79,7 @@ from .filters import (
     GaussianApprox,
     Helmholtz,
     HelmholtzPower,
+    energy_weight,
     filter_symbol,
 )
 from .spectral import (
@@ -361,23 +362,6 @@ class SolverState:
     step_index: int = 0
 
 
-def energy_weight(spec: FilterSpec) -> tuple[float, float]:
-    """(weight, s) such that weight * ||.||_s^2 is the filter's natural
-    higher-order energy term: alpha^(2p) ||.||_p^2 for Helmholtz,
-    mu^(2m) ||.||_m^2 for the power families, and the leading differential
-    approximation alpha^2/24 ||.||_1^2 for the Gaussian.
-    """
-    if isinstance(spec, Helmholtz):
-        return spec.alpha ** (2.0 * spec.p), spec.p
-    if isinstance(spec, HelmholtzPower):
-        return spec.mu ** (2.0 * spec.m), float(spec.m)
-    if isinstance(spec, GaussianApprox):
-        return spec.mu ** (2.0 * spec.m), float(spec.m)
-    if isinstance(spec, Gaussian):
-        return spec.alpha ** 2 / 24.0, 1.0
-    raise TypeError(f"not a filter spec: {spec!r}")
-
-
 def initial_field(cfg: SimConfig, lattice: WaveLattice) -> SpectralField:
     """Build, truncate and project the initial velocity."""
     if isinstance(cfg.init, TaylorGreenInit):
@@ -587,7 +571,7 @@ class RunSeries:
     eps_* compare the filtered reference against the model state; *_hs uses
     the filter's natural higher-order level s (energy_weight).  half_norm is
     the interpolation-level deconvolution defect of the unfiltered
-    reference (Helmholtz filters; nan otherwise).
+    reference (half_norm_defect), for every filter family.
     """
 
     N: int
@@ -871,11 +855,8 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     w_0, w_1, w_s, w_s1 = (_sobolev_weight(keep.ksq, s) * keep.w
                            for s in (0.0, 1.0, s_level, s_level + 1.0))
     w_err = np.stack([w_0, w_s, w_1, w_s1])[:, None]  # _SERIES[:4]
-    is_helmholtz = isinstance(cfg.spec, Helmholtz)
-    if is_helmholtz:
-        defect_weights = np.stack(
-            [_defect_weight(cfg.spec, N, keep.ksq) * keep.w
-             for N in cfg.N_list])
+    defect_weights = np.stack(
+        [_defect_weight(cfg.spec, N, keep.ksq) * keep.w for N in cfg.N_list])
     rhos = [d * g for d in d_syms]
 
     dns_cols = np.empty((3, len(samples)))
@@ -900,9 +881,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             series[name][:, idx] = row
         series["w_l2"][:, idx] = _weighted_norm(w_0, _mode_sq(w))
         series["tau_l2"][:, idx] = taus
-        if is_helmholtz:
-            series["half_norm"][:, idx] = _weighted_norm(defect_weights,
-                                                         u_sq)
+        series["half_norm"][:, idx] = _weighted_norm(defect_weights, u_sq)
         np.maximum(div_max, _div_ratio(w, keep.k, keep.kmag), out=div_max)
 
     u = _kept(u0.coeffs, n)

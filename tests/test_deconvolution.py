@@ -119,11 +119,25 @@ def test_recovery_equals_product_of_symbols():
             assert np.all(rho[x < 1e12] > 0.0)
 
 
-def test_recovery_rejects_non_helmholtz():
+def test_recovery_equals_product_for_every_family():
+    # 1 - (1-G)^(N+1) = D_N G holds for every filter, not only for the
+    # Helmholtz form 1 - (x/(1+x))^(N+1)
+    k2 = np.concatenate([[0.0], np.logspace(-4, 12, 300)])
     for spec in (Gaussian(alpha=1.0), GaussianApprox(alpha=1.0, m=2),
-                 HelmholtzPower(mu=1.0, m=2)):
-        with pytest.raises(TypeError):
-            recovery_symbol(DeconvOp(spec, 1), 1.0)
+                 HelmholtzPower(mu=1.0, m=2), H11):
+        for order in (0, 1, 3, 16, 100):
+            op = DeconvOp(spec, order)
+            rho = np.asarray(recovery_symbol(op, k2))
+            prod = np.asarray(deconv_symbol(op, k2)) * np.asarray(
+                filter_symbol(spec, k2))
+            assert float(np.max(np.abs(rho - prod))) <= 1e-13
+            assert np.all(rho >= 0.0) and np.all(rho <= 1.0)
+            assert rho[0] == 1.0
+    # at alpha^2 k2 / 24 = 1 the Gaussian symbol is 1/e
+    got = recovery_symbol(DeconvOp(Gaussian(alpha=1.0), 1), 24.0)
+    assert type(got) is float
+    assert got == pytest.approx(1.0 - (1.0 - math.exp(-1.0)) ** 2,
+                                rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

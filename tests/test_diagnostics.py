@@ -189,12 +189,39 @@ def test_snapshot_norms_evaluate_symbols_on_keep_set(monkeypatch, n):
         assert lat.keep.ksq.shape in shapes
 
 
-def test_half_norm_rejects_non_helmholtz():
-    u = zero_field(WaveLattice(8))
+def test_half_norm_finite_for_every_family():
+    lat = WaveLattice(8)
+    u = random_solenoidal(lat, decay=1.0, seed=3)
     for spec in (Gaussian(alpha=1.0), GaussianApprox(alpha=1.0, m=2),
                  HelmholtzPower(mu=1.0, m=2)):
-        with pytest.raises(TypeError):
-            half_norm_defect(u, spec, 0)
+        values = [half_norm_defect(u, spec, N) for N in (0, 1, 8)]
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
+        assert values == sorted(values, reverse=True)
+        assert half_norm_defect(zero_field(lat), spec, 0) == 0.0
+
+
+def test_gaussian_approx_defect_rises_to_the_gaussian():
+    # the paper's route to the Gaussian filter: the m-th approximant's
+    # symbol (1 + phi/m)^(-m) falls toward exp(-phi) as m grows, so its
+    # defect rises monotonically in m and stays below the Gaussian's
+    u = random_solenoidal(WaveLattice(32), decay=2.5, seed=1)
+    gauss = half_norm_defect(u, Gaussian(alpha=1.0), 100) ** 2
+    approx = [half_norm_defect(u, GaussianApprox(alpha=1.0, m=m), 100) ** 2
+              for m in (1, 4, 16, 64)]
+    assert 0.0 < approx[0] < approx[1] < approx[2] < approx[3] < gauss
+    # the values at this field: 3.7e-15, 2.8e-7, 3.7e-6, 5.9e-6 and 6.8e-6
+    assert approx[0] < 1e-14 and 5e-6 < approx[3] < gauss < 8e-6
+
+
+def test_gaussian_defect_decays_slowly_in_the_order():
+    # from N = 1 to N = 1000 the Helmholtz defect^2 falls by more than
+    # 1e5 on this field, the Gaussian's by less than 1e2 (46.5 here): the
+    # Gaussian decay that the paper's bounds leave open
+    u = random_solenoidal(WaveLattice(32), decay=2.5, seed=1)
+    for spec, lo, hi in ((Gaussian(alpha=1.0), 1.0, 1e2),
+                         (Helmholtz(alpha=1.0, p=1.0), 1e5, math.inf)):
+        first, last = (half_norm_defect(u, spec, N) ** 2 for N in (1, 1000))
+        assert last > 0.0 and lo < first / last < hi, spec
 
 
 @pytest.mark.parametrize("p", [0.75, 1.0, 2.0, 4.0])
@@ -423,13 +450,32 @@ def test_error_report_refuses_runs_sampled_off_the_reference(small_output):
         error_report(output)
 
 
-def test_error_report_non_helmholtz_rows_are_nan():
+def test_error_report_non_helmholtz_bound_tau_is_finite():
+    # defect_bound is a Helmholtz formula; the defect series, and so
+    # bound_tau, exist for every family
     cfg = SimConfig(n=16, nu=0.05, spec=Gaussian(alpha=0.5),
                     T=0.02, dt=0.01, N_list=(0,))
     report = error_report(run_experiment(cfg, progress=False))
     assert all(math.isnan(r.bound_fin) for r in report.rows)
+    assert all(math.isfinite(r.bound_tau) and r.bound_tau > 0.0
+               for r in report.rows)
     assert all(s.passed is None for s in report.summaries)
     assert report.passed()  # vacuously: no decidable summary rows
+
+
+@pytest.mark.parametrize("spec", [Helmholtz(alpha=0.5, p=1.0),
+                                  Gaussian(alpha=0.5),
+                                  GaussianApprox(alpha=0.5, m=3),
+                                  HelmholtzPower(mu=0.25, m=2)],
+                         ids=["helmholtz", "gaussian", "gaussian_approx",
+                              "helmholtz_power"])
+def test_every_family_has_defect_series_and_bound_tau(spec):
+    cfg = SimConfig(n=8, nu=0.05, spec=spec, T=0.02, dt=0.01, N_list=(0, 2))
+    output = run_experiment(cfg, progress=False)
+    for run in output.runs:
+        assert np.all(np.isfinite(run.half_norm) & (run.half_norm > 0.0))
+    report = error_report(output)
+    assert np.all(np.isfinite(report.columns["bound_tau"]))
 
 
 def test_error_report_power_family_has_verdict():
@@ -467,10 +513,9 @@ def scalar_ledger_rows(output, constant):
                 assert struct_bits(b_fin) == struct_bits(
                     spec.alpha * (2.0 * spec.p * (run.N + 1))
                     ** (-0.5 / spec.p) * u_h1[i] ** 2)
-                b_tau = math.sqrt(2.0 * constant) * u_h1[i] \
-                    * run.half_norm[i]
             else:
-                b_fin = b_tau = math.nan
+                b_fin = math.nan
+            b_tau = math.sqrt(2.0 * constant) * u_h1[i] * run.half_norm[i]
             rows.append(ReportRow(
                 order=run.N, t=float(t), eps_l2=float(run.eps_l2[i]),
                 eps_hs=float(run.eps_hs[i]),
@@ -512,7 +557,7 @@ def test_error_report_rows_match_scalar_build_nan_bounds(spec):
     assert_rows_match_scalar_build(output, 2.0)
     report = error_report(output)
     assert np.all(np.isnan(report.columns["bound_fin"]))
-    assert np.all(np.isnan(report.columns["bound_tau"]))
+    assert np.all(np.isfinite(report.columns["bound_tau"]))
 
 
 def test_error_report_bound_fin_keeps_the_scalar_square():

@@ -1,8 +1,12 @@
 """Filter symbol, inversion, and approximation-quality tests."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
+from admles import filters, solvers
 from admles.filters import (
     Gaussian,
     GaussianApprox,
@@ -12,6 +16,8 @@ from admles.filters import (
     apply_filter,
     apply_inverse,
     as_helmholtz_power,
+    complement_power,
+    energy_weight,
     filter_symbol,
     gaussian_approx_error,
     helmholtz_power_sandwich,
@@ -229,3 +235,119 @@ def test_sandwich_orders(mu, m):
     assert np.all(np.abs(g - mid) <= 1e-13 * np.maximum(mid, 1e-300))
     with pytest.raises(ValueError):
         helmholtz_power_sandwich(mu, 0, k2)
+
+
+# ---------------------------------------------------------------------------
+# the family table: spec fields, coverage and the complement power
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: Helmholtz(alpha=math.nan), "alpha"),
+    (lambda: Helmholtz(alpha=math.inf), "alpha"),
+    (lambda: Helmholtz(alpha=1.0, p=math.nan), "p"),
+    (lambda: Helmholtz(alpha=1.0, p=math.inf), "p"),
+    (lambda: Helmholtz(alpha="1"), "alpha"),
+    (lambda: Gaussian(alpha=math.inf), "alpha"),
+    (lambda: Gaussian(alpha=math.nan), "alpha"),
+    (lambda: GaussianApprox(alpha=math.nan, m=2), "alpha"),
+    (lambda: GaussianApprox(alpha=1.0, m=2.5), "m"),
+    (lambda: GaussianApprox(alpha=1.0, m=math.inf), "m"),
+    (lambda: HelmholtzPower(mu=math.inf, m=1), "mu"),
+    (lambda: HelmholtzPower(mu=1.0, m=1.5), "m"),
+    (lambda: HelmholtzPower(mu=1.0, m=math.nan), "m"),
+], ids=["h_alpha_nan", "h_alpha_inf", "h_p_nan", "h_p_inf", "h_alpha_str",
+        "g_alpha_inf", "g_alpha_nan", "ga_alpha_nan", "ga_m_half",
+        "ga_m_inf", "hp_mu_inf", "hp_m_half", "hp_m_nan"])
+def test_spec_refuses_non_finite_and_non_integral_fields(make, field):
+    # each of these once gave a nan symbol or a symbol of 0 everywhere
+    with pytest.raises(ValueError, match=rf"^\w+ {field} must be "):
+        make()
+
+
+def test_spec_accepts_integral_values_of_any_type():
+    assert filter_symbol(HelmholtzPower(mu=1.0, m=np.int64(2)), 1.0) == \
+        filter_symbol(HelmholtzPower(mu=1.0, m=2), 1.0)
+    assert GaussianApprox(alpha=np.float64(1.0), m=3).mu == \
+        GaussianApprox(alpha=1.0, m=3).mu
+
+
+def test_every_filter_kind_has_a_table_row():
+    # the config's kinds and the family table name the same classes, and
+    # every entry of every row evaluates
+    assert set(solvers._FILTER_KINDS.values()) == set(filters._FAMILIES)
+    assert solvers.energy_weight is energy_weight
+    k2 = np.array([0.0, 0.5, 40.0])
+    for spec in ALL_SPECS:
+        g = filter_symbol(spec, k2)
+        assert g[0] == 1.0 and np.all((g > 0.0) & (g < 1.0) | (k2 == 0.0))
+        c = complement_power(spec, k2, 3.0)
+        assert c[0] == 0.0
+        assert np.allclose(c, (1.0 - g) ** 3, rtol=1e-13, atol=0.0)
+        weight, s = energy_weight(spec)
+        assert weight > 0.0 and s >= 0.75
+    for entry in (filter_symbol, inverse_symbol):
+        with pytest.raises(TypeError, match="not a filter spec"):
+            entry("not a spec", 1.0)
+    with pytest.raises(TypeError, match="not a filter spec"):
+        complement_power("not a spec", 1.0, 2.0)
+    with pytest.raises(TypeError, match="not a filter spec"):
+        energy_weight("not a spec")
+
+
+def test_complement_power_scalar_and_array_agree():
+    k2 = np.array([0.0, 1e-9, 0.3, 7.0, 1e5])
+    for spec in ALL_SPECS:
+        arr = complement_power(spec, k2, 5.0)
+        for ki, ai in zip(k2.tolist(), arr.tolist()):
+            got = complement_power(spec, ki, 5.0)
+            assert type(got) is float and got == ai
+
+
+# Per family: the spec, its exact symbol at k2 in mpmath, and the k2 at
+# which the family's argument takes the value v (alpha^2 k2 for
+# Helmholtz, phi with G = exp(-phi) for the others).
+ORACLE_FAMILIES = {
+    "helmholtz": (Helmholtz(alpha=0.7),
+                  lambda k2: 1 / (1 + mpmath.mpf(0.7) ** 2 * k2),
+                  lambda v: v / 0.49),
+    "gaussian": (Gaussian(alpha=1.0), lambda k2: mpmath.exp(-k2 / 24),
+                 lambda v: 24.0 * v),
+    "gaussian_approx": (GaussianApprox(alpha=1.0, m=3),
+                        lambda k2: (1 + k2 / 72) ** -3,
+                        lambda v: 72.0 * math.expm1(v / 3.0)),
+    "helmholtz_power": (HelmholtzPower(mu=1.0, m=2),
+                        lambda k2: (1 + k2) ** -2,
+                        lambda v: math.expm1(v / 2.0)),
+}
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_complement_power_matches_mpmath(family):
+    # (1 - G)^e at 50 digits, with the family's argument from 1e-12 to
+    # 1e3 and e up to 2e6.  Bound: relative error <= 2 eps (1 + |y| (1 +
+    # phi)), where y = e log(1 - G) and phi = -log G at the exact k2.  The
+    # last exp turns a relative error r of y into |y| r, so the bound
+    # grows with e; the factor 1 + phi covers the rounding of the family's
+    # argument, which a relative change of phi carries into y.  log1mexp
+    # keeps this bound; log(-expm1(-phi)) misses it by 3e5 at e = 2e6
+    # (7.5e-11 relative), where 1 - G is a hair below 1.
+    spec, exact, k2_at = ORACLE_FAMILIES[family]
+    args = np.concatenate([np.logspace(-12, 3, 61),
+                           [0.5, math.log(2.0), 0.7, 5.0, 30.0, 700.0]])
+    k2 = np.concatenate([[0.0], [k2_at(v) for v in args.tolist()]])
+    for e in (1.0, 2.0, 3.0, 17.0, 1e3, 1e5, 2e6):
+        got = complement_power(spec, k2, e)
+        assert got[0] == 0.0
+        for ki, gi in zip(k2[1:].tolist(), got[1:].tolist()):
+            with mpmath.workdps(50):
+                g = exact(mpmath.mpf(ki))
+                want = (1 - g) ** e
+                if want < 1e-290:  # underflow to zero is correct
+                    assert gi <= 1e-290, (ki, e)
+                    continue
+                y = e * mpmath.log(1 - g)
+                bound = 2.0 * EPS * (1.0 + abs(y) * (1.0 - mpmath.log(g)))
+                assert abs(mpmath.mpf(gi) - want) <= bound * want, \
+                    (ki, e, gi)

@@ -177,6 +177,25 @@ def test_deconv_from_g_random():
         assert close(kernels.deconv_from_g(gi, int(oi)), ref_deconv_from_g(gi, int(oi)))
 
 
+def test_log1mexp_matches_mpmath_across_the_switch():
+    # both sides of ln 2, where the two forms hand over, and the ends
+    ln2 = float(np.log(2.0))
+    phi = np.concatenate([np.logspace(-300, 2.8, 400),
+                          [np.nextafter(ln2, 0.0), ln2,
+                           np.nextafter(ln2, 1.0), 30.0, 700.0]])
+    got = kernels.log1mexp(phi)
+    for pi, gi in zip(phi.tolist(), got.tolist()):
+        # phi runs from 1e-300 and exp(-phi) down to 1e-274: the plain
+        # difference 1 - exp(-phi) keeps 20 digits at this precision
+        with mpmath.workdps(320):
+            ref = mpmath.log(1 - mpmath.exp(-mpmath.mpf(pi)))
+        assert close(gi, ref, rtol=4e-16), pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(kernels.log1mexp(0.0)) == -np.inf
+        assert float(kernels.log1mexp(1e4)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # public entry points accept both scalar and array input
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import oracles
 from admles import io as admio
 from admles import solvers
 from admles.deconvolution import DeconvOp, deconv_symbol
+from admles.diagnostics import half_norm_defect
 from admles.filters import (
     Gaussian,
     GaussianApprox,
@@ -741,11 +742,22 @@ def test_experiment_solution_quality():
     assert out.runs[1].eps_l2[-1] < out.runs[0].eps_l2[-1]
 
 
-def test_half_norm_nan_for_non_helmholtz():
-    cfg = small_cfg(spec=Gaussian(alpha=1.0), T=0.02, dt=0.01, N_list=(1,))
+@pytest.mark.parametrize("spec", [Gaussian(alpha=1.0),
+                                  GaussianApprox(alpha=1.0, m=3),
+                                  HelmholtzPower(mu=0.3, m=2), H],
+                         ids=["gaussian", "gaussian_approx",
+                              "helmholtz_power", "helmholtz"])
+def test_half_norm_series_matches_half_norm_defect(spec):
+    # the series is half_norm_defect of the reference, bit for bit, for
+    # every filter family
+    cfg = small_cfg(spec=spec, T=0.02, dt=0.01, N_list=(0, 1, 4))
     out = run_experiment(cfg, progress=False)
-    assert np.all(np.isnan(out.runs[0].half_norm))
-    assert np.all(np.isfinite(out.runs[0].eps_l2))
+    u0 = initial_field(cfg, out.lattice)
+    for run in out.runs:
+        assert run.half_norm[0] == half_norm_defect(u0, spec, run.N)
+        assert run.half_norm[-1] == half_norm_defect(out.u_final, spec,
+                                                     run.N)
+        assert np.all(np.isfinite(run.eps_l2))
 
 
 def test_divergence_drift_over_thousand_steps():
