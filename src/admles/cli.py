@@ -54,11 +54,17 @@ _M_BLOCK = 64
 
 
 def _emit_csv(csv_path, token: str, header, rows) -> None:
+    """Print the CSV, or write it to csv_path; a failed write is an error
+    (exit 1) that names csv_path."""
     text = admio.csv_text(token, header, rows)
     if csv_path is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         admio.write_atomic(csv_path, text)
+    except OSError as e:
+        raise click.ClickException(
+            f"cannot write {csv_path}: {e.strerror or e}")
 
 
 @click.group()
@@ -286,10 +292,11 @@ def _resolve_out(cfg: SimConfig, out) -> Path:
 
 
 def _run(cfg: SimConfig, threads: int = 1):
-    """run_experiment, with its refusals as click errors (exit 1)."""
+    """run_experiment, with its refusals and an unreadable snapshot or
+    forcing file (the OSError names its path) as click errors (exit 1)."""
     try:
         return run_experiment(cfg, threads=threads)
-    except (CflError, BlowUpError, ValueError) as e:
+    except (CflError, BlowUpError, ValueError, OSError) as e:
         raise click.ClickException(str(e))
 
 

@@ -64,12 +64,14 @@ def deconv_symbol(op: DeconvOp, k2):
 def recovery_symbol(op: DeconvOp, k2):
     """Symbol of D_N G, the fraction of a mode surviving filter+deconvolution.
 
-    For every filter family the value is 1 - (1 - G)^(N+1), always in
-    [0, 1], formed from the complement power (complement_power) so it
-    keeps its digits where G is near 0 or 1.  It equals
-    deconv_symbol * filter_symbol to roundoff.
+    For every filter family the value is 1 - (1 - G)^(N+1), in [0, 1].  It
+    is formed as the product deconv_symbol * filter_symbol, which keeps its
+    relative digits as G -> 0, where the difference 1 - (1 - G)^(N+1)
+    would cancel.
     """
-    return 1.0 - complement_power(op.spec, k2, float(op.order + 1))
+    g = np.asarray(filter_symbol(op.spec, k2), dtype=np.float64)
+    out = kernels.deconv_from_g(g, op.order) * g
+    return out if out.ndim else float(out)
 
 
 def _defect_weight(spec: FilterSpec, order: int,

@@ -20,14 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .deconvolution import DeconvOp, deconv_symbol, _defect_weight
+from .deconvolution import DeconvOp, recovery_symbol, _defect_weight
 from .filters import (
     FilterSpec,
     GaussianApprox,
     Helmholtz,
     HelmholtzPower,
     energy_weight,
-    filter_symbol,
 )
 from .solvers import (
     ExperimentOutput,
@@ -109,9 +108,9 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
 
     The tensor is formed pseudo-spectrally with 2/3-rule dealiasing; the
     mean mode participates (plain grid quadrature of the tensor agrees).
-    The symbol rho = D_N G is evaluated on the lattice's keep set
-    (WaveLattice.keep), and the keep-set parts of u and of Du_bar go
-    through the same keep-set transforms as run_experiment's tau_l2
+    The symbol rho = D_N G (recovery_symbol) is evaluated on the lattice's
+    keep set (WaveLattice.keep), and the keep-set parts of u and of Du_bar
+    go through the same keep-set transforms as run_experiment's tau_l2
     series, so on a truncated field (every solver state) the two agree bit
     for bit.  Each call allocates its own transform buffers (_Workspace),
     so calls may run at the same time.  Only when u has modes outside the
@@ -120,21 +119,16 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     """
     lattice = u.lattice
     n = lattice.n
+    op = DeconvOp(spec, order)
     outside = _outside(u)
     rest = None
     if outside is not None:
-        rho = _rho(spec, order, lattice.k_squared)
+        rho = recovery_symbol(op, lattice.k_squared)
         rest = (_inverse(outside, n), [_inverse(rho * outside, n)])
     norms, _ = _tau_norms(_kept(u.coeffs, n),
-                          [_rho(spec, order, lattice.keep.ksq)],
+                          [recovery_symbol(op, lattice.keep.ksq)],
                           _Workspace(lattice), rest)
     return norms[0]
-
-
-def _rho(spec: FilterSpec, order: int, ksq: np.ndarray) -> np.ndarray:
-    """The symbol D_N G of the deconvolved filter, on the modes ksq."""
-    return np.asarray(deconv_symbol(DeconvOp(spec, order), ksq)) \
-        * np.asarray(filter_symbol(spec, ksq))
 
 
 def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:

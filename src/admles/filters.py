@@ -127,12 +127,10 @@ def as_helmholtz_power(spec: GaussianApprox) -> HelmholtzPower:
 
 
 def _helmholtz_x(spec: Helmholtz, k2: np.ndarray) -> np.ndarray:
-    """alpha^(2p) |k|^(2p) = (alpha^2 k2)^p, safe at k2 = 0 for any real p."""
-    y = spec.alpha ** 2 * k2
-    if spec.p == 1.0:
-        return y
-    with np.errstate(divide="ignore"):
-        return np.where(y > 0.0, np.exp(spec.p * np.log(np.maximum(y, 1e-300))), 0.0)
+    """alpha^(2p) |k|^(2p) = (alpha^2 k2)^p for any real p: 0 at k2 = 0 and
+    inf where it overflows, where every Helmholtz symbol takes its limit."""
+    with np.errstate(over="ignore"):
+        return np.power(spec.alpha ** 2 * k2, spec.p)
 
 
 # One row per filter family: the symbol G, the complement power (1 - G)^e
@@ -276,8 +274,7 @@ def helmholtz_power_sandwich(mu: float, m: int, k2):
     power = HelmholtzPower(mu=mu, m=m)  # refuses m < 1, as ValueError
     # hi is the Helmholtz symbol of order p = m, 0 where (mu^2 k2)^m
     # overflows; for m = 1 the bracket collapses exactly onto it.
-    with np.errstate(over="ignore"):
-        hi = np.asarray(filter_symbol(Helmholtz(alpha=mu, p=m), k2))
+    hi = np.asarray(filter_symbol(Helmholtz(alpha=mu, p=m), k2))
     mid = hi if m == 1 else np.asarray(filter_symbol(power, k2))
     lo = hi * 2.0 ** (1.0 - m)
     if mid.ndim:

@@ -8,7 +8,7 @@ exponent column against an x row evaluates one row per exponent.  The point of t
 kernels is numerical stability, not speed: all of them hit regimes
 (x -> 0, huge exponents, symbols underflowing to 0) where the textbook
 formulas lose every significant digit, so they are written in expm1/log1p
-form with series branches near the switch points.
+form.  Only y_minus_log1p keeps a series branch, below its cut.
 """
 
 import numpy as np
@@ -31,8 +31,6 @@ HAS_NUMBA = False
 _SERIES_CUT = 1e-2
 # Above this, expm1(n*f) overflows and the difference is formed directly.
 _EXPM1_CUT = 500.0
-# Below this, the geometric closed form switches to an explicit term sum.
-_G_SERIES_CUT = 1e-8
 
 
 def ratio_power(x, e):
@@ -112,8 +110,9 @@ def exp_limit_terms(x, n):
 
 
 def deconv_from_g(g, order):
-    """Van Cittert symbol (1-(1-g)**(order+1))/g elementwise for g in (0,1],
-    with an explicit geometric sum below g=1e-8.
+    """Van Cittert symbol sum_{j=0}^{order} (1-g)**j elementwise for g in
+    [0, 1]: the closed form -expm1((order+1) log1p(-g))/g, which keeps its
+    digits for every g > 0, and its limit order + 1 at g = 0.
 
     order is an integer >= 0 or an array of them broadcast against g (an
     order column against a g row gives one row per order); each element
@@ -126,18 +125,4 @@ def deconv_from_g(g, order):
     # Order 0 is the identity operator; the closed form would cost an ulp
     # there.
     closed = np.where((g >= 1.0) | (order == 0), 1.0, closed)
-    small = np.broadcast_to(g < _G_SERIES_CUT, closed.shape)
-    if np.any(small):
-        # Explicit geometric sum; every term is ~1 so the sum is exact to
-        # rounding while the closed form would divide two tiny numbers.
-        # Each element stops adding terms at its own order.
-        gs = np.broadcast_to(g, closed.shape)[small]
-        ns = np.broadcast_to(order, closed.shape)[small]
-        base = 1.0 - gs
-        acc = np.ones_like(gs)
-        term = np.ones_like(gs)
-        for j in range(int(ns.max())):
-            term = term * base
-            acc = np.where(j < ns, acc + term, acc)
-        closed[small] = acc
-    return closed
+    return np.where(g == 0.0, order + 1.0, closed)

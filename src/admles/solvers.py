@@ -239,6 +239,7 @@ class SimConfig:
             if key not in data:
                 raise ValueError(f"config is missing required key '{key}'")
         forcing = data.get("forcing")
+        output_dir = data.get("output_dir")
         for key, kind in (("filter", dict), ("init", dict),
                           ("forcing", dict), ("N_list", list)):
             entry = data.get(key, kind())
@@ -261,7 +262,8 @@ class SimConfig:
                 None if forcing is None
                 else _kind_from_dict(_FORCING_KINDS, "forcing", forcing)
             ),
-            output_dir=data.get("output_dir"),
+            output_dir=(None if output_dir is None
+                        else _as_str("output_dir", output_dir)),
             sample_every=_as_int("sample_every", data.get("sample_every", 1)),
         )
 
@@ -311,9 +313,15 @@ def _as_float(key: str, value) -> float:
     return float(value)
 
 
+def _as_str(key: str, value) -> str:
+    """A string value; any other, a number included, raises ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"'{key}' must be a string, got {value!r}")
+    return value
+
+
 # Field annotations are strings here (postponed evaluation of annotations).
-_COERCE = {"float": _as_float, "int": _as_int,
-           "str": lambda key, v: str(v)}
+_COERCE = {"float": _as_float, "int": _as_int, "str": _as_str}
 
 
 def _kind_to_dict(kinds: dict, noun: str, spec) -> dict:

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,19 @@ def test_symbols_bad_orders(runner):
     assert result.exit_code == 2
 
 
+def test_symbols_overflowing_helmholtz_argument_warns_nothing(runner):
+    # (alpha^2 k2)^p overflows to inf at these wavenumbers; every symbol
+    # then takes its limit (G = 0, A = inf, D_N = N + 1) without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, ["symbols", "--filter", "helmholtz",
+                                      "--p", "4", "--alpha", "2",
+                                      "--kmax", "1e60"])
+    assert result.exit_code == 0, result.output
+    last = result.output.splitlines()[-1].split(",")
+    assert last[1:] == ["0.0", "inf", "1.0", "2.0", "3.0", "5.0"]
+
+
 @pytest.mark.parametrize("option, value", [
     ("--kmax", "nan"), ("--kmax", "inf"), ("--alpha", "nan"),
 ])
@@ -314,6 +328,52 @@ def test_simulate_thread_env(runner, tmp_path):
                   "--out", str(tmp_path / "out4"), "--threads", "0"]):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_non_string_output_dir_is_a_config_error(runner, tmp_path, command):
+    # it used to end in a TypeError traceback from the path join
+    cfg_path = tmp_path / "c.json"
+    data = json.loads(write_config(cfg_path).to_json())
+    cfg_path.write_text(json.dumps({**data, "output_dir": 5}))
+    result = runner.invoke(main, [command, "--config", str(cfg_path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (f"Error: bad config {cfg_path}: 'output_dir' "
+                             "must be a string, got 5\n")
+
+
+@pytest.mark.parametrize("part", ["init", "forcing"])
+def test_missing_snapshot_file_is_one_error_line(runner, tmp_path, part):
+    cfg_path = tmp_path / "c.json"
+    data = json.loads(write_config(cfg_path).to_json())
+    missing = str(tmp_path / "nope.admf")
+    data[part] = {"kind": "snapshot", "path": missing}
+    cfg_path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert missing in lines[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--ineq", "highpass_ratio"],
+    ["symbols", "--points", "4"],
+    ["gaussian-approx", "--m-max", "2", "--n", "8"],
+])
+def test_csv_into_missing_directory_names_the_path(runner, tmp_path, args):
+    # the error used to be a FileNotFoundError traceback naming the hidden
+    # temporary file next to the target
+    target = str(tmp_path / "nodir" / "x.csv")
+    result = runner.invoke(main, [*args, "--csv", target])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    last = result.output.splitlines()[-1]
+    assert last == f"Error: cannot write {target}: No such file or directory"
+    assert ".tmp" not in result.output
 
 
 def _forcing_path(tmp_path) -> str:

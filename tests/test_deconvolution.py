@@ -4,6 +4,7 @@ range/saturation structure, and the survived-fraction identity."""
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from admles.filters import (
     Helmholtz,
     HelmholtzPower,
     apply_filter,
+    complement_power,
     filter_symbol,
     inverse_symbol,
     _helmholtz_x,
@@ -110,7 +112,10 @@ def test_recovery_equals_product_of_symbols():
             rho = np.asarray(recovery_symbol(op, k2))
             prod = np.asarray(deconv_symbol(op, k2)) * np.asarray(
                 filter_symbol(spec, k2))
-            assert float(np.max(np.abs(rho - prod))) <= 1e-13
+            assert np.array_equal(rho, prod)
+            # and the defect form 1 - (1-G)^(N+1), to roundoff
+            diff = 1.0 - complement_power(spec, k2, order + 1.0)
+            assert float(np.max(np.abs(rho - diff))) <= 1e-13
             assert np.all(rho >= 0.0) and np.all(rho <= 1.0)
             # strictly positive wherever (x/(1+x))^(N+1) has not rounded
             # up to 1 (it does once x approaches 1/ulp)
@@ -130,7 +135,10 @@ def test_recovery_equals_product_for_every_family():
             rho = np.asarray(recovery_symbol(op, k2))
             prod = np.asarray(deconv_symbol(op, k2)) * np.asarray(
                 filter_symbol(spec, k2))
-            assert float(np.max(np.abs(rho - prod))) <= 1e-13
+            assert np.array_equal(rho, prod)
+            # and the defect form 1 - (1-G)^(N+1), to roundoff
+            diff = 1.0 - complement_power(spec, k2, order + 1.0)
+            assert float(np.max(np.abs(rho - diff))) <= 1e-13
             assert np.all(rho >= 0.0) and np.all(rho <= 1.0)
             assert rho[0] == 1.0
     # at alpha^2 k2 / 24 = 1 the Gaussian symbol is 1/e
@@ -138,6 +146,38 @@ def test_recovery_equals_product_for_every_family():
     assert type(got) is float
     assert got == pytest.approx(1.0 - (1.0 - math.exp(-1.0)) ** 2,
                                 rel=1e-15)
+
+
+def _rho_oracle(g, order):
+    """1 - (1-G)^(order+1) at 50 digits from an mpmath G."""
+    with mpmath.workdps(50):
+        return -mpmath.expm1((order + 1) * mpmath.log1p(-g))
+
+
+@pytest.mark.parametrize("spec", [H11, Helmholtz(alpha=0.7, p=2.0),
+                                  Gaussian(alpha=1.0)],
+                         ids=["helmholtz1", "helmholtz2", "gaussian"])
+def test_recovery_keeps_its_digits_as_g_vanishes(spec):
+    # where G -> 0 the difference 1 - (1-G)^(N+1) cancels; the product
+    # D_N G keeps its relative digits.  The oracle's G is exact at the
+    # float argument the filter forms (alpha^2 k2, or alpha^2 k2 / 24).
+    if isinstance(spec, Gaussian):
+        k2 = np.logspace(-4.0, math.log10(24.0 * 740.0), 120)
+        args = spec.alpha ** 2 * k2 / 24.0
+        exact = [mpmath.exp(-mpmath.mpf(a)) for a in args.tolist()]
+    else:
+        k2 = np.logspace(-4.0, 12.0, 120)
+        args = spec.alpha ** 2 * k2
+        exact = [1 / (1 + mpmath.mpf(a) ** spec.p) for a in args.tolist()]
+    for order in (0, 1, 4, 8, 32):
+        rho = np.asarray(recovery_symbol(DeconvOp(spec, order), k2))
+        for ki, gi, ri in zip(k2.tolist(), exact, rho.tolist()):
+            want = _rho_oracle(gi, order)
+            if want < 1e-300:  # underflow to zero is correct
+                assert ri <= 1e-300, (ki, order)
+                continue
+            assert abs(mpmath.mpf(ri) - want) <= 2e-15 * want, \
+                (ki, order, ri)
 
 
 # ---------------------------------------------------------------------------

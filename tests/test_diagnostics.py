@@ -176,7 +176,7 @@ def test_snapshot_norms_evaluate_symbols_on_keep_set(monkeypatch, n):
             return original(*args)
         monkeypatch.setattr(diagnostics, name, recording)
 
-    for name in ("filter_symbol", "deconv_symbol", "_defect_weight"):
+    for name in ("recovery_symbol", "_defect_weight"):
         spy(name)
     spec = Helmholtz(alpha=0.5, p=1.0)
     for truncate in (True, False):

@@ -351,3 +351,37 @@ def test_complement_power_matches_mpmath(family):
                 bound = 2.0 * EPS * (1.0 + abs(y) * (1.0 - mpmath.log(g)))
                 assert abs(mpmath.mpf(gi) - want) <= bound * want, \
                     (ki, e, gi)
+
+
+# Below the normal range a float keeps fewer digits; there a result within
+# one subnormal step (x) or flushed toward 0 (G) is correctly rounded.
+TINY = np.finfo(np.float64).tiny
+
+
+@pytest.mark.parametrize("p", [0.75, 1.5, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_helmholtz_argument_and_symbol_match_mpmath(alpha, p):
+    # x = (alpha^2 k2)^p and G = 1/(1 + x) at 50 digits, with alpha^2 k2
+    # (taken as the float the filter forms) from the smallest subnormal to
+    # 1e40, within 4e-16 relative; where x overflows it is inf and G is 0
+    spec = Helmholtz(alpha=alpha, p=p)
+    k2 = np.concatenate([[5e-324, 1e-320, 3e-310, 1e-300],
+                         np.logspace(-300.0, 40.0, 137)]) / alpha ** 2
+    y = alpha ** 2 * k2
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        x = filters._helmholtz_x(spec, k2)
+        g = np.asarray(filter_symbol(spec, k2))
+    for yi, xi, gi in zip(y.tolist(), x.tolist(), g.tolist()):
+        with mpmath.workdps(50):
+            x_ref = mpmath.mpf(yi) ** p
+            g_ref = 1 / (1 + x_ref)
+            if x_ref > np.finfo(np.float64).max:
+                assert xi == math.inf, (yi, xi)
+            elif x_ref < TINY:
+                assert abs(mpmath.mpf(xi) - x_ref) <= 5e-324, (yi, xi)
+            else:
+                assert abs(mpmath.mpf(xi) - x_ref) <= 4e-16 * x_ref, (yi, xi)
+            if g_ref < TINY:
+                assert gi <= TINY, (yi, gi)
+            else:
+                assert abs(mpmath.mpf(gi) - g_ref) <= 4e-16 * g_ref, (yi, gi)

@@ -6,6 +6,7 @@ import errno
 import io as pyio
 import struct
 
+import click
 import numpy as np
 import pytest
 
@@ -186,7 +187,9 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
 
     monkeypatch.setattr(builtins, "open", failing_open)
     monkeypatch.setattr(pyio, "open", failing_open)
-    with pytest.raises(OSError, match="No space"):
+    # the CLI's writer turns the OSError into its one-line error
+    error = click.ClickException if writer == "emit_csv" else OSError
+    with pytest.raises(error, match="No space"):
         _WRITERS[writer](target)
     monkeypatch.undo()
     assert target.read_bytes() == b"previous contents\n"

@@ -1,9 +1,12 @@
 """Scalar-kernel accuracy tests against 50-digit mpmath references.
 
 Each kernel has an independent high-precision oracle defined here before any
-comparison with the package implementation.  Branch-crossover inputs (series
-cut, expm1 cut, geometric-sum cut) are pinned explicitly so a future change
-to the cutoffs cannot silently regress one side.
+comparison with the package implementation.  The oracles take the exact
+binary value of every float argument (mpmath.mpf(float(x))), so a kernel is
+judged on its own rounding.  Branch-crossover inputs (series cut, expm1
+cut) are pinned explicitly so a future change to the cutoffs cannot
+silently regress one side, and so are the tiny g of deconv_from_g, where
+its closed form would cancel if it were not written in expm1/log1p form.
 """
 
 import warnings
@@ -16,7 +19,18 @@ from admles import kernels
 
 mpmath.mp.dps = 50
 
-RTOL = 5e-14
+# Per kernel, the tightest relative tolerance its pinned and random cases
+# meet, rounded up; the largest error measured (numpy 2.4, glibc libm) is
+# in the comment.  The conditioning of the functions sets them: a power or
+# exponential with an argument of size A turns the argument's rounding
+# into a relative error of about A * 1.1e-16.
+RTOL = {
+    "ratio_power": 4e-14,      # 3.75e-14, random (x, e) with e up to 128
+    "compl_power": 2e-14,      # 1.50e-14, random
+    "y_minus_log1p": 1.5e-14,  # 1.23e-14, pinned y = 1.01e-2 past the cut
+    "exp_limit_terms": 5e-14,  # 4.77e-14, pinned (1e4, 100), both terms
+    "deconv_from_g": 3e-16,    # 2.37e-16, pinned
+}
 
 
 # ---------------------------------------------------------------------------
@@ -27,27 +41,27 @@ RTOL = 5e-14
 def ref_ratio_power(x, e):
     if x == 0:
         return mpmath.mpf(0)
-    x = mpmath.mpf(repr(float(x)))
-    return (x / (1 + x)) ** mpmath.mpf(repr(float(e)))
+    x = mpmath.mpf(float(x))
+    return (x / (1 + x)) ** mpmath.mpf(float(e))
 
 
 def ref_compl_power(x, a, m):
     if x == 0:
         return mpmath.mpf(0)
-    x = mpmath.mpf(repr(float(x)))
-    m = mpmath.mpf(repr(float(m)))
-    a = mpmath.mpf(repr(float(a)))
+    x = mpmath.mpf(float(x))
+    m = mpmath.mpf(float(m))
+    a = mpmath.mpf(float(a))
     return (1 - (1 + x) ** (-m)) ** a
 
 
 def ref_y_minus_log1p(y):
-    y = mpmath.mpf(repr(float(y)))
+    y = mpmath.mpf(float(y))
     return y - mpmath.log1p(y)
 
 
 def ref_exp_limit_terms(x, n):
-    x = mpmath.mpf(repr(float(x)))
-    n = mpmath.mpf(repr(float(n)))
+    x = mpmath.mpf(float(x))
+    n = mpmath.mpf(float(n))
     pw = (1 + x / n) ** (-n)
     return pw, pw - mpmath.exp(-x)
 
@@ -55,16 +69,16 @@ def ref_exp_limit_terms(x, n):
 def ref_deconv_from_g(g, order):
     # explicit truncated geometric sum, the definition rather than the
     # closed form the implementation uses
-    g = mpmath.mpf(repr(float(g)))
+    g = mpmath.mpf(float(g))
     return sum((1 - g) ** j for j in range(order + 1))
 
 
-def close(value, ref, rtol=RTOL):
+def close(value, ref, rtol):
     ref = mpmath.mpf(ref)
     if abs(ref) < mpmath.mpf("1e-290"):
         # below (or near) the subnormal floor; underflow to zero is correct
         return abs(float(value)) <= 1e-290
-    return abs(mpmath.mpf(repr(float(value))) - ref) <= rtol * abs(ref)
+    return abs(mpmath.mpf(float(value)) - ref) <= rtol * abs(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -89,33 +103,36 @@ EXP_LIMIT_CASES = [
     (1e-8, 2.0),
 ]
 
-# geometric-sum cut for the deconvolution kernel sits at g = 1e-8
+# g from tiny, where 1 - (1-g)^(N+1) cancels, through 1e-8 to the perfect
+# inverse g = 1
 G_VALUES = [1e-12, 9.9e-9, 1e-8, 1.1e-8, 1e-6, 1e-3, 0.25, 0.5, 0.999, 1.0]
 ORDERS = [0, 1, 2, 3, 8, 32]
 
 
 @pytest.mark.parametrize("y", Y_VALUES)
 def test_y_minus_log1p_pinned(y):
-    assert close(kernels.y_minus_log1p(y), ref_y_minus_log1p(y))
+    assert close(kernels.y_minus_log1p(y), ref_y_minus_log1p(y),
+                 RTOL["y_minus_log1p"])
 
 
 @pytest.mark.parametrize("x,n", EXP_LIMIT_CASES)
 def test_exp_limit_terms_pinned(x, n):
     pw_ref, diff_ref = ref_exp_limit_terms(x, n)
     pw, diff = kernels.exp_limit_terms(x, n)
-    assert close(pw, pw_ref)
+    assert close(pw, pw_ref, RTOL["exp_limit_terms"])
     # diff can be ~1e-200 against pw ~1; judge it relative to its own scale,
     # with an absolute floor tied to pw's last ulp
     diff_ref_f = float(diff_ref)
     assert abs(float(diff) - diff_ref_f) <= max(
-        RTOL * abs(diff_ref_f), 1e-18 * float(pw_ref)
+        RTOL["exp_limit_terms"] * abs(diff_ref_f), 1e-18 * float(pw_ref)
     )
 
 
 @pytest.mark.parametrize("g", G_VALUES)
 @pytest.mark.parametrize("order", ORDERS)
 def test_deconv_from_g_pinned(g, order):
-    assert close(kernels.deconv_from_g(g, order), ref_deconv_from_g(g, order))
+    assert close(kernels.deconv_from_g(g, order), ref_deconv_from_g(g, order),
+                 RTOL["deconv_from_g"])
 
 
 def test_deconv_from_g_at_one():
@@ -138,7 +155,8 @@ def test_ratio_power_random():
     x = _log_uniform(rng, 1e-10, 1e10, 20)
     e = _log_uniform(rng, 0.5, 128.0, 20)
     for xi, ei in zip(x, e):
-        assert close(kernels.ratio_power(xi, ei), ref_ratio_power(xi, ei))
+        assert close(kernels.ratio_power(xi, ei), ref_ratio_power(xi, ei),
+                     RTOL["ratio_power"])
 
 
 def test_compl_power_random():
@@ -147,13 +165,15 @@ def test_compl_power_random():
     a = _log_uniform(rng, 1.0, 64.0, 20)
     m = _log_uniform(rng, 0.75, 32.0, 20)
     for xi, ai, mi in zip(x, a, m):
-        assert close(kernels.compl_power(xi, ai, mi), ref_compl_power(xi, ai, mi))
+        assert close(kernels.compl_power(xi, ai, mi),
+                     ref_compl_power(xi, ai, mi), RTOL["compl_power"])
 
 
 def test_y_minus_log1p_random():
     rng = np.random.default_rng(103)
     for yi in _log_uniform(rng, 1e-16, 1e8, 20):
-        assert close(kernels.y_minus_log1p(yi), ref_y_minus_log1p(yi))
+        assert close(kernels.y_minus_log1p(yi), ref_y_minus_log1p(yi),
+                     RTOL["y_minus_log1p"])
 
 
 def test_exp_limit_terms_random():
@@ -163,9 +183,10 @@ def test_exp_limit_terms_random():
     for xi, ni in zip(x, n):
         pw_ref, diff_ref = ref_exp_limit_terms(xi, ni)
         pw, diff = kernels.exp_limit_terms(xi, ni)
-        assert close(pw, pw_ref)
+        assert close(pw, pw_ref, RTOL["exp_limit_terms"])
         assert abs(float(diff) - float(diff_ref)) <= max(
-            RTOL * abs(float(diff_ref)), 1e-18 * float(pw_ref)
+            RTOL["exp_limit_terms"] * abs(float(diff_ref)),
+            1e-18 * float(pw_ref)
         )
 
 
@@ -174,7 +195,34 @@ def test_deconv_from_g_random():
     g = _log_uniform(rng, 1e-12, 1.0, 20)
     orders = rng.integers(0, 33, 20)
     for gi, oi in zip(g, orders):
-        assert close(kernels.deconv_from_g(gi, int(oi)), ref_deconv_from_g(gi, int(oi)))
+        assert close(kernels.deconv_from_g(gi, int(oi)),
+                     ref_deconv_from_g(gi, int(oi)), RTOL["deconv_from_g"])
+
+
+def ref_deconv_small_g(g, order):
+    # the definition expanded in powers of g: sum_j (1-g)^j
+    # = sum_i C(order+1, i+1) (-g)^i, a fast series while order * g < 1
+    g = mpmath.mpf(float(g))
+    term = total = mpmath.mpf(order + 1)
+    for i in range(1, order + 1):
+        term *= -g * (order + 1 - i) / (i + 1)
+        total += term
+        if abs(term) < mpmath.mpf("1e-40") * total:
+            break
+    return total
+
+
+def test_deconv_from_g_tiny_g_against_mpmath():
+    # where 1 - (1-g)^(N+1) cancels: the closed form in expm1/log1p form
+    # keeps its digits from the smallest subnormal up, at any order
+    g = np.concatenate([[5e-324, 1e-320, 3e-310, 2.2250738585072014e-308],
+                        np.logspace(-300.0, -7.0, 40)])
+    orders = np.array([1, 8, 32, 1000, 10 ** 6])
+    table = kernels.deconv_from_g(g, orders[:, None])
+    for row, order in zip(table.tolist(), orders.tolist()):
+        for gi, got in zip(g.tolist(), row):
+            assert close(got, ref_deconv_small_g(gi, order), 5e-16), \
+                (gi, order)
 
 
 def test_log1mexp_matches_mpmath_across_the_switch():
@@ -225,8 +273,8 @@ def test_zero_edges():
 
 
 def test_deconv_from_g_order_column_matches_scalar_calls():
-    # g below, at and above the geometric-sum cut, and g = 1; the column
-    # holds order 0, whose row must stay exactly 1
+    # g from the smallest subnormal up to 1; the column holds order 0,
+    # whose row must stay exactly 1
     g = np.array([5e-324, 1e-300, 1e-12, 3e-9, 9.99e-9, 1e-8, 2e-8, 1e-4,
                   0.3, 0.999999, 1.0])
     orders = np.array([0, 1, 2, 3, 5, 8, 16, 32, 100])

@@ -50,10 +50,13 @@ from admles.solvers import (
     run_experiment,
     write_outputs,
     _SERIES,
+    _Stepper,
 )
 from admles.spectral import (
     SpectralField,
     WaveLattice,
+    _Workspace,
+    _kept,
     random_solenoidal,
     sobolev_norm,
     taylor_green,
@@ -328,6 +331,23 @@ def test_config_rejects_non_object_entries(part, entry, type_name):
         SimConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("key,patch", [
+    ("output_dir", {"output_dir": 5}),
+    ("output_dir", {"output_dir": ["out"]}),
+    ("path", {"init": {"kind": "snapshot", "path": 5}}),
+    ("path", {"init": {"kind": "snapshot", "path": None}}),
+    ("path", {"forcing": {"kind": "snapshot", "path": 5.0}}),
+    ("path", {"forcing": {"kind": "snapshot", "path": True}}),
+])
+def test_config_rejects_non_string_paths(key, patch):
+    # a number used to become the path "5", or to fail later with a
+    # TypeError that named no key
+    data = {"n": 16, "nu": 0.1, "T": 1.0, "dt": 0.5,
+            "filter": {"kind": "helmholtz", "alpha": 1.0}, **patch}
+    with pytest.raises(ValueError, match=f"'{key}' must be a string"):
+        SimConfig.from_dict(data)
+
+
 def test_forcing_round_trips_through_the_kind_table():
     cfg = small_cfg(forcing=SnapshotForcing(path="f.admf"))
     assert cfg.to_dict()["forcing"] == {"kind": "snapshot", "path": "f.admf"}
@@ -539,6 +559,96 @@ def test_adm_energy_budget_non_increasing():
         cur = budget(st.field.coeffs)
         assert cur - prev <= max(1e-13 * e0, 1.0 * dt ** 3)
         prev = cur
+
+
+# The model's energy equality.  With nu = 0 and no forcing the
+# semi-discrete model w_t = -G P div(D w (x) D w) conserves
+# E_N = 1/2 sum A D_N |w_hat|^2 (A = 1/G, keep-set Hermitian weights):
+# paired with A D_N w, the transport term becomes (div(v (x) v), v) = 0 for
+# v = D_N w.  The reference conserves 1/2 sum |u_hat|^2.  SSP-RK3 then
+# drifts by O(dt^3) per unit time, so the drift falls 8x when dt halves,
+# down to the rounding floor.  SimConfig requires nu > 0, so the steppers
+# are built directly.
+CONSERVED_DT = 0.02
+CONSERVED_T = 0.5
+# Largest relative drift allowed at CONSERVED_DT; measured at most 3.9e-9
+# at 8^3 and 9.7e-9 at 16^3.
+CONSERVED_DRIFT = 2e-8
+# Above this drift, halving dt must cut it by CONSERVED_FALL or more
+# (measured 7.8-8.0); below it, rounding (about 1e-14 here) dominates.
+ROUNDING_DRIFT = 1e-12
+CONSERVED_FALL = 7.0
+CONSERVED_SPECS = {"helmholtz1": Helmholtz(alpha=0.5, p=1.0),
+                   "helmholtz2": Helmholtz(alpha=0.5, p=2.0),
+                   "gaussian": Gaussian(alpha=1.0)}
+
+
+def _energy_drift(spec, order, init, n, dt, swap=False, post=True):
+    """max_t |E(t) - E(0)| / E(0) over CONSERVED_T at nu = 0: E_N of the
+    model of order N (w(0) = G u0), or 1/2 sum |u_hat|^2 of the reference
+    for order None.  swap and post=False build the two broken models:
+    pre and post symbols swapped, and the post-filter dropped."""
+    lat = WaveLattice(n)
+    keep = lat.keep
+    u0 = (taylor_green(lat) if init == "taylor_green"
+          else random_solenoidal(lat, decay=2.5, seed=3))
+    c = _kept(u0.coeffs, n)
+    if order is None:
+        stepper = _Stepper(_Workspace(lat), 0.0, dt)
+        weight = keep.w
+    else:
+        g = np.asarray(filter_symbol(spec, keep.ksq))
+        d = np.asarray(deconv_symbol(DeconvOp(spec, order), keep.ksq))
+        pre, after = (g, d) if swap else (d, g if post else None)
+        stepper = _Stepper(_Workspace(lat), 0.0, dt, pre=pre, post=after)
+        weight = keep.w * d / g
+        c = g * c
+
+    def energy(c):
+        return 0.5 * float(np.sum(weight * (c.real ** 2 + c.imag ** 2)))
+
+    e0 = energy(c)
+    drift = 0.0
+    for _ in range(round(CONSERVED_T / dt)):
+        c = stepper.advance(c)
+        drift = max(drift, abs(energy(c) - e0))
+    return drift / e0
+
+
+def _conserves(spec, order, init, n, **mutant) -> bool:
+    """The drift at CONSERVED_DT is within CONSERVED_DRIFT and, where it is
+    above rounding, falls by CONSERVED_FALL when dt halves."""
+    coarse = _energy_drift(spec, order, init, n, CONSERVED_DT, **mutant)
+    fine = _energy_drift(spec, order, init, n, CONSERVED_DT / 2, **mutant)
+    if coarse <= ROUNDING_DRIFT:
+        return fine <= ROUNDING_DRIFT
+    return coarse <= CONSERVED_DRIFT and coarse >= CONSERVED_FALL * fine
+
+
+@pytest.mark.parametrize("init", ["taylor_green", "random"])
+@pytest.mark.parametrize("family", ["reference", *CONSERVED_SPECS])
+def test_energy_equality_is_conserved_without_viscosity(family, init):
+    if family == "reference":
+        assert _conserves(None, None, init, 8)
+        return
+    for order in (0, 2, 8):
+        assert _conserves(CONSERVED_SPECS[family], order, init, 8), order
+
+
+def test_energy_equality_is_conserved_at_16():
+    assert _conserves(CONSERVED_SPECS["gaussian"], 8, "random", 16)
+    assert _conserves(CONSERVED_SPECS["helmholtz1"], 2, "taylor_green", 16)
+
+
+@pytest.mark.parametrize("mutant", [{"post": False}, {"swap": True}],
+                         ids=["post_filter_dropped", "pre_post_swapped"])
+def test_energy_equality_fails_for_broken_models(mutant):
+    # the drift is 2e-4 to 5e-2 for these, and does not move with dt
+    for family in ("helmholtz1", "gaussian"):
+        for init in ("taylor_green", "random"):
+            for order in (0, 8):
+                assert not _conserves(CONSERVED_SPECS[family], order, init,
+                                      8, **mutant), (family, init, order)
 
 
 # ---------------------------------------------------------------------------
