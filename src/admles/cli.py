@@ -16,6 +16,7 @@ parameters that produced it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import fields
@@ -53,6 +54,17 @@ _SANDWICH_SLACK = 1e-13
 _M_BLOCK = 64
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError raised inside as a click error (exit 1) that names the
+    path it names (io.write_atomic names its target), else path."""
+    try:
+        yield
+    except OSError as e:
+        raise click.ClickException(
+            f"cannot write {e.filename or path}: {e.strerror or e}")
+
+
 def _emit_csv(csv_path, token: str, header, rows) -> None:
     """Print the CSV, or write it to csv_path; a failed write is an error
     (exit 1) that names csv_path."""
@@ -60,11 +72,8 @@ def _emit_csv(csv_path, token: str, header, rows) -> None:
     if csv_path is None:
         click.echo(text, nl=False)
         return
-    try:
+    with _writing(csv_path):
         admio.write_atomic(csv_path, text)
-    except OSError as e:
-        raise click.ClickException(
-            f"cannot write {csv_path}: {e.strerror or e}")
 
 
 @click.group()
@@ -283,21 +292,27 @@ def _load_config(config_path) -> SimConfig:
 
 
 def _resolve_out(cfg: SimConfig, out) -> Path:
-    if out is not None:
-        return Path(out)
-    if cfg.output_dir is not None:
-        return Path(cfg.output_dir)
-    raise click.UsageError(
-        "no output directory: pass --out or set output_dir in the config")
+    """--out, else the config's output_dir, created with its parents before
+    any stepping (a path that cannot be a directory is an exit 1)."""
+    if out is None and cfg.output_dir is None:
+        raise click.UsageError(
+            "no output directory: pass --out or set output_dir in the config")
+    out_dir = Path(cfg.output_dir if out is None else out)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
-def _run(cfg: SimConfig, threads: int = 1):
-    """run_experiment, with its refusals and an unreadable snapshot or
-    forcing file (the OSError names its path) as click errors (exit 1)."""
+def _run(cfg: SimConfig, out_dir: Path, threads: int = 1) -> tuple:
+    """run_experiment, then write_outputs into out_dir: (output, paths).
+    Its refusals, an unreadable snapshot or forcing file (the OSError names
+    its path) and a failed write are click errors (exit 1)."""
     try:
-        return run_experiment(cfg, threads=threads)
+        output = run_experiment(cfg, threads=threads)
     except (CflError, BlowUpError, ValueError, OSError) as e:
         raise click.ClickException(str(e))
+    with _writing(out_dir):
+        return output, write_outputs(output, out_dir)
 
 
 @main.command()
@@ -312,8 +327,7 @@ def simulate(config_path, out, threads) -> None:
     """Run the reference and model systems described by a JSON config."""
     cfg = _load_config(config_path)
     out_dir = _resolve_out(cfg, out)
-    output = _run(cfg, threads)
-    paths = write_outputs(output, out_dir)
+    output, paths = _run(cfg, out_dir, threads)
     for run in output.runs:
         click.echo(f"N={run.N}: final error {float(run.eps_l2[-1])!r}, "
                    f"max divergence ratio {run.div_ratio_max:.3e}")
@@ -347,22 +361,21 @@ def rates(config_path, out, constant) -> None:
             raise click.ClickException(
                 f"{out_dir} holds outputs for a different config")
     else:
-        output = _run(cfg)
-        write_outputs(output, out_dir)
+        output, _ = _run(cfg, out_dir)
     try:
         report = error_report(output, constant=constant)
     except ValueError as e:
         raise click.ClickException(str(e))
 
     token = config_hash(cfg)
-    admio.write_csv(
+    _emit_csv(
         out_dir / "rates_detail.csv", token,
         ["N", "t", "eps_l2", "eps_hs", "grad_integral", "energy_lhs",
          "tau_l2", "half_norm", "bound_fin", "bound_tau"],
         # the columns are in the header's order (ReportRow's fields)
         zip(*(col.tolist() for col in report.columns.values())),
     )
-    admio.write_csv(
+    _emit_csv(
         out_dir / "rates_summary.csv", token,
         ["N", "eps_l2_final", "energy_lhs_max", "bound_main_log10",
          "rhs_log10", "rhs_alt_log10", "passed", "beta", "beta_r2",

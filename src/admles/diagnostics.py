@@ -12,7 +12,6 @@ computed in log10 space and only exponentiated when representable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -28,6 +27,7 @@ from .filters import (
     HelmholtzPower,
     energy_weight,
 )
+from .kernels import _scalar_map
 from .solvers import (
     ExperimentOutput,
     _mode_sq,
@@ -158,24 +158,11 @@ def defect_bound(u_h1, alpha: float, p: float, order):
     u_h1 and order may also be arrays, broadcast together (a u_h1 row
     against an order column gives one row per order).  Each element has
     the bits of the call with its own scalars, because both powers are
-    taken one value at a time (_pow_each).
+    taken one value at a time (kernels._scalar_map).
     """
-    return alpha * _pow_each(2.0 * p * (order + 1), -0.5 / p) \
-        * _pow_each(u_h1, 2)
-
-
-def _pow_each(x, e):
-    """x ** e, one value at a time for an array x.
-
-    Python's and numpy's scalar ** call the C library's pow; numpy's array
-    power does not (x ** 2 is a multiply), and its result can differ from
-    pow's by an ulp.
-    """
-    if np.ndim(x) == 0:
-        return x ** e
-    x = np.asarray(x, dtype=np.float64)
-    return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(e)),
-                       np.float64, x.size).reshape(x.shape)
+    e = -0.5 / p
+    return alpha * _scalar_map(lambda v: v ** e, 2.0 * p * (order + 1)) \
+        * _scalar_map(lambda v: v ** 2, u_h1)
 
 
 def bound_residual(u_h1: float, constant: float, alpha: float, p: float,

@@ -74,22 +74,18 @@ class IneqCase:
 # coefficients are still computed with math, one float at a time, so a
 # row of the column form has the same bits as the call with that m.
 
-def _each(fn, m):
-    """fn(m) for a float m; fn of each entry, in m's shape, for an array."""
-    if np.ndim(m) == 0:
-        return fn(m)
-    return np.array([fn(v) for v in np.ravel(m).tolist()]).reshape(np.shape(m))
-
-
 def _highpass_power(x, a, m):
+    log_a = math.log(a)
     return (kernels.compl_power(x, a, m),
-            m * x * _each(lambda v: math.exp(-math.log(a) / v), m), True)
+            m * x * kernels._scalar_map(lambda v: math.exp(-log_a / v), m),
+            True)
 
 
 def _highpass_power_sq(x, a, m):
+    log_2a = math.log(2.0 * a)
     return (kernels.compl_power(x * x, a, m),
-            _each(math.sqrt, m) * x
-            * _each(lambda v: math.exp(-math.log(2.0 * a) / (2.0 * v)), m),
+            kernels._scalar_map(math.sqrt, m) * x
+            * kernels._scalar_map(lambda v: math.exp(-log_2a / (2.0 * v)), m),
             True)
 
 

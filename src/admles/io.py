@@ -53,8 +53,9 @@ def write_atomic(path, data: str | bytes) -> None:
 
     A reader sees the previous file or the complete new one, never a
     partial one; if the write fails, the previous file is left as it was
-    and the temporary file is removed.  There is no fsync, so this guards
-    against a failing or interrupted writer, not against power loss.
+    and the temporary file is removed.  An OSError names path, not the
+    temporary file.  There is no fsync, so this guards against a failing
+    or interrupted writer, not against power loss.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -63,8 +64,10 @@ def write_atomic(path, data: str | bytes) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, str(path)) from e
         raise
 
 

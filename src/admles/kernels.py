@@ -126,3 +126,14 @@ def deconv_from_g(g, order):
     # there.
     closed = np.where((g >= 1.0) | (order == 0), 1.0, closed)
     return np.where(g == 0.0, order + 1.0, closed)
+
+
+def _scalar_map(fn, x):
+    """fn(x) for a scalar x; for an array, fn of each value as a Python
+    float, in x's shape, so that each element has the bits of the scalar
+    call (numpy's array math need not: its x ** 2 is a multiply)."""
+    if np.ndim(x) == 0:
+        return fn(x)
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
+                       x.size).reshape(x.shape)

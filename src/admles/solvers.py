@@ -48,9 +48,10 @@ sample (_tau_norms) runs in the same workspace, after the steps.  At a
 sample step each order is compared with the live reference state, so no
 reference sample is stored.  With threads = W > 1 the orders are split
 over up to W processes: forked children step contiguous blocks of them
-with the same loop and hand their states back through a small ring in
-shared memory, while the calling process steps the reference and the
-first order and records every sample.  Each order's arithmetic is the
+with the same loop and hand their states back through one pipe each
+(1 MiB where the platform allows, so a child runs a few samples ahead),
+while the calling process steps the reference and the first order and
+records every sample.  Each order's arithmetic is the
 same in any process, so the outputs do not depend on W.
 """
 
@@ -59,7 +60,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -656,11 +656,12 @@ def _energy(kc: np.ndarray) -> float:
 _SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
            "half_norm", "w_l2")
 
-# Ring slots per worker: a worker may run this many exchange steps ahead of
-# the caller's reads, so it does not stall while the caller records a
-# sample (with one slot it would, at every sample).  Status bytes: a step
-# done, a step that failed (followed by the pickled exception).
-_SLOTS = 4
+# A child runs ahead of the caller's reads by as many exchange steps as its
+# pipe holds, so it does not stall while the caller records a sample.  The
+# 64 KiB default holds no 16^3 exchange of 4 orders (4 x 34,848 B); 1 MiB
+# holds several.  Status bytes: a step done, a step that failed (followed
+# by the pickled exception).
+_PIPE_BYTES = 1 << 20
 _OK, _FAILED = b"+", b"!"
 
 
@@ -691,46 +692,42 @@ def _order_blocks(threads: int, k: int, cpus: int) -> list:
 
 
 def _worker(steppers: list, states: list, n_steps: int, dt: float,
-            exchange: frozenset, ring: np.ndarray, status_fd: int,
-            token_fd: int) -> None:
-    """A forked child's work: _lockstep over its block of orders, one
-    status byte per step, and at each exchange step the states written
-    into the next slot of `ring` (slots, orders, ...) first.  Once every
-    slot holds unread states it waits for the caller to hand one back; an
-    end of file there means the caller is gone."""
-    written = 0
+            exchange: frozenset, pipe) -> None:
+    """A forked child's work: _lockstep over its block of orders, writing
+    to `pipe` one status byte per step and, at each exchange step, the raw
+    bytes of the stacked states (orders, ...) after it.  The pipe's
+    capacity bounds how far the child runs ahead; once the caller is gone,
+    the next write raises BrokenPipeError."""
 
     def publish(step: int, t: float, stepped: list) -> None:
-        nonlocal written
-        if step in exchange:
-            if written >= _SLOTS and not os.read(token_fd, 1):
-                raise EOFError("the calling process is gone")
-            np.stack(stepped, out=ring[written % _SLOTS])
-            written += 1
-        os.write(status_fd, _OK)
+        # stacked before the status byte that announces them is written
+        block = np.stack(stepped) if step in exchange else b""
+        pipe.write(_OK)
+        pipe.write(block)
+        pipe.flush()
 
     try:
         _lockstep(steppers, states, n_steps, dt, publish)
     except Exception as e:
         message = pickle.dumps(e)
         pickle.loads(message)  # one the caller cannot rebuild is not sent
-        os.write(status_fd, _FAILED + message)
+        pipe.write(_FAILED + message)
+        pipe.flush()
 
 
 class _Workers:
     """Forked children that step blocks of orders in lockstep with the
-    calling process (_worker), and the caller's ends of their pipes and
-    rings.
+    calling process (_worker), and the read end of each child's one pipe.
 
-    Each ring lives in an anonymous shared mmap made before its child's
-    fork.  Children write nothing to stdout or stderr (both go to the null
-    device) and leave through os._exit; close() kills and reaps them.
+    Where the platform allows, each pipe holds _PIPE_BYTES.  Children write
+    nothing to stdout or stderr (both go to the null device) and leave
+    through os._exit; close() kills and reaps them.
     """
 
     def __init__(self, steppers: list, states: list, blocks: list,
                  n_steps: int, dt: float, exchange: frozenset):
-        self.pids, self.status, self.tokens, self.rings = [], [], [], []
-        self.slots_read = 0
+        self.pids, self.pipes, self.counts = [], [], []
+        self.like = states[0]  # the shape and dtype of every state
         try:
             for block in blocks:
                 self._fork([steppers[j] for j in block],
@@ -740,70 +737,63 @@ class _Workers:
             raise
 
     def _fork(self, steppers, states, n_steps, dt, exchange) -> None:
-        c = states[0]
-        ring = np.frombuffer(
-            mmap.mmap(-1, _SLOTS * len(states) * c.nbytes), dtype=c.dtype
-        ).reshape(_SLOTS, len(states), *c.shape)
-        status_r, status_w = os.pipe()
-        token_r, token_w = os.pipe()
+        import fcntl  # wherever os.fork is; admles imports without it
+        r, w = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+            # an admin's lower pipe-max-size leaves the default capacity
+            with contextlib.suppress(OSError):
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         sys.stdout.flush()
         sys.stderr.flush()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (status_r, status_w, token_r, token_w):
-                os.close(fd)
+            os.close(r)
+            os.close(w)
             raise
         if pid == 0:
             try:
-                for fd in (status_r, token_w, *self.status, *self.tokens):
-                    os.close(fd)
+                os.close(r)
+                for pipe in self.pipes:
+                    pipe.close()
                 null = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, 1)
                 os.dup2(null, 2)
-                _worker(steppers, states, n_steps, dt, exchange, ring,
-                        status_w, token_r)
+                _worker(steppers, states, n_steps, dt, exchange,
+                        open(w, "wb"))
             finally:
                 os._exit(0)
-        os.close(status_w)
-        os.close(token_r)
+        os.close(w)
         self.pids.append(pid)
-        self.status.append(status_r)
-        self.tokens.append(token_w)
-        self.rings.append(ring)
+        self.pipes.append(open(r, "rb"))
+        self.counts.append(len(states))
 
     def receive(self, step: int, exchange: bool) -> list:
         """Every child's status for `step`, read before the caller moves
         past it, so a child's exception (a blow-up too) is raised at the
         step of a serial run; at an exchange step, the children's states."""
-        for fd in self.status:
-            msg = os.read(fd, 1)
+        size = self.like.nbytes if exchange else 0
+        states = []
+        for pipe, count in zip(self.pipes, self.counts):
+            msg = pipe.read(1)
             if msg == _FAILED:
-                with open(fd, "rb", closefd=False) as pipe:
-                    raise pickle.load(pipe)
-            if msg != _OK:
+                raise pickle.load(pipe)
+            data = pipe.read(count * size)
+            if msg != _OK or len(data) != count * size:
                 raise RuntimeError(f"a worker process stopped at step {step}")
-        if not exchange:
-            return []
-        slot = self.slots_read % _SLOTS
-        self.slots_read += 1
-        return [c for ring in self.rings for c in ring[slot]]
-
-    def release(self) -> None:
-        """Hand the slot read last back to every child; a child that has
-        finished no longer reads them."""
-        for fd in self.tokens:
-            with contextlib.suppress(BrokenPipeError):
-                os.write(fd, _OK)
+            if exchange:
+                states.extend(np.frombuffer(data, self.like.dtype)
+                              .reshape(count, *self.like.shape))
+        return states
 
     def close(self) -> None:
         """Close the caller's pipe ends, then kill and reap every child."""
-        for fd in self.status + self.tokens:
-            os.close(fd)
+        for pipe in self.pipes:
+            pipe.close()
         for pid in self.pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        self.pids, self.status, self.tokens = [], [], []
+        self.pids, self.pipes, self.counts = [], [], []
 
     def __enter__(self):
         return self
@@ -915,7 +905,6 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             _progress("dns", step, t, _energy(u))
             for N, c in zip(cfg.N_list, states):
                 _progress(f"adm N={N}", step, t, _energy(c))
-        workers.release()
 
     with _Workers(steppers, states, blocks[1:], n_steps, cfg.dt,
                   exchange) as workers:

@@ -376,6 +376,53 @@ def test_csv_into_missing_directory_names_the_path(runner, tmp_path, args):
     assert ".tmp" not in result.output
 
 
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+@pytest.mark.parametrize("where", ["--out", "output_dir"])
+def test_output_path_that_cannot_be_a_directory_fails_before_stepping(
+        runner, tmp_path, monkeypatch, command, where):
+    # it used to step the whole run, then end in a NotADirectoryError or
+    # FileExistsError traceback
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg_path = tmp_path / "c.json"
+    if where == "--out":
+        target = str(afile / "sub")
+        write_config(cfg_path)
+        extra = ["--out", target]
+    else:
+        target = str(afile)
+        write_config(cfg_path, output_dir=target)
+        extra = []
+
+    def step(*args, **kw):
+        raise AssertionError("stepped before checking the output path")
+
+    monkeypatch.setattr(cli, "run_experiment", step)
+    result = runner.invoke(main, [command, "--config", str(cfg_path),
+                                  *extra])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"Error: cannot write {target}: ")
+
+
+def test_rates_unreplaceable_detail_csv_names_it(runner, tmp_path):
+    # the error used to be an IsADirectoryError traceback naming the hidden
+    # temporary file next to rates_detail.csv
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    (out / "rates_detail.csv").mkdir(parents=True)
+    result = runner.invoke(main, ["rates", "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == (
+        f"Error: cannot write {out / 'rates_detail.csv'}: Is a directory")
+    assert ".tmp" not in result.output
+
+
 def _forcing_path(tmp_path) -> str:
     f = random_solenoidal(WaveLattice(8), decay=1.0, seed=4)
     path = tmp_path / "force.admf"

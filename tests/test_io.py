@@ -204,6 +204,22 @@ def test_write_atomic_replaces_whole_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
 
+@pytest.mark.parametrize("target, error", [
+    ("f.csv/", IsADirectoryError),
+    ("nodir/f.csv", FileNotFoundError),
+])
+def test_write_atomic_error_names_the_target(tmp_path, target, error):
+    # the error used to name the hidden temporary file next to the target
+    target = tmp_path / target
+    if error is IsADirectoryError:
+        target.mkdir()
+    with pytest.raises(error) as err:
+        io.write_atomic(target, "x\n")
+    assert err.value.filename == str(target)
+    assert ".tmp" not in str(err.value)
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _per_cell_columns(path, names):
     header, rows = io.read_csv(path)
     return {name: np.array([float(row[header.index(name)]) for row in rows])

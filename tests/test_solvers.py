@@ -1184,6 +1184,41 @@ def test_worker_exits_when_its_parent_is_killed():
     assert _gone_or_zombie(child)
 
 
+def _assert_same_runs(a, b) -> None:
+    """Every series, the peak Courant number and every final field of two
+    run_experiment outputs, bit for bit."""
+    assert a.courant_max == b.courant_max
+    for name in ("times", "u_l2", "u_h1", "energy"):
+        assert np.array_equal(getattr(a.dns, name), getattr(b.dns, name))
+    assert np.array_equal(a.u_final.coeffs, b.u_final.coeffs)
+    assert [r.N for r in a.runs] == [r.N for r in b.runs]
+    for ra, rb in zip(a.runs, b.runs):
+        for name in ("times", *_SERIES):
+            assert np.array_equal(getattr(ra, name), getattr(rb, name),
+                                  equal_nan=True), (ra.N, name)
+        assert ra.div_ratio_max == rb.div_ratio_max
+        assert np.array_equal(ra.final_field.coeffs, rb.final_field.coeffs)
+
+
+@pytest.mark.parametrize("n, orders, T, sample_every", [
+    # steps 1-4 of every 5 are neither sample nor progress steps: a child
+    # sends a status byte there and no states
+    (8, (0, 1, 2), 0.2, 5),
+    # the child's 5 orders at 32^3 are 1.16 MB per exchange, more than a
+    # 1 MiB pipe holds, so the caller reads each exchange in parts
+    (32, (0, 1, 2, 3, 4, 5), 0.02, 1),
+], ids=["non_exchange_steps", "exchange_beyond_pipe_capacity"])
+def test_worker_hand_off_matches_serial(monkeypatch, n, orders, T,
+                                        sample_every):
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    cfg = small_cfg(n=n, N_list=orders, T=T, dt=0.01,
+                    sample_every=sample_every)
+    serial = run_experiment(cfg, threads=1, progress=False)
+    forked = run_experiment(cfg, threads=2, progress=False)
+    _assert_same_runs(serial, forked)
+    _assert_no_child()
+
+
 def per_cell_read(out_dir):
     """dns.csv's columns and series.csv's per-order columns, every cell
     parsed with its own float(): the reference for read_outputs."""
