@@ -56,8 +56,8 @@ _M_BLOCK = 64
 
 @contextlib.contextmanager
 def _writing(path):
-    """An OSError raised inside as a click error (exit 1) that names the
-    path it names (io.write_atomic names its target), else path."""
+    """An OSError inside becomes a click error (exit 1) naming its file
+    (io.write_atomic names its target) or, failing that, path."""
     try:
         yield
     except OSError as e:
