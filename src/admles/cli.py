@@ -370,9 +370,7 @@ def rates(config_path, out, constant) -> None:
     token = config_hash(cfg)
     _emit_csv(
         out_dir / "rates_detail.csv", token,
-        ["N", "t", "eps_l2", "eps_hs", "grad_integral", "energy_lhs",
-         "tau_l2", "half_norm", "bound_fin", "bound_tau"],
-        # the columns are in the header's order (ReportRow's fields)
+        ["N" if name == "order" else name for name in report.columns],
         zip(*(col.tolist() for col in report.columns.values())),
     )
     _emit_csv(

@@ -38,7 +38,6 @@ from .spectral import (
     WaveLattice,
     random_solenoidal,
     sobolev_norm,
-    _inverse,
     _kept,
     _Workspace,
 )
@@ -62,7 +61,6 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -95,60 +93,46 @@ class PowerBound:
     limit: LogValue
 
 
-def _outside(u: SpectralField) -> Optional[np.ndarray]:
-    """The full-layout coefficients of u outside the 2/3-rule keep set, or
-    None when they are all zero, as for every truncated field."""
-    rest = np.where(u.lattice.dealias_mask, 0.0, u.coeffs)
-    return rest if np.any(rest) else None
-
-
 def residual_stress_norm(u: SpectralField, spec: FilterSpec,
                          order: int) -> float:
-    """Frobenius coefficient norm of u (x) u - Du_bar (x) Du_bar.
+    """Frobenius coefficient norm of u (x) u - Du_bar (x) Du_bar for the
+    2/3-rule keep-set part of u.
 
-    The tensor is formed pseudo-spectrally with 2/3-rule dealiasing; the
-    mean mode participates (plain grid quadrature of the tensor agrees).
-    The symbol rho = D_N G (recovery_symbol) is evaluated on the lattice's
-    keep set (WaveLattice.keep), and the keep-set parts of u and of Du_bar
-    go through the same keep-set transforms as run_experiment's tau_l2
-    series, so on a truncated field (every solver state) the two agree bit
-    for bit.  Each call allocates its own transform buffers (_Workspace),
-    so calls may run at the same time.  Only when u has modes outside the
-    keep set is rho evaluated on the full layout and the samples of the
-    remainder (_outside) added, through the full-layout inverse _inverse.
+    The tensor is formed pseudo-spectrally with 2/3-rule dealiasing, which
+    is alias-free only for fields on the keep set, so the modes of u
+    outside it are dropped first: an untruncated field gives the norm of
+    truncate_field of it, bit for bit.  The mean mode participates (plain
+    grid quadrature of the tensor agrees).  The symbol rho = D_N G
+    (recovery_symbol) is evaluated on the lattice's keep set
+    (WaveLattice.keep), and u and Du_bar go through the same keep-set
+    transforms as run_experiment's tau_l2 series, so on a solver state the
+    two agree bit for bit.  Each call allocates its own transform buffers
+    (_Workspace), so calls may run at the same time.
     """
     lattice = u.lattice
-    n = lattice.n
-    op = DeconvOp(spec, order)
-    outside = _outside(u)
-    rest = None
-    if outside is not None:
-        rho = recovery_symbol(op, lattice.k_squared)
-        rest = (_inverse(outside, n), [_inverse(rho * outside, n)])
-    norms, _ = _tau_norms(_kept(u.coeffs, n),
-                          [recovery_symbol(op, lattice.keep.ksq)],
-                          _Workspace(lattice), rest)
+    rho = recovery_symbol(DeconvOp(spec, order), lattice.keep.ksq)
+    norms, _ = _tau_norms(_kept(u.coeffs, lattice.n), [rho],
+                          _Workspace(lattice))
     return norms[0]
 
 
 def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
-    """Interpolation-level norm of the deconvolution defect u - Du_bar.
+    """Interpolation-level norm of the deconvolution defect u - Du_bar for
+    the 2/3-rule keep-set part of u.
 
-    Exact mode sum sqrt( sum (1-G)^(2(order+1)) |k| |u_hat|^2 ), for every
-    filter family: the defect symbol of order N is 1 - D_N G = (1-G)^(N+1).
-    The weight is evaluated on the lattice's keep set (WaveLattice.keep),
-    so the keep-set sum is run_experiment's half_norm series, bit for bit;
-    the weight on the full layout and the sum over the modes outside the
-    keep set (_outside) are formed only when u has any.
+    Exact mode sum sqrt( sum (1-G)^(2(order+1)) |k| |u_hat|^2 ) over the
+    keep set, for every filter family: the defect symbol of order N is
+    1 - D_N G = (1-G)^(N+1).  It describes the same field as
+    residual_stress_norm, which the bound tau^2 <= 2 C u_h1^2 defect^2
+    pairs it with, so the modes of u outside the keep set are dropped as
+    there.  The weight is evaluated on the lattice's keep set
+    (WaveLattice.keep), so the sum is run_experiment's half_norm series,
+    bit for bit.
     """
     lattice = u.lattice
     keep = lattice.keep
     total = np.sum(_defect_weight(spec, order, keep.ksq) * keep.w
                    * _mode_sq(_kept(u.coeffs, lattice.n)))
-    outside = _outside(u)
-    if outside is not None:
-        total += np.sum(_defect_weight(spec, order, lattice.k_squared)
-                        * _mode_sq(outside))
     return float(np.sqrt(total))
 
 
@@ -411,7 +395,7 @@ def error_report(output: ExperimentOutput,
     is_power = isinstance(spec, (HelmholtzPower, GaussianApprox))
 
     u_h1 = output.dns.u_h1
-    u_l4h1 = float(_trapz(u_h1 ** 4, times)) ** 0.25 if len(times) > 1 \
+    u_l4h1 = float(np.trapezoid(u_h1 ** 4, times)) ** 0.25 if len(times) > 1 \
         else float(u_h1[0])
     kappa = gronwall_log10(u_l4h1, nu)
     gron_log10 = _gronwall_exp_log10(u_l4h1, nu)
@@ -445,7 +429,7 @@ def error_report(output: ExperimentOutput,
     summaries = []
     finals = []
     for run, lhs_row in zip(runs, energy_lhs):
-        tau_sq_int = float(_trapz(run.tau_l2 ** 2, run.times)) \
+        tau_sq_int = float(np.trapezoid(run.tau_l2 ** 2, run.times)) \
             if len(run.times) > 1 else 0.0
         if is_helm:
             bm = bound_main(u_l4h1, nu, constant, spec.alpha, spec.p,

@@ -653,6 +653,7 @@ def _energy(kc: np.ndarray) -> float:
     return float(0.5 * sq[0] + np.sum(sq[1:]))
 
 
+_DNS = ("t", "u_l2", "u_h1", "energy")
 _SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
            "half_norm", "w_l2")
 
@@ -931,29 +932,23 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     )
 
 
-def _tau_norms(u: np.ndarray, rhos: list, ws: _Workspace,
-               rest: Optional[tuple] = None) -> tuple[list, np.ndarray]:
+def _tau_norms(u: np.ndarray, rhos: list,
+               ws: _Workspace) -> tuple[list, np.ndarray]:
     """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
     for each Du = rho u with rho in rhos; and the collocation samples of u.
 
-    u (3, M+1, 2M+1, 2M+1) and the rho are keep-set arrays.  u goes to the
-    grid through _kinverse once for all rho, into a copy; each Du goes into
-    the workspace grid.  `rest` = (u_rest, [Du_rest per rho]) adds the
-    collocation samples of the parts outside the keep set, which only a
-    field that is not truncated has.  The tensor is symmetric, so its 6
-    distinct components are formed and transformed once; the mode sum over
-    the keep set uses the off-diagonal weights and the keep set's w.
+    u (3, M+1, 2M+1, 2M+1) and the rho are keep-set arrays, as every
+    solver state is.  u goes to the grid through _kinverse once for all
+    rho, into a copy; each Du goes into the workspace grid.  The tensor is
+    symmetric, so its 6 distinct components are formed and transformed
+    once; the mode sum over the keep set uses the off-diagonal weights and
+    the keep set's w.
     """
     u_grid = _kinverse(u, ws).copy()
-    if rest is not None:
-        u_grid += rest[0]
     weight = _SYM_WEIGHTS[:, None, None, None] * ws.keep.w
     norms = []
-    for j, rho in enumerate(rhos):
-        d_grid = _kinverse(rho * u, ws)
-        if rest is not None:
-            d_grid += rest[1][j]
-        products = _sym_products(u_grid, d_grid, ws)
+    for rho in rhos:
+        products = _sym_products(u_grid, _kinverse(rho * u, ws), ws)
         norms.append(float(np.sqrt(np.sum(weight * _abs2(products)))))
     return norms, u_grid
 
@@ -973,8 +968,7 @@ def write_outputs(output: ExperimentOutput, out_dir) -> dict:
 
     dns_path = out / "dns.csv"
     admio.write_csv(
-        dns_path, token,
-        ["t", "u_l2", "u_h1", "energy"],
+        dns_path, token, _DNS,
         zip(output.dns.times, output.dns.u_l2, output.dns.u_h1,
             output.dns.energy),
     )
@@ -1020,8 +1014,7 @@ def read_outputs(out_dir) -> ExperimentOutput:
     lattice = WaveLattice(cfg.n, cfg.L)
     token = config_hash(cfg)
 
-    cols = admio.read_columns(out / "dns.csv", token,
-                              ("t", "u_l2", "u_h1", "energy"))
+    cols = admio.read_columns(out / "dns.csv", token, _DNS)
     dns = DnsSeries(times=cols["t"], u_l2=cols["u_l2"], u_h1=cols["u_h1"],
                     energy=cols["energy"])
 

@@ -12,7 +12,8 @@ Modes with any component equal to -n/2 (the unpaired Nyquist planes) are
 always zeroed so that every retained mode has its conjugate partner and
 inverse transforms of Hermitian data are exactly real.  The quadratic
 nonlinearity is dealiased by the 2/3 rule: modes with any |m_axis| > n/3
-are zeroed after the pointwise product.
+are zeroed in the factors before the pointwise product and in the product
+after it.
 
 Coefficients live in two layouts, each with one transform pair.  The full
 layout (..., n, n, n) holds every mode, and the public API and the
@@ -101,8 +102,9 @@ class WaveLattice:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 4:
             raise ValueError(f"grid size must be even and >= 4, got {self.n}")
-        if not self.L > 0.0:
-            raise ValueError(f"box size must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0.0):
+            raise ValueError(
+                f"box size must be finite and positive, got {self.L}")
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -470,11 +472,14 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased spectral coefficients of div(u (x) v).
+    """Dealiased spectral coefficients of div(u (x) v) for the 2/3-rule
+    keep-set parts of u and v.
 
     Component i is sum_j i k_j F[u_j v_i], with the products formed on the
     collocation grid, transformed by the full-layout pair and masked to
-    the 2/3-rule keep set.
+    the keep set.  The 2/3 rule is alias-free only for factors on the keep
+    set, so the modes of u and v outside it are dropped first: untruncated
+    fields give nonlinear_term of truncate_field of them.
     """
     if u.lattice != v.lattice:
         raise LatticeMismatchError(
@@ -483,8 +488,8 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
         )
     lat = u.lattice
     n = lat.n
-    ug = _inverse(u.coeffs, n)
-    vg = _inverse(v.coeffs, n)
+    ug = _inverse(u.coeffs * lat.dealias_mask, n)
+    vg = _inverse(v.coeffs * lat.dealias_mask, n)
     prod = _forward((vg[:, None] * ug[None, :]).reshape(9, n, n, n), n)
     prod *= lat.dealias_mask
     out = _contract(prod, lat.wavevectors, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
@@ -576,12 +581,15 @@ def validate_field(
 ) -> None:
     """Check the structural invariants, raising FieldInvariantError.
 
-    Zero mean (|u_hat_0| <= 1e-14 max|u_hat|), Hermitian symmetry
-    (<= 1e-12 relative), zeroed Nyquist planes, and -- when the field is
-    flagged divergence-free or the check is forced -- |k.u_hat| <= 1e-12
+    Finite coefficients (every later comparison lets NaN through), zero
+    mean (|u_hat_0| <= 1e-14 max|u_hat|), Hermitian symmetry (<= 1e-12
+    relative), zeroed Nyquist planes, and -- when the field is flagged
+    divergence-free or the check is forced -- |k.u_hat| <= 1e-12
     |k||u_hat| in the max-normalized sense.
     """
     c = f.coeffs
+    if not np.all(np.isfinite(c)):
+        raise FieldInvariantError("coefficients hold NaN or inf")
     peak = float(np.max(np.abs(c)))
     if peak == 0.0:
         return

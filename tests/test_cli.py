@@ -359,6 +359,26 @@ def test_missing_snapshot_file_is_one_error_line(runner, tmp_path, part):
     assert missing in lines[0]
 
 
+@pytest.mark.parametrize("part", ["init", "forcing"])
+def test_non_finite_snapshot_is_refused_before_stepping(runner, tmp_path,
+                                                        part):
+    # a NaN coefficient is named as such, not found as a blow-up at step 1
+    f = random_solenoidal(WaveLattice(8), decay=1.0, seed=4)
+    c = np.array(f.coeffs)
+    c[0, 1, 0, 0] = np.nan
+    path = tmp_path / "nan.admf"
+    admio.save_field(SpectralField(f.lattice, c), path)
+    cfg_path = tmp_path / "c.json"
+    data = json.loads(write_config(cfg_path).to_json())
+    data[part] = {"kind": "snapshot", "path": str(path)}
+    cfg_path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: coefficients hold NaN or inf\n"
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--ineq", "highpass_ratio"],
     ["symbols", "--points", "4"],

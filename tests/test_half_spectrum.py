@@ -1,20 +1,22 @@
 """Keep-set products and stepping against full-spectrum references.
 
 The stepper transforms the 5 components of the trace-free stress, the
-residual-stress norm the 6 distinct products of a symmetric tensor.  Both
-run on the 2/3-rule keep set through the keep-set transform pair (DFT
-matrix products); the norm adds the part of an untruncated field outside
-the keep set through the full-layout inverse.  These tests pin both to the
-full-spectrum, 9-product restatements in tests/oracles.py (the stepper on
-truncated spectra, the norm on truncated spectra and on spectra that are
-not truncated, so the 2/3-rule mask is active), pin the keep-set pair to
-the full-layout pair _inverse / _forward within 1e-13 of the largest
-value, pin the keep-set layout (m3, m1, m2) and the pair's structure (3
-matmul calls per transform, none stacking more products than there are
-components), check that the full layout has that one pair (no real-input
-FFT is called), pin the transforms of one step, check that stepping and
-sampling make no FFT call, and that results depend neither on the BLAS
-thread count nor on the number of processes stepping the orders.
+residual-stress norm the 6 distinct products of a symmetric tensor.
+Both run on the 2/3-rule keep set through the keep-set transform pair
+(DFT matrix products), and both act on the keep-set part of their input:
+an untruncated field gives the norm of its truncation, as it gives the
+nonlinear term and the snapshot defect norm of its truncation, bit for
+bit.  These tests pin both to the full-spectrum, 9-product restatements
+in tests/oracles.py (the stepper on truncated spectra, the norm on
+truncated spectra and on the truncations of spectra that are not, so the
+2/3-rule mask is active), pin the keep-set pair to the full-layout pair
+_inverse / _forward within 1e-13 of the largest value, pin the keep-set
+layout (m3, m1, m2) and the pair's structure (3 matmul calls per
+transform, none stacking more products than there are components), check
+that the full layout has that one pair (no real-input FFT is called),
+pin the transforms of one step, check that stepping and sampling make no
+FFT call, and that results depend neither on the BLAS thread count nor
+on the number of processes stepping the orders.
 """
 
 import os
@@ -27,9 +29,9 @@ import pytest
 
 import oracles
 import admles
-from admles import diagnostics, solvers, spectral
+from admles import solvers, spectral
 from admles.deconvolution import DeconvOp, deconv_symbol
-from admles.diagnostics import residual_stress_norm
+from admles.diagnostics import half_norm_defect, residual_stress_norm
 from admles.filters import (
     Gaussian,
     GaussianApprox,
@@ -41,6 +43,7 @@ from admles.solvers import _Stepper
 from admles.spectral import (
     WaveLattice,
     random_solenoidal,
+    truncate_field,
     _forward,
     _full,
     _inverse,
@@ -391,14 +394,18 @@ def test_full_layout_has_one_transform_pair(monkeypatch):
 @pytest.mark.parametrize("spec,order",
                          [(H, 0), (H, 2), (Gaussian(alpha=1.0), 1)])
 def test_residual_stress_matches_full_spectrum_oracle(n, spec, order):
+    # an untruncated field gives the oracle's norm of its truncation: the
+    # 2/3 rule is alias-free only for factors on the keep set
     lat = WaveLattice(n)
     u = random_solenoidal(lat, decay=0.5, seed=30 + n, truncate=False)
+    assert np.any(u.coeffs[:, ~lat.dealias_mask])
+    t = truncate_field(u).coeffs
     # both the m3 = 0 plane and the planes between carry energy
-    assert float(np.max(np.abs(u.coeffs[..., 0]))) > 0.0
-    assert float(np.max(np.abs(u.coeffs[..., 1]))) > 0.0
+    assert float(np.max(np.abs(t[..., 0]))) > 0.0
+    assert float(np.max(np.abs(t[..., 1]))) > 0.0
     d, g = _symbols(lat, spec, order)
     got = residual_stress_norm(u, spec, order)
-    want = oracles.residual_stress_norm_full(lat, u.coeffs, d * g * u.coeffs)
+    want = oracles.residual_stress_norm_full(lat, t, d * g * t)
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -407,8 +414,7 @@ def test_residual_stress_matches_full_spectrum_oracle(n, spec, order):
                          [(H, 0), (H, 2), (Gaussian(alpha=1.0), 1)])
 def test_residual_stress_keep_set_matches_full_spectrum_oracle(
         monkeypatch, n, spec, order):
-    # a truncated field has no modes outside the keep set, so the norm
-    # runs on the keep-set pair alone, without the _inverse remainder
+    # the norm runs on the keep-set pair alone: no FFT is called
     lat = WaveLattice(n)
     u = random_solenoidal(lat, decay=0.5, seed=70 + n)
     assert float(np.max(np.abs(u.coeffs[..., 1]))) > 0.0
@@ -416,11 +422,31 @@ def test_residual_stress_keep_set_matches_full_spectrum_oracle(
     want = oracles.residual_stress_norm_full(lat, u.coeffs, d * g * u.coeffs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("remainder transformed for a truncated field")
+        raise AssertionError("FFT called by the residual-stress norm")
 
-    monkeypatch.setattr(diagnostics, "_inverse", refuse)
+    for name in _FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, refuse)
     assert residual_stress_norm(u, spec, order) == pytest.approx(
         want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("spec", [H, Gaussian(alpha=1.0),
+                                  HelmholtzPower(mu=0.25, m=2)])
+def test_untruncated_fields_read_as_their_truncation(n, spec):
+    # products and snapshot norms act on the keep-set part of their input
+    lat = WaveLattice(n)
+    u = random_solenoidal(lat, decay=0.5, seed=n, truncate=False)
+    v = random_solenoidal(lat, decay=1.0, seed=n + 1, truncate=False)
+    tu, tv = truncate_field(u), truncate_field(v)
+    assert not np.array_equal(u.coeffs, tu.coeffs)
+    for order in (0, 2):
+        assert residual_stress_norm(u, spec, order) == residual_stress_norm(
+            tu, spec, order)
+        assert half_norm_defect(u, spec, order) == half_norm_defect(
+            tu, spec, order)
+    assert np.array_equal(spectral.nonlinear_term(u, v).coeffs,
+                          spectral.nonlinear_term(tu, tv).coeffs)
 
 
 def _simulate_files(tmp_path, blas_threads):

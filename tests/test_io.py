@@ -128,7 +128,8 @@ def test_read_csv_requires_stamp(tmp_path):
         io.read_csv(empty)
 
 
-@pytest.mark.parametrize("n,L", [(5, 1.0), (2, 1.0), (4, 0.0), (4, -1.0)])
+@pytest.mark.parametrize("n,L", [(5, 1.0), (2, 1.0), (4, 0.0), (4, -1.0),
+                                 (4, float("inf")), (4, float("nan"))])
 def test_load_rejects_bad_lattice_header(tmp_path, n, L):
     # a payload of the size the header implies, so only n or L is wrong
     path = tmp_path / "lattice.admf"

@@ -55,6 +55,9 @@ def test_lattice_validation():
         WaveLattice(8, L=0.0)
     with pytest.raises(ValueError):
         WaveLattice(8, L=-1.0)
+    for L in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            WaveLattice(8, L=L)
 
 
 def test_modes_and_wavevectors():
@@ -299,6 +302,16 @@ def test_validate_field_catches_violations():
         validate_field(bad, require_divergence_free=True)
     # but the same field passes when the check is not requested
     validate_field(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_validate_field_refuses_non_finite(value):
+    # every later check compares against the value, which NaN passes
+    lat = WaveLattice(8)
+    c = np.array(random_solenoidal(lat, decay=1.0, seed=21).coeffs)
+    c[0, 1, 0, 0] = value
+    with pytest.raises(FieldInvariantError, match="NaN or inf"):
+        validate_field(SpectralField(lat, c), require_divergence_free=True)
 
 
 def test_validate_zero_field_ok():
