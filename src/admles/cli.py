@@ -66,9 +66,13 @@ def _writing(path):
 
 
 def _emit_csv(csv_path, token: str, header, rows) -> None:
-    """Print the CSV, or write it to csv_path; a failed write is an error
+    """Print or write the CSV of rows, as _emit does."""
+    _emit(csv_path, admio.csv_text(token, header, rows))
+
+
+def _emit(csv_path, text: str) -> None:
+    """Print CSV text, or write it to csv_path; a failed write is an error
     (exit 1) that names csv_path."""
-    text = admio.csv_text(token, header, rows)
     if csv_path is None:
         click.echo(text, nl=False)
         return
@@ -261,23 +265,18 @@ def symbols(filter_name, alpha, p, mu, m, orders_text, kmax, points,
         ([0.0], np.logspace(-2.0, math.log10(kmax ** 2), points)))
     g = np.asarray(filter_symbol(spec, k2))
     try:
-        a = np.asarray(inverse_symbol(spec, k2))
-        a_col = [repr(float(v)) for v in a]
+        a_col = np.asarray(inverse_symbol(spec, k2))
     except NonInvertibleFilterError:
         a_col = [""] * len(k2)
     d_cols = [np.asarray(deconv_symbol(DeconvOp(spec, N), k2))
               for N in orders]
     header = ["k2", "G_hat", "A_hat"] + [f"D{N}_hat" for N in orders]
-    rows = []
-    for i in range(len(k2)):
-        row = [float(k2[i]), float(g[i]), a_col[i]]
-        row += [float(col[i]) for col in d_cols]
-        rows.append(row)
     token = admio.sha256_token({
         "command": "symbols", "filter": filter_name, "alpha": alpha, "p": p,
         "mu": mu, "m": m, "N": orders, "kmax": kmax, "points": points,
     })
-    _emit_csv(csv_path, token, header, rows)
+    _emit(csv_path,
+          admio.csv_columns_text(token, header, [k2, g, a_col, *d_cols]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +367,9 @@ def rates(config_path, out, constant) -> None:
         raise click.ClickException(str(e))
 
     token = config_hash(cfg)
-    _emit_csv(
-        out_dir / "rates_detail.csv", token,
-        ["N" if name == "order" else name for name in report.columns],
-        zip(*(col.tolist() for col in report.columns.values())),
-    )
+    _emit(out_dir / "rates_detail.csv", admio.csv_columns_text(
+        token, ["N" if name == "order" else name for name in report.columns],
+        report.columns.values()))
     _emit_csv(
         out_dir / "rates_summary.csv", token,
         ["N", "eps_l2_final", "energy_lhs_max", "bound_main_log10",

@@ -14,19 +14,27 @@ digits near x = 0, so everything routes through the expm1/log1p kernels.
 Verification is a margin check with floating-point slack 1e-12 max(1, rhs).
 
 Each family is written once, as one evaluator of (lhs, rhs, side condition)
-that takes x as a float or an array: the scalar checks call it on one
-tuple, the sweeps on a whole x grid at once.  A two-exponent family takes
-its second exponent as a float or as a column, so a sweep calls it once
-per first exponent with every second exponent stacked as rows; a
-one-exponent family is called once per exponent, since its x grid is
-already as long as those stacked rows.  A sweep rejects a grid outside the
-domain (an x < 0 or NaN, an exponent < 1) before evaluating anything.
+in two stages that take x as a float or an array: the scalar checks run
+both stages on one tuple, the sweeps on a whole x grid at once.  The first
+stage holds every term that does not depend on the outer (first) exponent
+a or n: the logs log(1 - (1+x)^-m) and log(x^2/(1+x^2)) of the power
+families with their x > 0 masks and the a-free rhs factors, and exp(-x)
+of exp_limit.  A sweep runs it once; the second stage, the powers
+exp(a log q) and the rest, runs once per outer exponent, so no
+transcendental call is repeated across exponents.  A two-exponent family
+takes its second exponent m as a float or as a column, so its sweep
+evaluates every m at once as stacked rows, (12, 801) points per call on
+the default grid; a one-exponent family's x grid is already as long as
+those stacked rows (9601 points).  Exponents are not stacked further, so
+no evaluation array grows.  A sweep rejects a grid outside the domain (an
+x < 0 or NaN, an exponent < 1) before evaluating anything.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -69,47 +77,69 @@ class IneqCase:
         return self.side_ok and self.margin >= -_SLACK * max(1.0, self.rhs)
 
 
-# Family evaluators: (lhs, rhs, side_ok) for x a float or an array.  The
-# second exponent m of a two-exponent family may be a column; its rhs
+# Family evaluators, in two stages, for x a float or an array: prep(x,
+# *inner) computes every term that does not depend on the outer (first)
+# exponent, and terms(prep(x, *inner), outer) gives (lhs, rhs, side_ok).
+# The inner exponent m of a two-exponent family may be a column; its rhs
 # coefficients are still computed with math, one float at a time, so a
 # row of the column form has the same bits as the call with that m.
 
-def _highpass_power(x, a, m):
+def _highpass_power_prep(x, m):
+    return kernels.log_compl(x, m), m * x, m
+
+
+def _highpass_power(state, a):
+    log_q, mx, m = state
     log_a = math.log(a)
-    return (kernels.compl_power(x, a, m),
-            m * x * kernels._scalar_map(lambda v: math.exp(-log_a / v), m),
+    return (kernels.power_of_log(*log_q, a),
+            mx * kernels._scalar_map(lambda v: math.exp(-log_a / v), m),
             True)
 
 
-def _highpass_power_sq(x, a, m):
+def _highpass_power_sq_prep(x, m):
+    return (kernels.log_compl(x * x, m),
+            kernels._scalar_map(math.sqrt, m) * x, m)
+
+
+def _highpass_power_sq(state, a):
+    log_q, sqrt_mx, m = state
     log_2a = math.log(2.0 * a)
-    return (kernels.compl_power(x * x, a, m),
-            kernels._scalar_map(math.sqrt, m) * x
+    return (kernels.power_of_log(*log_q, a),
+            sqrt_mx
             * kernels._scalar_map(lambda v: math.exp(-log_2a / (2.0 * v)), m),
             True)
 
 
-def _highpass_ratio(x, a):
-    lhs = kernels.ratio_power(x * x, a)
+def _highpass_ratio_prep(x):
+    return x, kernels.log_ratio(x * x)
+
+
+def _highpass_ratio(state, a):
+    x, log_r = state
+    lhs = kernels.power_of_log(*log_r, a)
     weak = x / math.sqrt(a)
     return (lhs, x / math.sqrt(2.0 * a),
             lhs <= weak + _SLACK * np.maximum(1.0, weak))
 
 
-def _exp_limit(x, n):
+def _exp_limit(base, n):
     # diff = (1+x/n)^-n - e^-x is computed as a signed quantity; it must be
     # nonnegative up to rounding for the absolute bound to be one-sided.
-    _, diff = kernels.exp_limit_terms(x, n)
+    _, diff = kernels.exp_limit_at(base, n)
     return np.abs(diff), 2.0 / n, diff >= -_SLACK
 
 
-# name -> (evaluator, exponent names); the names give the arity and the
-# domain messages.
+_Family = namedtuple("_Family", "prep terms exps")
+
+# name -> (prep, terms, exponent names); the names give the arity and the
+# domain messages, the first name is the outer exponent.
 _FAMILIES = {
-    "highpass_power": (_highpass_power, ("a", "m")),
-    "highpass_power_sq": (_highpass_power_sq, ("a", "m")),
-    "highpass_ratio": (_highpass_ratio, ("a",)),
-    "exp_limit": (_exp_limit, ("n",)),
+    "highpass_power": _Family(_highpass_power_prep, _highpass_power,
+                              ("a", "m")),
+    "highpass_power_sq": _Family(_highpass_power_sq_prep, _highpass_power_sq,
+                                 ("a", "m")),
+    "highpass_ratio": _Family(_highpass_ratio_prep, _highpass_ratio, ("a",)),
+    "exp_limit": _Family(kernels.exp_limit_base, _exp_limit, ("n",)),
 }
 
 NAMES = tuple(_FAMILIES)
@@ -123,11 +153,11 @@ def _family(name: str):
 
 def _check(name: str, x: float, *exps: float) -> IneqCase:
     """Validate one tuple against the domain and evaluate it."""
-    terms, exp_names = _FAMILIES[name]
-    for label, value, lo in zip(("x", *exp_names), (x, *exps), (0, 1, 1)):
+    fam = _FAMILIES[name]
+    for label, value, lo in zip(("x", *fam.exps), (x, *exps), (0, 1, 1)):
         if not value >= lo:
             raise ValueError(f"{label} must be >= {lo}, got {value}")
-    lhs, rhs, side_ok = terms(x, *exps)
+    lhs, rhs, side_ok = fam.terms(fam.prep(x, *exps[1:]), exps[0])
     return IneqCase(name, (x, *exps), float(lhs), float(rhs), bool(side_ok))
 
 
@@ -185,8 +215,7 @@ class GridSpec:
 
 def default_grid(name: str, dense: bool = False) -> GridSpec:
     """Per-family default sized so every sweep exceeds 1e5 tuples."""
-    _, exp_names = _family(name)
-    base = 800 if len(exp_names) == 2 else 9600
+    base = 800 if len(_family(name).exps) == 2 else 9600
     return GridSpec(x_points=base * (10 if dense else 1))
 
 
@@ -207,12 +236,28 @@ class SweepResult:
 
     def cases(self) -> Iterator[IneqCase]:
         """Re-evaluate the grid lazily, one scalar case at a time."""
-        _, exp_names = _FAMILIES[self.name]
         xs = self.grid.x_values()
         for combo in itertools.product(self.grid.exps,
-                                       repeat=len(exp_names)):
+                                       repeat=len(_FAMILIES[self.name].exps)):
             for x in xs:
                 yield _check(self.name, float(x), *combo)
+
+
+def _staged(fam: _Family, xs: np.ndarray, exps) -> Iterator[tuple]:
+    """(combos, lhs, rhs, side_ok) of a family over the x grid xs, one
+    block per outer exponent, the blocks and rows in itertools.product
+    order: row j of each array (broadcast to (len(combos), len(xs))) holds
+    the x grid of combos[j].
+
+    The first stage runs once, with every inner exponent tuple stacked as
+    a row ((m,) for two exponents, () for one); the second once per outer
+    exponent.
+    """
+    inner = list(itertools.product(exps, repeat=len(fam.exps) - 1))
+    state = fam.prep(xs, *(np.array(col)[:, None] for col in zip(*inner)))
+    for outer in exps:
+        yield ([(outer, *rest) for rest in inner],
+               *fam.terms(state, outer))
 
 
 def sweep(name: str, grid: Optional[GridSpec] = None,
@@ -223,7 +268,7 @@ def sweep(name: str, grid: Optional[GridSpec] = None,
     and every failing tuple collected; passing sweeps have an empty failures
     tuple.  Raises ValueError for an empty grid or one outside the domain.
     """
-    terms, exp_names = _family(name)
+    fam = _family(name)
     if grid is None:
         grid = default_grid(name, dense=dense)
     # An infinite bound makes NaN x values, which the domain check rejects.
@@ -234,23 +279,13 @@ def sweep(name: str, grid: Optional[GridSpec] = None,
     if not (np.all(xs >= 0.0) and all(e >= 1.0 for e in grid.exps)):
         raise ValueError(
             f"grid outside the domain of {name} (x >= 0, "
-            f"{', '.join(exp_names)} >= 1): {grid}")
-
-    # One call per block of exponent tuples, in itertools.product order:
-    # (a, every m) for two exponents, (n,) for one.
-    if len(exp_names) == 2:
-        column = np.array(grid.exps)[:, None]
-        blocks = [((a, column), [(a, m) for m in grid.exps])
-                  for a in grid.exps]
-    else:
-        blocks = [((n,), [(n,)]) for n in grid.exps]
+            f"{', '.join(fam.exps)} >= 1): {grid}")
 
     n_cases = 0
     min_rel_margin = math.inf
     worst_params = None
     failures = []
-    for args, combos in blocks:
-        lhs, rhs, side_ok = terms(xs, *args)
+    for combos, lhs, rhs, side_ok in _staged(fam, xs, grid.exps):
         margin = rhs - lhs
         scale = np.maximum(1.0, rhs)
         # row j holds the x grid of combos[j]

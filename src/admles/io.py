@@ -1,4 +1,5 @@
-"""Binary snapshot format for spectral fields (magic "ADMF", version 1).
+"""Binary snapshot format for spectral fields (magic "ADMF", version 1),
+atomic writes, and the stamped CSV tables.
 
 Layout, all little-endian:
 
@@ -10,6 +11,14 @@ Layout, all little-endian:
     payload     3 components x n^3 coefficients, complex128 as (re, im)
                 f64 pairs, C order over mode axes (m1, m2, m3), each axis in
                 FFT order 0..n/2-1, -n/2..-1.
+
+A CSV table is a `# config=<sha256>` stamp line, a header line and one
+line per row, floats written with repr() so they re-read bit for bit.  It
+is formatted one column at a time: a float64 array column takes one
+float.__repr__ call per cell on its Python floats, with no per-cell type
+lookup; a column of mixed types looks up each cell's formatter by type.
+csv_columns_text takes the columns a caller already holds, and csv_text
+takes rows and transposes them, so both forms give the same bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +43,9 @@ __all__ = [
     "write_atomic",
     "sha256_token",
     "csv_text",
+    "csv_columns_text",
     "write_csv",
+    "write_csv_columns",
     "read_csv",
     "read_columns",
     "SnapshotFormatError",
@@ -106,16 +117,31 @@ def _float_text(value) -> str:
     return repr(float(value))
 
 
-# CSV cell text by exact type.  Floats are written with repr(), which
-# round-trips; np.float64 subclasses float, so float.__repr__ serves it,
-# and the other numpy floats are unwrapped first.  Every other type is
-# written with str(), which for numpy ints and bools gives the text of the
-# Python int or bool.
+# CSV cell text by exact type, for a column of mixed type.  Floats are
+# written with repr(), which round-trips; np.float64 subclasses float, so
+# float.__repr__ serves it, and the other numpy floats are unwrapped first.
+# Every other type is written with str(), which for numpy ints and bools
+# gives the text of the Python int or bool.
 _CELL_TEXT = {
     float: float.__repr__,
     np.float64: float.__repr__,
     **{np.dtype(c).type: _float_text for c in "efg"},
 }
+
+
+def _column_cells(col) -> list:
+    """The CSV text of each cell of one column.
+
+    A numpy float array is written with one float.__repr__ call per cell
+    on its Python floats, and a bool or integer array with str(); any
+    other column goes through the per-cell _CELL_TEXT lookup.  Each gives
+    the text _CELL_TEXT gives the cell itself.
+    """
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fbiu":
+        fmt = float.__repr__ if col.dtype.kind == "f" else str
+        return list(map(fmt, col.tolist()))
+    text = _CELL_TEXT.get
+    return [text(type(v), str)(v) for v in col]
 
 
 def sha256_token(params: dict) -> str:
@@ -125,20 +151,30 @@ def sha256_token(params: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def csv_text(config_token: str, header, rows) -> str:
-    """CSV body: a `# config=<sha256>` first line, then header, then rows.
+def csv_columns_text(config_token: str, header, columns) -> str:
+    """CSV body: a `# config=<sha256>` first line, then header, then one
+    row per element of the columns, which must have equal lengths.
 
     Floats are written with repr() so re-reading reproduces them exactly.
+    The text is formatted one column at a time (_column_cells).
     """
-    lines = [f"# config={config_token}", ",".join(header)]
-    text = _CELL_TEXT.get
-    for row in rows:
-        lines.append(",".join([text(type(v), str)(v) for v in row]))
+    cells = [_column_cells(col) for col in columns]
+    lines = [f"# config={config_token}", ",".join(header),
+             *map(",".join, zip(*cells, strict=True))]
     return "\n".join(lines) + "\n"
+
+
+def csv_text(config_token: str, header, rows) -> str:
+    """csv_columns_text of the table given as rows of equal length."""
+    return csv_columns_text(config_token, header, zip(*rows, strict=True))
 
 
 def write_csv(path, config_token: str, header, rows) -> None:
     write_atomic(path, csv_text(config_token, header, rows))
+
+
+def write_csv_columns(path, config_token: str, header, columns) -> None:
+    write_atomic(path, csv_columns_text(config_token, header, columns))
 
 
 def read_csv(path, config_token: str | None = None) -> tuple:

@@ -9,6 +9,13 @@ kernels is numerical stability, not speed: all of them hit regimes
 (x -> 0, huge exponents, symbols underflowing to 0) where the textbook
 formulas lose every significant digit, so they are written in expm1/log1p
 form.  Only y_minus_log1p keeps a series branch, below its cut.
+
+The power kernels are the composition of two stages, so a caller that
+evaluates many outer exponents on one x grid runs the first stage once:
+compl_power is power_of_log(*log_compl(x, m), a), ratio_power is
+power_of_log(*log_ratio(x), e), and exp_limit_terms is
+exp_limit_at(exp_limit_base(x), n).  The staged calls give the bits of the
+one-shot calls.
 """
 
 import numpy as np
@@ -16,8 +23,13 @@ import numpy as np
 __all__ = [
     "ratio_power",
     "compl_power",
+    "log_ratio",
+    "log_compl",
+    "power_of_log",
     "log1mexp",
     "exp_limit_terms",
+    "exp_limit_base",
+    "exp_limit_at",
     "deconv_from_g",
     "y_minus_log1p",
     "HAS_NUMBA",
@@ -35,26 +47,46 @@ _EXPM1_CUT = 500.0
 
 def ratio_power(x, e):
     """(x/(1+x))**e elementwise for x >= 0, e > 0."""
+    return power_of_log(*log_ratio(x), e)
+
+
+def log_ratio(x):
+    """The e-independent stage of ratio_power: (log(x/(1+x)), x > 0), the
+    log as -log1p(1/x).
+
+    1/x is inf at x = 0 and overflows for subnormal x, so the log is -inf
+    there and the power takes its limit 0; neither is an error.  x < 0 and
+    NaN give values that the mask drops.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    # 1/x overflows to inf for subnormal x; the result then saturates to
-    # its limit 0, so the overflow is not an error.
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-e * np.log1p(1.0 / x[pos]))
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return -np.log1p(1.0 / x), x > 0.0
 
 
 def compl_power(x, a, m):
     """(1-(1+x)**(-m))**a elementwise for x >= 0, a, m >= 1."""
+    return power_of_log(*log_compl(x, m), a)
+
+
+def log_compl(x, m):
+    """The a-independent stage of compl_power: (log(1-(1+x)**(-m)), x > 0).
+
+    At x = 0 the log is -inf; x < 0 and NaN give values that the mask
+    drops.
+    """
     x = np.asarray(x, dtype=np.float64)
-    # At x = 0, q = 0 and log(q) = -inf, so the power is already 0; the
-    # where also maps x < 0 and NaN to 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -np.expm1(-m * np.log1p(x))  # 1 - (1+x)^(-m), in [0, 1]
-        q = np.minimum(q, 1.0)
-        out = np.exp(a * np.log(q))
-    return np.where(x > 0.0, out, 0.0)
+        return np.log(np.minimum(q, 1.0)), x > 0.0
+
+
+def power_of_log(log_base, mask, e):
+    """exp(e * log_base) where mask, 0 elsewhere: the exponent stage of
+    ratio_power and compl_power."""
+    # e * -inf is NaN for e = 0 where the base is 0, as in the one-stage
+    # formulas; it is no error.
+    with np.errstate(invalid="ignore"):
+        return np.where(mask, np.exp(e * log_base), 0.0)
 
 
 def log1mexp(phi):
@@ -88,12 +120,22 @@ def y_minus_log1p(y):
 def exp_limit_terms(x, n):
     """Elementwise ((1+x/n)**(-n), (1+x/n)**(-n) - exp(-x)) for x >= 0,
     n >= 1; the difference is nonnegative and cancellation-free."""
+    return exp_limit_at(exp_limit_base(x), n)
+
+
+def exp_limit_base(x):
+    """The n-independent stage of exp_limit_terms: (x, exp(-x), x <= 0)."""
     x = np.asarray(x, dtype=np.float64)
+    return x, np.exp(-x), x <= 0.0
+
+
+def exp_limit_at(base, n):
+    """exp_limit_terms at n from exp_limit_base(x)."""
+    x, ex, zero = base
     y = x / n
     f = y_minus_log1p(y)  # so (1+y)^(-n) = e^(-x) e^(n f)
     pw = np.exp(-n * np.log1p(y))
     nf = n * f
-    ex = np.exp(-x)
     # Past the cut e^(n f) is astronomically larger than 1: there is no
     # cancellation in the direct difference (exp(-x) typically underflows
     # to 0 there).
@@ -103,7 +145,6 @@ def exp_limit_terms(x, n):
             pw - ex,
             ex * np.expm1(np.minimum(nf, _EXPM1_CUT)),
         )
-    zero = x <= 0.0
     pw = np.where(zero, 1.0, pw)
     diff = np.where(zero, 0.0, diff)
     return pw, diff

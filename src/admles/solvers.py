@@ -372,30 +372,31 @@ class SolverState:
 
 def initial_field(cfg: SimConfig, lattice: WaveLattice) -> SpectralField:
     """Build, truncate and project the initial velocity."""
+    source = None
     if isinstance(cfg.init, TaylorGreenInit):
         f = taylor_green(lattice, amplitude=cfg.init.amplitude)
     elif isinstance(cfg.init, RandomSpectrumInit):
         f = random_solenoidal(lattice, cfg.init.decay, cfg.init.seed)
     elif isinstance(cfg.init, SnapshotInit):
-        f = _load_snapshot(cfg.init.path, lattice, "snapshot")
+        f, source = _load_snapshot(cfg.init.path, lattice, "init")
     else:
         raise TypeError(f"not an initial condition: {cfg.init!r}")
     f = leray_project(truncate_field(f))
-    validate_field(f, require_divergence_free=True)
+    validate_field(f, require_divergence_free=True, source=source)
     return f
 
 
-def _load_snapshot(path: str, lattice: WaveLattice,
-                   noun: str) -> SpectralField:
-    """The field saved at path, refused unless it lives on lattice; the
-    message names the snapshot `noun`."""
+def _load_snapshot(path: str, lattice: WaveLattice, kind: str) -> tuple:
+    """The field saved at path, refused unless it lives on lattice, and
+    its name "<kind> snapshot <path>", which heads every error about it."""
+    source = f"{kind} snapshot {path}"
     f = admio.load_field(path)
     if f.lattice != lattice:
         raise ValueError(
-            f"{noun} lattice {f.lattice} does not match config lattice "
+            f"{source}: lattice {f.lattice} does not match config lattice "
             f"{lattice}"
         )
-    return f
+    return f, source
 
 
 def check_cfl(cfg: SimConfig, u0: SpectralField) -> None:
@@ -485,11 +486,11 @@ def _build_steppers(cfg: SimConfig, lattice: WaveLattice,
             for N in orders]
     dns_forcing = model_forcing = None
     if cfg.forcing is not None:
-        f = _load_snapshot(cfg.forcing.path, lattice, "forcing")
+        f, source = _load_snapshot(cfg.forcing.path, lattice, "forcing")
         # The keep-set stepper stores only the m3 >= 0 modes and would
         # silently drop a non-Hermitian part; divergence is not required,
         # the projection removes it.
-        validate_field(f, require_divergence_free=False)
+        validate_field(f, require_divergence_free=False, source=source)
         f = _kept(f.coeffs * lattice.dealias_mask, lattice.n)
         # Project once (P G f for the models); the projection commutes with
         # the per-mode symbols.
@@ -967,17 +968,20 @@ def write_outputs(output: ExperimentOutput, out_dir) -> dict:
     admio.write_atomic(out / "config.json", cfg.to_json() + "\n")
 
     dns_path = out / "dns.csv"
-    admio.write_csv(
+    admio.write_csv_columns(
         dns_path, token, _DNS,
-        zip(output.dns.times, output.dns.u_l2, output.dns.u_h1,
-            output.dns.energy),
+        [output.dns.times, output.dns.u_l2, output.dns.u_h1,
+         output.dns.energy],
     )
 
+    # one row per (order, sample), the orders one after another
+    runs = output.runs
     series_path = out / "series.csv"
-    admio.write_csv(
+    admio.write_csv_columns(
         series_path, token, ["N", "t", *_SERIES],
-        ([run.N, t, *(getattr(run, name)[i] for name in _SERIES)]
-         for run in output.runs for i, t in enumerate(run.times)),
+        [np.repeat([run.N for run in runs], [len(run.times) for run in runs]),
+         *(np.concatenate([getattr(run, name) for run in runs])
+           for name in ("times", *_SERIES))],
     )
 
     snap_dir = out / "snapshots"

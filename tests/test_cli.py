@@ -376,7 +376,8 @@ def test_non_finite_snapshot_is_refused_before_stepping(runner, tmp_path,
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.output == "Error: coefficients hold NaN or inf\n"
+    assert result.output == (
+        f"Error: {part} snapshot {path}: coefficients hold NaN or inf\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -14,8 +14,9 @@ _inverse / _forward within 1e-13 of the largest value, pin the keep-set
 layout (m3, m1, m2) and the pair's structure (3 matmul calls per
 transform, none stacking more products than there are components), check
 that the full layout has that one pair (no real-input FFT is called),
-pin the transforms of one step, check that stepping and sampling make no
-FFT call, and that results depend neither on the BLAS thread count nor
+pin the transforms of one step, check that the workspace buffers are
+64-byte aligned and that the pair writes into them, check that stepping
+and sampling make no FFT call, and that results depend neither on the BLAS thread count nor
 on the number of processes stepping the orders.
 """
 
@@ -231,6 +232,32 @@ def test_pruned_pair_second_call_matches_fresh_workspace(n):
     assert np.array_equal(_kinverse(_kept(c2, n), used),
                           _kinverse(_kept(c2, n), fresh))
     assert np.array_equal(_kforward(s2, used), _kforward(s2, fresh))
+
+
+_BUFFERS = ("grid", "prod", "lines", "planes", "kspec")
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_workspace_buffers_are_aligned_and_written_in_place(n):
+    # every buffer starts on a 64-byte boundary, and every matmul pass
+    # writes into its buffer: a reshape that copied would leave the
+    # buffer's NaN fill in place
+    lat, c, samples = _pair_inputs(n, seed=70 + n)
+    ws = _Workspace(lat)
+    for name in _BUFFERS:
+        buf = getattr(ws, name)
+        assert buf.ctypes.data % 64 == 0, name
+        assert buf.flags.c_contiguous, name
+        buf.fill(np.nan)
+    got = _kinverse(_kept(c, n), ws)
+    assert np.shares_memory(got, ws.grid)
+    for buf in (ws.grid, ws.lines[:3], ws.planes[:3]):
+        assert np.all(np.isfinite(buf))
+    np.copyto(ws.prod, samples)
+    got = _kforward(ws.prod, ws)
+    assert np.shares_memory(got, ws.kspec)
+    for buf in (ws.lines, ws.planes, ws.kspec):
+        assert np.all(np.isfinite(buf))
 
 
 @pytest.mark.parametrize("n", [6, 8, 16])

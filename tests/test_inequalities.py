@@ -1,6 +1,7 @@
 """Scalar-inequality verifier tests: pinned examples, property sweeps,
 and the sweep bookkeeping itself."""
 
+import dataclasses
 import itertools
 import math
 import struct
@@ -234,6 +235,58 @@ def test_default_sweeps_pinned(name, n_cases, min_margin, worst_params):
     assert result.worst.params == worst_params
 
 
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@pytest.mark.parametrize("name, include_zero, min_margin, worst_params", [
+    ("highpass_power", True, "0x0.0p+0", (0.0, 1.0, 1.0)),
+    ("highpass_power_sq", True, "0x0.0p+0", (0.0, 1.0, 1.0)),
+    ("highpass_ratio", True, "0x0.0p+0", (0.0, 1.0)),
+    ("exp_limit", True, "0x1.babb218e916bcp-10",
+     (1.9982798925672296, 1024.0)),
+    # without x = 0, where three families have margin 0
+    ("highpass_power", False, "0x1.1979859f00000p-40", (1e-06, 1.0, 1.0)),
+    ("highpass_power_sq", False, "0x1.7ba0041886990p-26",
+     (1e-06, 1024.0, 1.0)),
+    ("highpass_ratio", False, "0x1.7ba0041886990p-26", (1e-06, 1024.0)),
+    ("exp_limit", False, "0x1.babb218e916bcp-10",
+     (1.9982798925672296, 1024.0)),
+])
+def test_default_sweeps_pinned_exactly(name, include_zero, min_margin,
+                                       worst_params):
+    # the values the unstaged evaluators gave, bit for bit
+    grid = dataclasses.replace(default_grid(name), include_zero=include_zero)
+    result = sweep(name, grid=grid)
+    assert _bits(result.min_margin) == _bits(float.fromhex(min_margin))
+    assert result.worst.params == worst_params
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
+                   max_size=6),
+       exps=st.lists(st.floats(min_value=1.0, max_value=1024.0), min_size=1,
+                     max_size=4))
+def test_staged_sweep_matches_scalar_check(xs, exps):
+    # every tuple of the sweep's staged evaluation has the lhs, rhs and
+    # side condition of the scalar check, bit for bit
+    x = np.array(xs)
+    for name in NAMES:
+        fam = inequalities._FAMILIES[name]
+        blocks = list(inequalities._staged(fam, x, exps))
+        assert [c for combos, *_ in blocks for c in combos] == list(
+            itertools.product(exps, repeat=len(fam.exps)))
+        for combos, *terms in blocks:
+            lhs, rhs, side_ok = (np.broadcast_to(v, (len(combos), len(xs)))
+                                 for v in terms)
+            for j, combo in enumerate(combos):
+                for i, xi in enumerate(xs):
+                    case = inequalities._check(name, xi, *combo)
+                    assert _bits(lhs[j, i]) == _bits(case.lhs), (name, xi)
+                    assert _bits(rhs[j, i]) == _bits(case.rhs), (name, xi)
+                    assert bool(side_ok[j, i]) == case.side_ok, (name, xi)
+
+
 SMALL_GRID = GridSpec(x_points=24, x_lo=1e-3, x_hi=1e3)
 
 
@@ -264,15 +317,22 @@ def test_sweep_matches_scalar_path(name, grid):
 
 @pytest.mark.parametrize("name", ["highpass_power_sq", "exp_limit"])
 def test_sweep_failures_keep_product_order(monkeypatch, name):
-    terms, exp_names = inequalities._FAMILIES[name]
+    fam = inequalities._FAMILIES[name]
+    exp_names = fam.exps
 
-    def failing(x, *exps):
+    def prep(x, *inner):
+        return x, inner, fam.prep(x, *inner)
+
+    def failing(state, outer):
         # lhs past rhs wherever x > 1 and the last exponent is 4 or 64
-        lhs, rhs, side_ok = terms(x, *exps)
+        x, inner, stage = state
+        exps = (outer, *inner)
+        lhs, rhs, side_ok = fam.terms(stage, outer)
         bad = (np.asarray(x) > 1.0) & np.isin(exps[-1], (4.0, 64.0))
         return np.where(bad, rhs + 1.0, lhs), rhs, side_ok
 
-    monkeypatch.setitem(inequalities._FAMILIES, name, (failing, exp_names))
+    monkeypatch.setitem(inequalities._FAMILIES, name,
+                        fam._replace(prep=prep, terms=failing))
     result = sweep(name, grid=SMALL_GRID)
     xs = SMALL_GRID.x_values().tolist()
     expected = [

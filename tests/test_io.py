@@ -117,6 +117,60 @@ def test_csv_text_numpy_scalars_match_python_values():
                      "None"]
 
 
+_GOLDEN_HEADER = ["f64", "f32", "i64", "bool", "mixed"]
+_GOLDEN = """\
+# config=tok
+f64,f32,i64,bool,mixed
+nan,0.10000000149011612,0,True,0.1
+inf,-0.0,-3,False,0.10000000149011612
+-inf,1.0000000272564224e+16,4611686018427387904,True,-3
+-0.0,4.999999987376214e-07,7,True,True
+5e-324,inf,1,False,False
+1e+16,nan,2,False,None
+1e-05,3.0,3,True,text
+0.1,9.999999747378752e-06,-1,False,-0.0
+"""
+
+
+def _golden_columns():
+    nan, inf = float("nan"), float("inf")
+    return [
+        np.array([nan, inf, -inf, -0.0, 5e-324, 1e16, 1e-05, 0.1]),
+        np.array([0.1, -0.0, 1e16, 5e-7, inf, nan, 3.0, 1e-05], np.float32),
+        np.array([0, -3, 2 ** 62, 7, 1, 2, 3, -1], np.int64),
+        np.array([True, False, True, True, False, False, True, False]),
+        [np.float64(0.1), np.float32(0.1), np.int64(-3), True,
+         np.bool_(False), None, "text", -0.0],
+    ]
+
+
+def test_csv_golden_mixed_table():
+    # the array columns take the one-column formatter, the mixed one the
+    # per-cell lookup; the rows form (numpy scalars and Python values
+    # cell by cell) and the columns form give the same bytes
+    cols = _golden_columns()
+    assert io.csv_columns_text("tok", _GOLDEN_HEADER, cols) == _GOLDEN
+    rows = [list(row) for row in zip(*cols)]
+    assert io.csv_text("tok", _GOLDEN_HEADER, rows) == _GOLDEN
+    py_rows = [[v.item() if isinstance(v, np.generic) else v for v in row]
+               for row in rows]
+    assert io.csv_text("tok", _GOLDEN_HEADER, py_rows) == _GOLDEN
+    # zero rows: the stamp and the header only
+    empty = "# config=tok\na,b\n"
+    assert io.csv_text("tok", ["a", "b"], []) == empty
+    assert io.csv_columns_text("tok", ["a", "b"],
+                               [np.array([]), []]) == empty
+
+
+def test_csv_refuses_ragged_tables(tmp_path):
+    with pytest.raises(ValueError):
+        io.csv_text("t", ["a", "b"], [[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError):
+        io.write_csv_columns(tmp_path / "x.csv", "t", ["a", "b"],
+                             [np.zeros(2), np.zeros(3)])
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_read_csv_requires_stamp(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")

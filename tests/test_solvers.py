@@ -7,6 +7,7 @@ pipeline (transform conventions, dealiasing, projection, symbol placement).
 
 import dataclasses
 import os
+import re
 import select
 import subprocess
 import sys
@@ -954,6 +955,36 @@ def test_forcing_snapshot_is_validated(tmp_path):
     with pytest.raises(FieldInvariantError, match="Hermitian"):
         dns_step(SolverState(field=taylor_green(lat)), cfg)
     with pytest.raises(FieldInvariantError, match="Hermitian"):
+        run_experiment(cfg, progress=False)
+
+
+@pytest.mark.parametrize("part", ["init", "forcing"])
+def test_snapshot_errors_name_the_snapshot(tmp_path, part):
+    # with both snapshots configured, an error says which file is bad
+    from admles.spectral import FieldInvariantError
+
+    lat = WaveLattice(8)
+    good = tmp_path / "good.admf"
+    admio.save_field(random_solenoidal(lat, decay=1.0, seed=9), good)
+    bad = tmp_path / "bad.admf"
+    paths = {"init": good, "forcing": good, part: bad}
+    cfg = small_cfg(n=8, init=SnapshotInit(path=str(paths["init"])),
+                    forcing=SnapshotForcing(path=str(paths["forcing"])),
+                    N_list=(0,))
+
+    c = np.array(random_solenoidal(lat, decay=1.0, seed=9).coeffs)
+    c[1, 1, 2, 1] += 0.3j  # no conjugate partner
+    admio.save_field(SpectralField(lat, c), bad)
+    with pytest.raises(FieldInvariantError,
+                       match=f"^{part} snapshot {re.escape(str(bad))}: "
+                             "Hermitian"):
+        run_experiment(cfg, progress=False)
+
+    admio.save_field(random_solenoidal(WaveLattice(6), decay=1.0, seed=9),
+                     bad)
+    with pytest.raises(ValueError,
+                       match=f"^{part} snapshot {re.escape(str(bad))}: "
+                             "lattice "):
         run_experiment(cfg, progress=False)
 
 

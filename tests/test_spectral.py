@@ -314,6 +314,32 @@ def test_validate_field_refuses_non_finite(value):
         validate_field(SpectralField(lat, c), require_divergence_free=True)
 
 
+def test_validate_field_errors_name_their_source():
+    # each refusal, with and without a source: the named message is the
+    # unnamed one behind "<source>: "
+    lat = WaveLattice(8)
+    base = random_solenoidal(lat, decay=1.0, seed=21)
+    k1 = lat.wavevectors[0]
+    edits = {
+        "NaN or inf": lambda c: c.__setitem__((0, 1, 0, 0), np.nan),
+        "mean": lambda c: c.__setitem__((0, 0, 0, 0), 1.0),
+        "Hermitian": lambda c: c.__setitem__((0, 1, 0, 0), c[0, 1, 0, 0] + 0.5),
+        "Nyquist": lambda c: c.__setitem__((0, 4, 0, 0), 1.0),
+        "divergence": lambda c: c.__iadd__(
+            0.1 * np.abs(k1) * (base.coeffs[1] + base.coeffs[2])),
+    }
+    source = "init snapshot /p/x.admf"
+    for what, edit in edits.items():
+        c = np.array(base.coeffs)
+        edit(c)
+        bad = SpectralField(lat, c)
+        with pytest.raises(FieldInvariantError, match=what) as plain:
+            validate_field(bad, require_divergence_free=True)
+        with pytest.raises(FieldInvariantError) as named:
+            validate_field(bad, require_divergence_free=True, source=source)
+        assert str(named.value) == f"{source}: {plain.value}"
+
+
 def test_validate_zero_field_ok():
     validate_field(zero_field(WaveLattice(8)), require_divergence_free=True)
 
