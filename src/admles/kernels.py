@@ -84,8 +84,9 @@ def power_of_log(log_base, mask, e):
     """exp(e * log_base) where mask, 0 elsewhere: the exponent stage of
     ratio_power and compl_power."""
     # e * -inf is NaN for e = 0 where the base is 0, as in the one-stage
-    # formulas; it is no error.
-    with np.errstate(invalid="ignore"):
+    # formulas, and a masked entry may hold any value, which can overflow
+    # (log_ratio is positive for x < -1); neither is an error.
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.where(mask, np.exp(e * log_base), 0.0)
 
 

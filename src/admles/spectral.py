@@ -317,8 +317,9 @@ class _Workspace:
                                     np.complex128)
 
 
-def _aligned_empty(shape, dtype=np.float64, align: int = 64) -> np.ndarray:
-    """np.empty(shape, dtype) whose data starts on an align-byte boundary.
+def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
+    """np.empty(shape, dtype) whose data starts on a 64-byte (cache line)
+    boundary.
 
     np.empty guarantees only 16 bytes, so the buffers' offsets within a
     cache line would move with unrelated allocations, and the speed of
@@ -326,8 +327,8 @@ def _aligned_empty(shape, dtype=np.float64, align: int = 64) -> np.ndarray:
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    raw = np.empty(nbytes + align, np.uint8)
-    start = -raw.ctypes.data % align
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 

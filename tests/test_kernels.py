@@ -272,6 +272,17 @@ def test_zero_edges():
     assert float(pw) == 1.0 and float(diff) == 0.0
 
 
+def test_negative_x_is_masked_to_zero_without_warnings():
+    # outside the domain x >= 0 the powers are 0; for x < -1 the masked
+    # log is positive and its power overflows, which must not warn
+    xs = np.array([-1.0001, -2.0, -1e300, -0.5, -5e-324, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(kernels.ratio_power(xs, 100.0) == 0.0)
+        assert np.all(kernels.compl_power(xs, 100.0, 3.0) == 0.0)
+        assert float(kernels.ratio_power(-1.0001, 100.0)) == 0.0
+
+
 def test_deconv_from_g_order_column_matches_scalar_calls():
     # g from the smallest subnormal up to 1; the column holds order 0,
     # whose row must stay exactly 1
