@@ -46,18 +46,25 @@ spectral._Workspace, the transform buffers (numpy >= 2.0 writes matmul
 results into them through `out=`).  The residual-stress norm of each
 sample (_tau_norms) runs in the same workspace, after the steps.  At a
 sample step each order is compared with the live reference state, so no
-reference sample is stored.  With threads = W > 1 the orders are split
-over up to W processes: forked children step contiguous blocks of them
-with the same loop and hand their states back through one pipe each
-(1 MiB where the platform allows, so a child runs a few samples ahead),
-while the calling process steps the reference and the first order and
-records every sample.  Each order's arithmetic is the
-same in any process, so the outputs do not depend on W.
+reference sample is stored.  A sample works one order at a time in the
+workspace's scratch views, so it allocates nothing larger than one state
+and keeps no buffer of its own.  With threads = W > 1 the orders
+are split over up to W processes: forked children step contiguous blocks
+of them with the same loop and hand their states back through one pipe
+each (1 MiB where the platform allows, so a child runs a few samples
+ahead), read into one array per child allocated with the children, while
+the calling process steps the reference and the first order and records
+every sample.  Each process then runs numpy's BLAS on one thread, so the
+processes use no more threads than there are CPUs; a serial run keeps
+the caller's BLAS setting.  Each order's arithmetic is the same in any
+process, so the outputs do not depend on W.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -406,14 +413,18 @@ def check_cfl(cfg: SimConfig, u0: SpectralField) -> None:
 
 
 def _courant(cfg: SimConfig, grid: np.ndarray, where: str = "",
-             speed: str = "u") -> float:
+             speed: str = "u", out: Optional[np.ndarray] = None) -> float:
     """Courant number dt max|u| / dx of collocation samples (3, n, n, n).
 
-    Raises CflError when dt exceeds the limit 0.5 dx / max|u|; the message
-    starts with `where` and names the field `speed`.  A zero field has no
-    limit.
+    The squares are formed in `out`, a float buffer of the shape of grid,
+    or in a new array when it is None.  Raises CflError when dt exceeds
+    the limit 0.5 dx / max|u|; the message starts with `where` and names
+    the field `speed`.  A zero field has no limit.
     """
-    peak = float(np.sqrt(np.max(np.sum(grid ** 2, axis=0))))
+    sq = np.square(grid, out=out)
+    sq[0] += sq[1]
+    sq[0] += sq[2]
+    peak = float(np.sqrt(np.max(sq[0])))
     dx = cfg.L / cfg.n
     if peak > 0.0 and cfg.dt > 0.5 * dx / peak:
         raise CflError(
@@ -641,6 +652,18 @@ def _mode_sq(c: np.ndarray) -> np.ndarray:
     return np.sum(_abs2(c), axis=-4)
 
 
+def _state_sq(c: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
+    """sum_i |c_i|^2 per mode of one contiguous state (3, modes), into the
+    flat out (modes,); _mode_sq in another summation order.
+
+    pair (2 modes,) receives the component sums of the interleaved Re^2
+    and Im^2 of the float view, and out the sum of each mode's two.
+    """
+    f = c.view(np.float64).reshape(3, -1)
+    np.einsum("cm,cm->m", f, f, out=pair)
+    np.add(pair[0::2], pair[1::2], out=out)
+
+
 def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """sqrt(sum weight sq) over the 3 mode axes, per leading index."""
     return np.sqrt(np.sum(weight * sq, axis=(-3, -2, -1)))
@@ -693,19 +716,57 @@ def _order_blocks(threads: int, k: int, cpus: int) -> list:
     return blocks
 
 
+@functools.cache
+def _blas_pool() -> Optional[tuple]:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS,
+    scipy_openblas_get/set_num_threads64_ reached through ctypes; None
+    where numpy links another BLAS and the symbols are missing.  Looked up
+    once per process: each ctypes.CDLL builds its own function classes."""
+    from numpy._core import _multiarray_umath
+
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's BLAS on one thread (_blas_pool), and
+    restore the caller's count on exit, on success and on error; where
+    the count cannot be reached, change nothing.  Children forked inside
+    the block inherit the count."""
+    pool = _blas_pool()
+    if pool is None:
+        yield
+        return
+    get, put = pool
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _worker(steppers: list, states: list, n_steps: int, dt: float,
             exchange: frozenset, pipe) -> None:
     """A forked child's work: _lockstep over its block of orders, writing
     to `pipe` one status byte per step and, at each exchange step, the raw
-    bytes of the stacked states (orders, ...) after it.  The pipe's
+    bytes of its states after it, one order after another.  The pipe's
     capacity bounds how far the child runs ahead; once the caller is gone,
     the next write raises BrokenPipeError."""
 
     def publish(step: int, t: float, stepped: list) -> None:
-        # stacked before the status byte that announces them is written
-        block = np.stack(stepped) if step in exchange else b""
         pipe.write(_OK)
-        pipe.write(block)
+        if step in exchange:
+            for c in stepped:  # contiguous, as every step's result is
+                pipe.write(c)
         pipe.flush()
 
     try:
@@ -719,7 +780,9 @@ def _worker(steppers: list, states: list, n_steps: int, dt: float,
 
 class _Workers:
     """Forked children that step blocks of orders in lockstep with the
-    calling process (_worker), and the read end of each child's one pipe.
+    calling process (_worker), the read end of each child's one pipe and
+    one array per child, (orders, 3, M+1, 2M+1, 2M+1), allocated here,
+    that each exchange is read into (receive).
 
     Where the platform allows, each pipe holds _PIPE_BYTES.  Children write
     nothing to stdout or stderr (both go to the null device) and leave
@@ -728,8 +791,7 @@ class _Workers:
 
     def __init__(self, steppers: list, states: list, blocks: list,
                  n_steps: int, dt: float, exchange: frozenset):
-        self.pids, self.pipes, self.counts = [], [], []
-        self.like = states[0]  # the shape and dtype of every state
+        self.pids, self.pipes, self.inboxes = [], [], []
         try:
             for block in blocks:
                 self._fork([steppers[j] for j in block],
@@ -768,24 +830,26 @@ class _Workers:
         os.close(w)
         self.pids.append(pid)
         self.pipes.append(open(r, "rb"))
-        self.counts.append(len(states))
+        self.inboxes.append(np.empty((len(states), *states[0].shape),
+                                     states[0].dtype))
 
     def receive(self, step: int, exchange: bool) -> list:
         """Every child's status for `step`, read before the caller moves
         past it, so a child's exception (a blow-up too) is raised at the
-        step of a serial run; at an exchange step, the children's states."""
-        size = self.like.nbytes if exchange else 0
+        step of a serial run; at an exchange step, the children's states.
+
+        The states are read (readinto) into each child's preallocated
+        array and returned as views of it, valid until the next exchange.
+        """
         states = []
-        for pipe, count in zip(self.pipes, self.counts):
+        for pipe, inbox in zip(self.pipes, self.inboxes):
             msg = pipe.read(1)
             if msg == _FAILED:
                 raise pickle.load(pipe)
-            data = pipe.read(count * size)
-            if msg != _OK or len(data) != count * size:
+            if msg != _OK or exchange and pipe.readinto(inbox) != inbox.nbytes:
                 raise RuntimeError(f"a worker process stopped at step {step}")
             if exchange:
-                states.extend(np.frombuffer(data, self.like.dtype)
-                              .reshape(count, *self.like.shape))
+                states.extend(inbox)
         return states
 
     def close(self) -> None:
@@ -795,7 +859,7 @@ class _Workers:
         for pid in self.pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        self.pids, self.pipes, self.counts = [], [], []
+        self.pids, self.pipes, self.inboxes = [], [], []
 
     def __enter__(self):
         return self
@@ -825,8 +889,10 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     filtered initial state.  CflError is raised at the first sample, step 0
     included, where dt > 0.5 dx / max|u| for the reference.  A blow-up in
     any order raises BlowUpError at the same step as with threads = 1, and
-    no child outlives the call.  Deterministic for a fixed config, and the
-    same bit for bit for any `threads`.
+    no child outlives the call.  With more than one process, each runs
+    numpy's BLAS on one thread during the time loop, and the caller's
+    thread count is restored afterwards.  Deterministic for a fixed config,
+    and the same bit for bit for any `threads`.
     """
     lattice = WaveLattice(cfg.n, cfg.L)
     n = cfg.n
@@ -854,16 +920,20 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     _, s_level = energy_weight(cfg.spec)
     w_0, w_1, w_s, w_s1 = (_sobolev_weight(keep.ksq, s) * keep.w
                            for s in (0.0, 1.0, s_level, s_level + 1.0))
-    w_err = np.stack([w_0, w_s, w_1, w_s1])[:, None]  # _SERIES[:4]
+    w_err = np.stack([w_0, w_s, w_1, w_s1]).reshape(4, -1)  # _SERIES[:4]
     defect_weights = np.stack(
         [_defect_weight(cfg.spec, N, keep.ksq) * keep.w for N in cfg.N_list])
     rhos = [d * g for d in d_syms]
 
     dns_cols = np.empty((3, len(samples)))
-    series = {name: np.full((len(cfg.N_list), len(samples)), np.nan)
-              for name in _SERIES}
+    table = np.full((len(_SERIES), len(cfg.N_list), len(samples)), np.nan)
+    series = dict(zip(_SERIES, table))
     div_max = np.zeros(len(cfg.N_list))
     courant_max = 0.0
+    # A sample works in the workspace's named scratch (_Workspace), after
+    # the tau norms: per order, the per-mode squares of G u - w (row 0 of
+    # sq) and of w (row 1).
+    gu, diff, sq, pair = ws.gu, ws.diff, ws.mode_sq, ws.pair
 
     def record(idx: int, step: int, t: float, u: np.ndarray,
                states: list) -> None:
@@ -871,18 +941,22 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         u_sq = _mode_sq(u)
         dns_cols[:, idx] = (_weighted_norm(w_0, u_sq),
                             _weighted_norm(w_1, u_sq), _energy(u))
-        taus, u_grid = _tau_norms(u, rhos, ws)
+        series["tau_l2"][:, idx], u_grid = _tau_norms(u, rhos, ws)
         courant_max = max(courant_max, _courant(
-            cfg, u_grid, where=f"at step {step} (t = {t:.6g}) "))
-        # Every order at once: (orders, 3, modes) states.
-        w = np.stack(states)
-        err = _weighted_norm(w_err, _mode_sq(g * u - w))
-        for name, row in zip(_SERIES[:4], err):
-            series[name][:, idx] = row
-        series["w_l2"][:, idx] = _weighted_norm(w_0, _mode_sq(w))
-        series["tau_l2"][:, idx] = taus
-        series["half_norm"][:, idx] = _weighted_norm(defect_weights, u_sq)
-        np.maximum(div_max, _div_ratio(w, keep.k, keep.kmag), out=div_max)
+            cfg, u_grid, where=f"at step {step} (t = {t:.6g}) ",
+            out=ws.grid_sq))
+        np.multiply(g, u, out=gu)
+        for j, c in enumerate(states):
+            defect = np.multiply(defect_weights[j], u_sq,
+                                 out=sq[0].reshape(u_sq.shape))
+            series["half_norm"][j, idx] = np.sqrt(np.sum(defect))
+            _state_sq(np.subtract(gu, c, out=diff), sq[0], pair)
+            _state_sq(c, sq[1], pair)
+            # G u - w at the 4 levels of _SERIES[:4], and w at level 0
+            norms = np.sqrt(sq @ w_err.T)
+            table[:4, j, idx] = norms[0]
+            series["w_l2"][j, idx] = norms[1, 0]
+            div_max[j] = max(div_max[j], _div_ratio(c, keep.k, keep.kmag))
 
     u = _kept(u0.coeffs, n)
     # One initial array for every order: a step never writes into its input.
@@ -908,8 +982,11 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             for N, c in zip(cfg.N_list, states):
                 _progress(f"adm N={N}", step, t, _energy(c))
 
-    with _Workers(steppers, states, blocks[1:], n_steps, cfg.dt,
-                  exchange) as workers:
+    # W processes x 1 BLAS thread each stay within the CPUs; a serial run
+    # keeps the spare cores for BLAS.
+    pin = _one_blas_thread() if len(blocks) > 1 else contextlib.nullcontext()
+    with pin, _Workers(steppers, states, blocks[1:], n_steps, cfg.dt,
+                       exchange) as workers:
         _lockstep([dns_stepper, *steppers[:own]], [u, *states[:own]],
                   n_steps, cfg.dt, on_step)
 
@@ -936,21 +1013,30 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
 def _tau_norms(u: np.ndarray, rhos: list,
                ws: _Workspace) -> tuple[list, np.ndarray]:
     """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
-    for each Du = rho u with rho in rhos; and the collocation samples of u.
+    for each Du = rho u with rho in rhos; and the collocation samples of u,
+    ws.grid, valid until the workspace is used again.
 
     u (3, M+1, 2M+1, 2M+1) and the rho are keep-set arrays, as every
     solver state is.  u goes to the grid through _kinverse once for all
-    rho, into a copy; each Du goes into the workspace grid.  The tensor is
-    symmetric, so its 6 distinct components are formed and transformed
-    once; the mode sum over the keep set uses the off-diagonal weights and
-    the keep set's w.
+    rho; each Du goes to the grid through the workspace's residual-stress
+    scratch (du, minus).  The tensor is symmetric, so its 6 distinct
+    components are formed and transformed once; the mode sum over the
+    keep set uses the off-diagonal weights and the keep set's w, with the
+    squares formed in ws.stress_sq.  No buffer is allocated beyond a few
+    keep-set planes.
     """
-    u_grid = _kinverse(u, ws).copy()
+    u_grid = _kinverse(u, ws)
     weight = _SYM_WEIGHTS[:, None, None, None] * ws.keep.w
+    re2, im2 = ws.stress_sq
     norms = []
     for rho in rhos:
-        products = _sym_products(u_grid, _kinverse(rho * u, ws), ws)
-        norms.append(float(np.sqrt(np.sum(weight * _abs2(products)))))
+        du = np.multiply(rho, u, out=ws.du)
+        products = _sym_products(u_grid, _kinverse(du, ws, ws.minus), ws)
+        np.multiply(products.real, products.real, out=re2)
+        np.multiply(products.imag, products.imag, out=im2)
+        re2 += im2
+        re2 *= weight
+        norms.append(float(np.sqrt(np.sum(re2))))
     return norms, u_grid
 
 

@@ -201,9 +201,13 @@ def _clean(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
 
 
 # The symmetric products g_i g_j (i <= j) in stacking order and each
-# component's Frobenius weight.
+# component's Frobenius weight.  _sym_products may read its minus factors
+# from product slots 3..5 because of this order: product p >= 3 overwrites
+# component p - 3, which no later product reads.
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+assert not any(p - 3 in pair for p in range(3, 6)
+               for pair in _SYM_PAIRS[p + 1:])
 # The trace-free stress u_i u_j - delta_ij u_3 u_3 in stacking order (the
 # first two products less u_3 u_3), and the stack index of its component
 # (i, j) per row i; the zero (3, 3) component closes the last row.
@@ -303,6 +307,17 @@ class _Workspace:
     stress.  Every use overwrites the buffers, so a workspace serves
     callers that run one after another in one thread; callers that may
     run at the same time each build their own.
+
+    Between transforms the buffers are idle, and named views of them are
+    scratch in two groups, each of views that overlap neither one another
+    nor grid; the groups overlap, so one is used after the other.  The
+    residual stress's: du, a keep-set state that _kinverse sends to the
+    grid in minus, the last 3 product slots, which _sym_products may read
+    (see _SYM_PAIRS), and stress_sq (2, 6, M+1, 2M+1, 2M+1), in lines,
+    for the squares of the 6 products it returns.  A sample's: grid_sq
+    (3, n, n, n) the squares of grid samples, gu and diff two keep-set
+    states, mode_sq (2, modes) two rows of per-mode squares and pair
+    (2 modes,) the sums behind one row.  Any transform overwrites them.
     """
 
     def __init__(self, lattice: WaveLattice):
@@ -315,6 +330,15 @@ class _Workspace:
         self.planes = _aligned_empty((6, n, n, m + 1), np.complex128)
         self.kspec = _aligned_empty((6, m + 1, 2 * m + 1, 2 * m + 1),
                                     np.complex128)
+        modes = self.keep.ksq.size
+        self.du, self.minus = self.kspec[3:], self.prod[3:]
+        self.stress_sq = self.lines.reshape(-1).view(np.float64)[
+            :12 * modes].reshape(2, *self.kspec.shape)
+        rows = self.prod[3:].reshape(-1)
+        self.grid_sq = self.prod[:3]
+        self.gu, self.diff = self.kspec[:3], self.kspec[3:]
+        self.mode_sq = rows[:2 * modes].reshape(2, modes)
+        self.pair = rows[2 * modes:4 * modes]
 
 
 def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -332,9 +356,11 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
-def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _kinverse(kc: np.ndarray, ws: _Workspace,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of keep-set coefficients (3, M+1, 2M+1, 2M+1), written
-    into ws.grid; _inverse of _full(kc) to within rounding.
+    into out, a contiguous float (3, n, n, n), or ws.grid when it is None;
+    _inverse of _full(kc) to within rounding.
 
     Three matmul calls with the DFT matrices restricted to the keep set:
     Fi (n, 2M+1) along m2 into ws.lines and then along m1 into ws.planes,
@@ -348,9 +374,10 @@ def _kinverse(kc: np.ndarray, ws: _Workspace) -> np.ndarray:
                   out=ws.lines[:3].reshape(3, n, h * k))
     b = np.matmul(keep.Fi, a.reshape(3, n * h, k).mT,
                   out=ws.planes[:3].reshape(3, n, n * h))
+    out = ws.grid if out is None else out
     np.matmul(b.view(np.float64).reshape(3 * n * n, 2 * h), keep.R,
-              out=ws.grid.reshape(3 * n * n, n))
-    return ws.grid
+              out=out.reshape(3 * n * n, n))
+    return out
 
 
 def _kforward(samples: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -381,15 +408,20 @@ def _sym_products(grid: np.ndarray, minus: np.ndarray,
     """Dealiased keep-set coefficients of the 6 symmetric components
     grid_i grid_j - minus_i minus_j (i <= j) of a residual stress.
 
-    grid and minus hold collocation samples (3, n, n, n); the differences
-    are formed on the grid before the one transform.  Returns ws.kspec,
+    grid and minus hold collocation samples (3, n, n, n); minus may be
+    ws.minus (see _SYM_PAIRS).  The differences are formed on the grid
+    before the one transform, each minus product first, in the float view
+    of ws.lines, which the transform overwrites next.  Returns ws.kspec,
     shape (6, M+1, 2M+1, 2M+1) in _SYM_PAIRS order; it is valid until the
     workspace is used again.
     """
     prod = ws.prod
+    tmp = ws.lines.reshape(-1).view(np.float64)[: prod[0].size].reshape(
+        prod[0].shape)
     for p, (i, j) in enumerate(_SYM_PAIRS):
+        np.multiply(minus[i], minus[j], out=tmp)
         np.multiply(grid[i], grid[j], out=prod[p])
-        prod[p] -= minus[i] * minus[j]
+        prod[p] -= tmp
     return _kforward(prod, ws)
 
 
@@ -568,21 +600,18 @@ def divergence_ratio(f: SpectralField) -> float:
     divergence-free invariant and by the solver drift check.
     """
     lat = f.lattice
-    return float(_div_ratio(f.coeffs, lat.wavevectors,
-                            np.sqrt(lat.k_squared)))
+    return _div_ratio(f.coeffs, lat.wavevectors, np.sqrt(lat.k_squared))
 
 
-def _div_ratio(c: np.ndarray, k, kmag: np.ndarray) -> np.ndarray:
-    """max |k.c| / max |k| |c| of raw coefficients (..., 3, modes), per
+def _div_ratio(c: np.ndarray, k, kmag: np.ndarray) -> float:
+    """max |k.c| / max |k| |c| of the raw coefficients (3, modes) of one
     field; 0 for a zero field.
 
     k and kmag = |k| belong to the mode layout of c.
     """
-    c = np.moveaxis(c, -4, 0)
-    modes = (-3, -2, -1)
-    top = np.max(np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2]), axis=modes)
-    bottom = np.max(kmag * np.max(np.abs(c), axis=0), axis=modes)
-    return np.divide(top, bottom, out=np.zeros_like(top), where=bottom > 0)
+    top = np.max(np.abs(k[0] * c[0] + k[1] * c[1] + k[2] * c[2]))
+    bottom = np.max(kmag * np.max(np.abs(c), axis=0))
+    return float(top / bottom) if bottom > 0 else 0.0
 
 
 def _hermitian_partner(coeffs: np.ndarray) -> np.ndarray:

@@ -260,6 +260,19 @@ def test_workspace_buffers_are_aligned_and_written_in_place(n):
         assert np.all(np.isfinite(buf))
 
 
+@pytest.mark.parametrize("n", [4, 6, 16, 48])
+def test_workspace_scratch_groups_do_not_overlap(n):
+    # within each group of named scratch views, no view shares memory with
+    # another or with grid, which holds u's samples during a sample
+    ws = _Workspace(WaveLattice(n))
+    for group in (("du", "minus", "stress_sq"),
+                  ("grid_sq", "gu", "diff", "mode_sq", "pair")):
+        views = [ws.grid, *(getattr(ws, name) for name in group)]
+        for a in range(len(views)):
+            for b in range(a):
+                assert not np.may_share_memory(views[a], views[b]), group
+
+
 @pytest.mark.parametrize("n", [6, 8, 16])
 @pytest.mark.parametrize("order", [None, 0, 3])
 def test_advance_matches_full_spectrum_oracle(n, order):
@@ -476,12 +489,14 @@ def test_untruncated_fields_read_as_their_truncation(n, spec):
                           spectral.nonlinear_term(tu, tv).coeffs)
 
 
-def _simulate_files(tmp_path, blas_threads):
+def _simulate_files(tmp_path, blas_threads, threads=None):
     """Every output file of `admles simulate` run in a fresh interpreter
-    with the BLAS thread count and --threads both set to blas_threads, by
-    relative path: with 2, the orders' worker is forked from a process
-    whose BLAS pool is running."""
-    out = tmp_path / f"out{blas_threads}"
+    with the BLAS thread count set to blas_threads and --threads to
+    threads (blas_threads when None), by relative path: with --threads 2,
+    the orders' worker is forked from a process whose BLAS pool is
+    running."""
+    threads = blas_threads if threads is None else threads
+    out = tmp_path / f"out{blas_threads}-{threads}"
     cfg = solvers.SimConfig(n=32, nu=0.05, spec=H, T=0.03, dt=0.01,
                             N_list=(0, 2),
                             init=solvers.RandomSpectrumInit(decay=1.5,
@@ -494,7 +509,7 @@ def _simulate_files(tmp_path, blas_threads):
     subprocess.run(
         [sys.executable, "-c", "from admles.cli import main; main()",
          "simulate", "--config", str(cfg_path), "--out", str(out),
-         "--threads", str(blas_threads)],
+         "--threads", str(threads)],
         env=env, check=True, capture_output=True, timeout=300)
     return {p.relative_to(out): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
@@ -506,3 +521,10 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert {p.name for p in one} >= {"dns.csv", "series.csv", "u_final.admf",
                                      "w0_final.admf", "w2_final.admf"}
     assert one == two
+
+
+def test_serial_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # a serial run keeps the caller's BLAS pool, so here its keep-set
+    # transforms run on 2 BLAS threads; a run of 2 processes sets 1 in each
+    assert (_simulate_files(tmp_path, 2, threads=1)
+            == _simulate_files(tmp_path, 1))

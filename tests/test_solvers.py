@@ -808,6 +808,40 @@ def test_experiment_peak_memory_stays_small():
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("threads, bound", [(1, 20.0), (2, 12.0)])
+def test_samples_allocate_no_stacked_states(monkeypatch, threads, bound):
+    # tracemalloc's peak inside the time loop, above what is traced when
+    # the loop starts, in keep-set states (3, M+1, 2M+1, 2M+1): stepping
+    # the caller's systems (6 serially, 2 beside a worker) needs their
+    # new and previous states and the stepper's temporaries, and a sample
+    # may add no (orders, 3, modes) stack on top.  Measured at 16^3 with 5
+    # orders: 17.3 states serially and 9.3 beside a worker; before samples
+    # worked one order at a time in preallocated buffers, 26.6 in both.
+    import tracemalloc
+
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    cfg = small_cfg(T=0.05, dt=0.005, N_list=(0, 1, 2, 4, 8), sample_every=1)
+    m = cfg.n // 3
+    state = 3 * (m + 1) * (2 * m + 1) ** 2 * np.dtype(complex).itemsize
+    real_lockstep = solvers._lockstep
+    peaks = []
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        states = real_lockstep(*args)
+        peaks.append((tracemalloc.get_traced_memory()[1] - start) / state)
+        return states
+
+    monkeypatch.setattr(solvers, "_lockstep", traced)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, threads=threads, progress=False)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < bound, peaks
+
+
 def test_single_step_horizon_has_two_samples():
     cfg = small_cfg(T=0.01, dt=0.01, N_list=(0,))
     out = run_experiment(cfg, progress=False)
@@ -1247,6 +1281,73 @@ def test_worker_hand_off_matches_serial(monkeypatch, n, orders, T,
     serial = run_experiment(cfg, threads=1, progress=False)
     forked = run_experiment(cfg, threads=2, progress=False)
     _assert_same_runs(serial, forked)
+    _assert_no_child()
+
+
+def test_hand_off_reads_into_one_array_per_child():
+    # each exchange is read into the array allocated for its child with
+    # the workers: two exchanges return views of the same memory, holding
+    # the states a serial run steps to
+    cfg = small_cfg(n=8, N_list=(0, 1, 2), T=0.02, dt=0.01)
+    lat = WaveLattice(cfg.n)
+    steppers, g, _ = solvers._build_steppers(cfg, lat, cfg.N_list)
+    u = _kept(initial_field(cfg, lat).coeffs, cfg.n)
+    serial = [[g * u] * 3]
+    for step in (1, 2):
+        serial.append([solvers._step(s, c, step, step * cfg.dt)
+                       for s, c in zip(steppers, serial[-1])])
+    with solvers._Workers(steppers, serial[0], [range(1, 2), range(2, 3)],
+                          2, cfg.dt, frozenset({1, 2})) as workers:
+        first = workers.receive(1, True)
+        got = [c.copy() for c in first]
+        second = workers.receive(2, True)
+        inboxes = workers.inboxes
+        assert len(inboxes) == 2 and len(first) == len(second) == 2
+        for a, b, inbox in zip(first, second, inboxes):
+            assert inbox.shape == (1, *u.shape)
+            assert np.shares_memory(a, inbox) and np.shares_memory(b, inbox)
+        for j in (0, 1):
+            assert np.array_equal(got[j], serial[1][j + 1])
+            assert np.array_equal(second[j], serial[2][j + 1])
+    _assert_no_child()
+
+
+@pytest.mark.skipif(solvers._blas_pool() is None,
+                    reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_workers_run_one_blas_thread_per_process(tmp_path, monkeypatch):
+    # W = 2 processes run 1 BLAS thread each during the time loop, the
+    # forked worker and the caller alike; the caller's count is restored
+    # after the run, after a failed one too.  A serial run keeps it.
+    get, put = solvers._blas_pool()
+    log = tmp_path / "blas"
+    real_advance = solvers._Stepper.advance
+
+    def advance(self, c):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {get()}\n")
+        return real_advance(self, c)
+
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    monkeypatch.setattr(solvers._Stepper, "advance", advance)
+    before = get()
+    put(2)
+    try:
+        run_experiment(_doomed_cfg(), threads=2, progress=False)
+        counts = {}
+        for line in log.read_text().split("\n")[:-1]:
+            pid, count = line.split()
+            counts.setdefault(int(pid) == os.getpid(), set()).add(int(count))
+        assert counts == {True: {1}, False: {1}}
+        assert get() == 2
+        log.unlink()
+        run_experiment(_doomed_cfg(), threads=1, progress=False)
+        assert set(log.read_text().split("\n")[:-1]) == {f"{os.getpid()} 2"}
+        _doom_last_order(monkeypatch, 3, tmp_path / "pid")
+        with pytest.raises(BlowUpError):
+            run_experiment(_doomed_cfg(), threads=2, progress=False)
+        assert get() == 2
+    finally:
+        put(before)
     _assert_no_child()
 
 
