@@ -28,17 +28,18 @@ from .filters import (
     energy_weight,
 )
 from .kernels import _scalar_map
-from .solvers import (
-    ExperimentOutput,
-    _mode_sq,
-    _tau_norms,
-)
+from .solvers import ExperimentOutput
 from .spectral import (
     SpectralField,
     WaveLattice,
     random_solenoidal,
     sobolev_norm,
+    _SYM_WEIGHTS,
     _kept,
+    _mode_sq,
+    _mode_sum,
+    _tau_norms,
+    _weight_row,
     _Workspace,
 )
 
@@ -109,10 +110,10 @@ def residual_stress_norm(u: SpectralField, spec: FilterSpec,
     two agree bit for bit.  Each call allocates its own transform buffers
     (_Workspace), so calls may run at the same time.
     """
-    lattice = u.lattice
-    rho = recovery_symbol(DeconvOp(spec, order), lattice.keep.ksq)
+    lattice, keep = u.lattice, u.lattice.keep
+    rho = recovery_symbol(DeconvOp(spec, order), keep.ksq)
     norms, _ = _tau_norms(_kept(u.coeffs, lattice.n), [rho],
-                          _Workspace(lattice))
+                          _weight_row(keep, _SYM_WEIGHTS), _Workspace(lattice))
     return norms[0]
 
 
@@ -126,14 +127,12 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
     residual_stress_norm, which the bound tau^2 <= 2 C u_h1^2 defect^2
     pairs it with, so the modes of u outside the keep set are dropped as
     there.  The weight is evaluated on the lattice's keep set
-    (WaveLattice.keep), so the sum is run_experiment's half_norm series,
-    bit for bit.
+    (WaveLattice.keep) and summed by the code of run_experiment's
+    half_norm series (spectral._mode_sum), so the two agree bit for bit.
     """
-    lattice = u.lattice
-    keep = lattice.keep
-    total = np.sum(_defect_weight(spec, order, keep.ksq) * keep.w
-                   * _mode_sq(_kept(u.coeffs, lattice.n)))
-    return float(np.sqrt(total))
+    lattice, keep = u.lattice, u.lattice.keep
+    row = _weight_row(keep, _defect_weight(spec, order, keep.ksq))
+    return float(np.sqrt(_mode_sum(_mode_sq(_kept(u.coeffs, lattice.n)), row)))
 
 
 def defect_bound(u_h1, alpha: float, p: float, order):
@@ -266,6 +265,11 @@ def calibrate_sobolev_constant(
     The product constant pairing the gradient norm with the defect half-norm
     has no published numerical value; this measures the empirical best
     constant on random solenoidal fields so a configured C can be judged.
+    The random-field value is below what flows realize: 0.383 for
+    Helmholtz alpha = 0.5, p = 1 at the defaults, against max_t tau^2 /
+    (2 u_h1^2 defect^2) = 0.45-0.72 per order in 16^3 Taylor-Green runs
+    (nu = 0.05, T = 1, orders 0..16).  A bound built with this C can fail
+    the tau link on the flow it reports on.
     """
     lattice = WaveLattice(n)
     best = 0.0

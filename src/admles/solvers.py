@@ -31,9 +31,9 @@ about 15% of the full layout, and goes to the grid and back through the
 keep-set transform pair spectral._kinverse / _kforward: products with the
 DFT matrices restricted to the keep set, three passes of one BLAS product
 per component, (2M+1) n multiply-adds per line, which agree with the
-full-layout pair to within 1e-13 of the largest value.  Mode sums weight
-the m3 = 0 plane, the first, by 1 and the others by 2 (_energy,
-WaveLattice.keep.w).  A step makes no numpy.fft call, and neither
+full-layout pair to within 1e-13 of the largest value.  Every sampled
+norm is one keep-set mode sum (spectral._mode_sq, _mode_sum).  A step
+makes no numpy.fft call, and neither
 does a sample: the per-sample diagnostics, residual stress included, go
 to the grid through the same pair.
 
@@ -44,7 +44,7 @@ per-sample weight is evaluated once, on the lattice's keep set
 and read-only), and the steppers of a process share one
 spectral._Workspace, the transform buffers (numpy >= 2.0 writes matmul
 results into them through `out=`).  The residual-stress norm of each
-sample (_tau_norms) runs in the same workspace, after the steps.  At a
+sample (spectral._tau_norms) runs in the same workspace, after the steps.  At a
 sample step each order is compared with the live reference state, so no
 reference sample is stored.  A sample works one order at a time in the
 workspace's scratch views, so it allocates nothing larger than one state
@@ -106,9 +106,12 @@ from .spectral import (
     _kept,
     _kinverse,
     _leray,
+    _mode_sq,
+    _mode_sum,
     _sobolev_weight,
-    _sym_products,
+    _tau_norms,
     _tracefree_products,
+    _weight_row,
     _Workspace,
 )
 
@@ -642,41 +645,6 @@ def _progress(tag: str, step: int, t: float, e: float) -> None:
     print(f"[{tag}] step={step} t={t:.6g} E={e:.6g}", file=sys.stderr)
 
 
-def _abs2(c: np.ndarray) -> np.ndarray:
-    """|c|^2 elementwise."""
-    return c.real ** 2 + c.imag ** 2
-
-
-def _mode_sq(c: np.ndarray) -> np.ndarray:
-    """sum_i |c_i|^2 per mode of coefficients (..., 3, modes)."""
-    return np.sum(_abs2(c), axis=-4)
-
-
-def _state_sq(c: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
-    """sum_i |c_i|^2 per mode of one contiguous state (3, modes), into the
-    flat out (modes,); _mode_sq in another summation order.
-
-    pair (2 modes,) receives the component sums of the interleaved Re^2
-    and Im^2 of the float view, and out the sum of each mode's two.
-    """
-    f = c.view(np.float64).reshape(3, -1)
-    np.einsum("cm,cm->m", f, f, out=pair)
-    np.add(pair[0::2], pair[1::2], out=out)
-
-
-def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """sqrt(sum weight sq) over the 3 mode axes, per leading index."""
-    return np.sqrt(np.sum(weight * sq, axis=(-3, -2, -1)))
-
-
-def _energy(kc: np.ndarray) -> float:
-    """Half the squared coefficient norm of keep-set coefficients, mean
-    mode included (Hermitian weights 1 on m3 = 0, 2 on m3 = 1..M): the
-    per-plane sums over m1 and m2, plane 0 being m3 = 0."""
-    sq = np.sum(_mode_sq(kc), axis=(-2, -1))
-    return float(0.5 * sq[0] + np.sum(sq[1:]))
-
-
 _DNS = ("t", "u_l2", "u_h1", "energy")
 _SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
            "half_norm", "w_l2")
@@ -915,14 +883,16 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     ws = dns_stepper.ws
     keep = lattice.keep
 
-    # Keep-set weights of the per-sample norms; the defect norms are
-    # half_norm_defect's keep-set sums, to the last bit.
+    # The weight rows of the sampled mode sums in _SERIES order (eps_* and
+    # u and w, tau_l2, half_norm per order), and the energy's, mean included.
     _, s_level = energy_weight(cfg.spec)
-    w_0, w_1, w_s, w_s1 = (_sobolev_weight(keep.ksq, s) * keep.w
-                           for s in (0.0, 1.0, s_level, s_level + 1.0))
-    w_err = np.stack([w_0, w_s, w_1, w_s1]).reshape(4, -1)  # _SERIES[:4]
-    defect_weights = np.stack(
-        [_defect_weight(cfg.spec, N, keep.ksq) * keep.w for N in cfg.N_list])
+    levels = np.stack([_weight_row(keep, _sobolev_weight(keep.ksq, s))
+                       for s in (0.0, s_level, 1.0, s_level + 1.0)])
+    tau_row = _weight_row(keep, _SYM_WEIGHTS)
+    defect_rows = np.stack([
+        _weight_row(keep, _defect_weight(cfg.spec, N, keep.ksq))
+        for N in cfg.N_list])
+    energy_row = _weight_row(keep, 0.5)
     rhos = [d * g for d in d_syms]
 
     dns_cols = np.empty((3, len(samples)))
@@ -931,29 +901,32 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     div_max = np.zeros(len(cfg.N_list))
     courant_max = 0.0
     # A sample works in the workspace's named scratch (_Workspace), after
-    # the tau norms: per order, the per-mode squares of G u - w (row 0 of
-    # sq) and of w (row 1).
-    gu, diff, sq, pair = ws.gu, ws.diff, ws.mode_sq, ws.pair
+    # the tau norms: the per-mode squares of u, G u - w and w in sq.
+    diff, sq = ws.diff, ws.mode_sq
+    pair = ws.pair[:2 * sq.shape[1]]
+
+    def energy(c: np.ndarray) -> float:
+        return float(_mode_sum(_mode_sq(c, sq[0], pair), energy_row, sq[1]))
 
     def record(idx: int, step: int, t: float, u: np.ndarray,
                states: list) -> None:
         nonlocal courant_max
-        u_sq = _mode_sq(u)
-        dns_cols[:, idx] = (_weighted_norm(w_0, u_sq),
-                            _weighted_norm(w_1, u_sq), _energy(u))
-        series["tau_l2"][:, idx], u_grid = _tau_norms(u, rhos, ws)
+        series["tau_l2"][:, idx], u_grid = _tau_norms(u, rhos, tau_row, ws)
         courant_max = max(courant_max, _courant(
             cfg, u_grid, where=f"at step {step} (t = {t:.6g}) ",
             out=ws.grid_sq))
-        np.multiply(g, u, out=gu)
+        u_sq = _mode_sq(u, sq[0], pair)
+        dns_cols[:, idx] = (np.sqrt(_mode_sum(u_sq, levels[0], sq[1])),
+                            np.sqrt(_mode_sum(u_sq, levels[2], sq[1])),
+                            _mode_sum(u_sq, energy_row, sq[1]))
         for j, c in enumerate(states):
-            defect = np.multiply(defect_weights[j], u_sq,
-                                 out=sq[0].reshape(u_sq.shape))
-            series["half_norm"][j, idx] = np.sqrt(np.sum(defect))
-            _state_sq(np.subtract(gu, c, out=diff), sq[0], pair)
-            _state_sq(c, sq[1], pair)
+            series["half_norm"][j, idx] = np.sqrt(
+                _mode_sum(u_sq, defect_rows[j], sq[1]))
+            np.subtract(np.multiply(g, u, out=diff), c, out=diff)
+            _mode_sq(diff, sq[1], pair)
+            _mode_sq(c, sq[2], pair)
             # G u - w at the 4 levels of _SERIES[:4], and w at level 0
-            norms = np.sqrt(sq @ w_err.T)
+            norms = np.sqrt(_mode_sum(sq[1:], levels))
             table[:4, j, idx] = norms[0]
             series["w_l2"][j, idx] = norms[1, 0]
             div_max[j] = max(div_max[j], _div_ratio(c, keep.k, keep.kmag))
@@ -978,9 +951,9 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             record(cursor, step, t, u, states)
             cursor += 1
         if reports(step):
-            _progress("dns", step, t, _energy(u))
+            _progress("dns", step, t, energy(u))
             for N, c in zip(cfg.N_list, states):
-                _progress(f"adm N={N}", step, t, _energy(c))
+                _progress(f"adm N={N}", step, t, energy(c))
 
     # W processes x 1 BLAS thread each stay within the CPUs; a serial run
     # keeps the spare cores for BLAS.
@@ -1008,36 +981,6 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         config=cfg, lattice=lattice, dns=dns, runs=runs,
         u_final=u_final, ubar_final=ubar_final, courant_max=courant_max,
     )
-
-
-def _tau_norms(u: np.ndarray, rhos: list,
-               ws: _Workspace) -> tuple[list, np.ndarray]:
-    """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
-    for each Du = rho u with rho in rhos; and the collocation samples of u,
-    ws.grid, valid until the workspace is used again.
-
-    u (3, M+1, 2M+1, 2M+1) and the rho are keep-set arrays, as every
-    solver state is.  u goes to the grid through _kinverse once for all
-    rho; each Du goes to the grid through the workspace's residual-stress
-    scratch (du, minus).  The tensor is symmetric, so its 6 distinct
-    components are formed and transformed once; the mode sum over the
-    keep set uses the off-diagonal weights and the keep set's w, with the
-    squares formed in ws.stress_sq.  No buffer is allocated beyond a few
-    keep-set planes.
-    """
-    u_grid = _kinverse(u, ws)
-    weight = _SYM_WEIGHTS[:, None, None, None] * ws.keep.w
-    re2, im2 = ws.stress_sq
-    norms = []
-    for rho in rhos:
-        du = np.multiply(rho, u, out=ws.du)
-        products = _sym_products(u_grid, _kinverse(du, ws, ws.minus), ws)
-        np.multiply(products.real, products.real, out=re2)
-        np.multiply(products.imag, products.imag, out=im2)
-        re2 += im2
-        re2 *= weight
-        norms.append(float(np.sqrt(np.sum(re2))))
-    return norms, u_grid
 
 
 # ---------------------------------------------------------------------------

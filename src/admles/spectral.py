@@ -24,9 +24,11 @@ holds the modes m3 in 0..M and m1, m2 in 0..M, -M..-1 (full-axis indices
 0..M, n-M..n-1).  The modes with m3 < 0 are the complex conjugates of
 their partners, u_hat_{-k} = conj(u_hat_k), so a mode sum over the full
 layout equals the keep-set sum with weight 1 on the m3 = 0 plane and 2 on
-m3 = 1..M (lattice.keep.w, shape (M+1, 1, 1)).  _kept gathers a full-layout
-array onto the keep set, moving m3 to the front, and _full scatters it
-back, with the conjugate fill of the m3 < 0 planes.  The products of a
+m3 = 1..M (lattice.keep.w, shape (M+1, 1, 1)); every such sum is one
+_mode_sum of per-mode squares (_mode_sq) against weight rows with keep.w
+folded in (_weight_row).  _kept gathers a full-layout array onto the keep
+set, moving m3 to the front, and _full scatters it back, with the
+conjugate fill of the m3 < 0 planes.  The products of a
 field with itself form a symmetric tensor.  The residual-stress norm
 transforms its 6 distinct components g_i g_j with i <= j; in a Frobenius
 sum the 3 off-diagonal ones count twice.  The stepper transforms only the
@@ -205,7 +207,7 @@ def _clean(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
 # from product slots 3..5 because of this order: product p >= 3 overwrites
 # component p - 3, which no later product reads.
 _SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+_SYM_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0]).reshape(6, 1, 1, 1)
 assert not any(p - 3 in pair for p in range(3, 6)
                for pair in _SYM_PAIRS[p + 1:])
 # The trace-free stress u_i u_j - delta_ij u_3 u_3 in stacking order (the
@@ -313,11 +315,12 @@ class _Workspace:
     nor grid; the groups overlap, so one is used after the other.  The
     residual stress's: du, a keep-set state that _kinverse sends to the
     grid in minus, the last 3 product slots, which _sym_products may read
-    (see _SYM_PAIRS), and stress_sq (2, 6, M+1, 2M+1, 2M+1), in lines,
-    for the squares of the 6 products it returns.  A sample's: grid_sq
-    (3, n, n, n) the squares of grid samples, gu and diff two keep-set
-    states, mode_sq (2, modes) two rows of per-mode squares and pair
-    (2 modes,) the sums behind one row.  Any transform overwrites them.
+    (see _SYM_PAIRS), and stress_sq (6 modes,) for the squares of the 6
+    products it returns.  A sample's: grid_sq (3, n, n, n) the squares of
+    grid samples, diff a keep-set state and mode_sq (3, modes) three rows
+    of per-mode squares.  pair, in lines, takes the sums behind squares
+    (_mode_sq) and the products of a sum (_mode_sum) in either group.
+    Any transform overwrites them.
     """
 
     def __init__(self, lattice: WaveLattice):
@@ -332,13 +335,10 @@ class _Workspace:
                                     np.complex128)
         modes = self.keep.ksq.size
         self.du, self.minus = self.kspec[3:], self.prod[3:]
-        self.stress_sq = self.lines.reshape(-1).view(np.float64)[
-            :12 * modes].reshape(2, *self.kspec.shape)
-        rows = self.prod[3:].reshape(-1)
-        self.grid_sq = self.prod[:3]
-        self.gu, self.diff = self.kspec[:3], self.kspec[3:]
-        self.mode_sq = rows[:2 * modes].reshape(2, modes)
-        self.pair = rows[2 * modes:4 * modes]
+        self.stress_sq = self.prod[:3].reshape(-1)[:6 * modes]
+        self.grid_sq, self.diff = self.prod[:3], self.kspec[3:]
+        self.mode_sq = self.prod[3:].reshape(-1)[:3 * modes].reshape(3, modes)
+        self.pair = self.lines.reshape(-1).view(np.float64)[:12 * modes]
 
 
 def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -423,6 +423,57 @@ def _sym_products(grid: np.ndarray, minus: np.ndarray,
         np.multiply(grid[i], grid[j], out=prod[p])
         prod[p] -= tmp
     return _kforward(prod, ws)
+
+
+def _tau_norms(u: np.ndarray, rhos: list, row: np.ndarray,
+               ws: _Workspace) -> tuple[list, np.ndarray]:
+    """Frobenius coefficient norms of u(x)u - Du(x)Du, dealiased, mean kept,
+    for each Du = rho u with rho in rhos; and the collocation samples of u,
+    ws.grid, valid until the workspace is used again.
+
+    u (3, M+1, 2M+1, 2M+1) and the rho are keep-set arrays, as every
+    solver state is.  u goes to the grid through _kinverse once for all
+    rho; each Du goes to the grid through the workspace's residual-stress
+    scratch (du, minus).  The tensor is symmetric, so its 6 distinct
+    components are formed and transformed once; their squares per
+    (component, mode) are summed against row, _weight_row(keep,
+    _SYM_WEIGHTS), in the residual-stress scratch, allocating nothing.
+    """
+    u_grid = _kinverse(u, ws)
+    norms = []
+    for rho in rhos:
+        du = np.multiply(rho, u, out=ws.du)
+        products = _sym_products(u_grid, _kinverse(du, ws, ws.minus), ws)
+        sq = _mode_sq(products.reshape(1, -1), ws.stress_sq, ws.pair)
+        norms.append(float(np.sqrt(_mode_sum(sq, row, ws.pair[:sq.size]))))
+    return norms, u_grid
+
+
+def _mode_sq(c: np.ndarray, out=None, pair=None) -> np.ndarray:
+    """sum_i |c_i|^2 per mode of a contiguous complex c (i, ...), flat, in
+    out; pair, twice as long, takes the sums over i of Re^2 and Im^2,
+    interleaved in the float view.  New arrays where they are None."""
+    f = c.view(np.float64).reshape(len(c), -1)
+    pair = np.einsum("cm,cm->m", f, f, out=pair)
+    return np.add(pair[0::2], pair[1::2], out=out)
+
+
+def _weight_row(keep: _KeepSet, symbol) -> np.ndarray:
+    """The flat weight row of a mode sum (_mode_sum): a keep-set symbol, a
+    scalar, or a stack of either, times the Hermitian weights keep.w."""
+    shape = np.broadcast_shapes(np.shape(symbol), keep.ksq.shape)
+    return np.multiply(symbol, keep.w, out=np.empty(shape)).reshape(-1)
+
+
+def _mode_sum(sq: np.ndarray, rows: np.ndarray, out=None):
+    """Keep-set mode sums of squares (_mode_sq) against weight rows
+    (_weight_row).  One row gives a scalar: the products, in out (new where
+    None), summed pairwise in an order set by the length alone (BLAS's dot
+    splits long sums over its threads).  A stack (k, modes) against
+    squares (r, modes) gives sq @ rows.T."""
+    if rows.ndim == 1:
+        return np.multiply(sq, rows, out=out).sum()
+    return sq @ rows.T
 
 
 def _tracefree_products(grid: np.ndarray, ws: _Workspace) -> np.ndarray:

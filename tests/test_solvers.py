@@ -769,11 +769,19 @@ def test_recording_does_not_perturb_lockstep_state():
             assert getattr(re, name)[-1] == getattr(rn, name)[-1], name
 
 
-def test_final_sample_matches_full_spectrum_norms():
+@pytest.mark.parametrize("spec", [H, Helmholtz(alpha=0.5, p=1.5),
+                                  HelmholtzPower(mu=0.3, m=2),
+                                  GaussianApprox(alpha=0.5, m=3),
+                                  Gaussian(alpha=0.5)],
+                         ids=["helmholtz", "helmholtz_p1.5",
+                              "helmholtz_power", "gaussian_approx",
+                              "gaussian"])
+def test_final_sample_matches_full_spectrum_norms(spec):
     # the per-sample norms are keep-set sums over all orders at once; at the
     # last sample they are full-spectrum norms of the final fields, up to
-    # summation order
-    cfg = small_cfg(T=0.03, dt=0.01, N_list=(0, 2, 4),
+    # summation order.  Beside Helmholtz p = 1, where s = 1, the filters
+    # set s = 1.5, 2, 3 and 1, so each level's weight row is checked.
+    cfg = small_cfg(spec=spec, T=0.03, dt=0.01, N_list=(0, 2, 4),
                     init=RandomSpectrumInit(decay=1.5, seed=8))
     out = run_experiment(cfg, progress=False)
     _, s = energy_weight(cfg.spec)
