@@ -70,7 +70,6 @@ from .diagnostics import (
     defect_bound,
     bound_residual,
     bound_main,
-    bound_main_helmholtz_power,
     gronwall_log10,
     fit_rate,
     calibrate_sobolev_constant,

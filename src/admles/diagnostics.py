@@ -4,15 +4,19 @@ a-priori error bounds with their Gronwall prefactors, and rate fitting.
 The bounds come in two flavors.  Pointwise-in-field quantities
 (residual_stress_norm, half_norm_defect, defect_bound) are exact mode sums
 over one snapshot.  A-priori bounds (bound_residual, bound_main,
-bound_main_helmholtz_power, gronwall_log10) are scalar formulas in the
-configuration and a time-integrated velocity norm; their Gronwall factor
-exp(u^4/nu^3) overflows float64 for any realistic viscosity, so they are
-computed in log10 space and only exponentiated when representable.
+gronwall_log10) are scalar formulas in the configuration and a
+time-integrated velocity norm; their Gronwall factor exp(u^4/nu^3)
+overflows float64 for any realistic viscosity, so they are computed in
+log10 space and only exponentiated when representable.
+
+Each filter family's a-priori bounds are one entry of _BOUNDS, which
+bound_main and error_report read; None where the paper gives no bound.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
@@ -22,6 +26,7 @@ import numpy as np
 from .deconvolution import DeconvOp, recovery_symbol, _defect_weight
 from .filters import (
     FilterSpec,
+    Gaussian,
     GaussianApprox,
     Helmholtz,
     HelmholtzPower,
@@ -45,7 +50,6 @@ from .spectral import (
 
 __all__ = [
     "LogValue",
-    "PowerBound",
     "ReportRow",
     "ReportSummary",
     "ErrorReport",
@@ -54,7 +58,6 @@ __all__ = [
     "defect_bound",
     "bound_residual",
     "bound_main",
-    "bound_main_helmholtz_power",
     "gronwall_log10",
     "fit_rate",
     "calibrate_sobolev_constant",
@@ -79,19 +82,6 @@ class LogValue:
 
     def __float__(self) -> float:
         return self.value()
-
-
-@dataclass(frozen=True)
-class PowerBound:
-    """Error bound for the power-of-Helmholtz filter family.
-
-    main is the finite-m form; limit is the m-independent companion obtained
-    by replacing 14 C mu sqrt(m) with 70 C alpha for the equivalent Gaussian
-    length alpha = mu sqrt(24 m).
-    """
-
-    main: LogValue
-    limit: LogValue
 
 
 def residual_stress_norm(u: SpectralField, spec: FilterSpec,
@@ -150,11 +140,10 @@ def defect_bound(u_h1, alpha: float, p: float, order):
 
 def bound_residual(u_h1: float, constant: float, alpha: float, p: float,
                    order: int) -> float:
-    """2 C alpha (2p(order+1))^(-1/(2p)) u_h1^4, dominating the integrated
-    squared residual stress."""
+    """2 C u_h1^2 defect_bound = 2 C alpha (2p(order+1))^(-1/(2p)) u_h1^4,
+    dominating the integrated squared residual stress."""
     _check_constant(constant)
-    return 2.0 * constant * alpha \
-        * (2.0 * p * (order + 1)) ** (-0.5 / p) * u_h1 ** 4
+    return 2.0 * constant * u_h1 ** 2 * defect_bound(u_h1, alpha, p, order)
 
 
 def _check_constant(value: float, name: str = "the product constant") -> None:
@@ -168,50 +157,59 @@ def _gronwall_exp_log10(u_l4h1: float, nu: float) -> float:
     return u_l4h1 ** 4 / (nu ** 3 * _LN10)
 
 
-def bound_main(u_l4h1: float, nu: float, constant: float, alpha: float,
-               p: float, order: int) -> LogValue:
-    """16 C alpha / (nu (2p(order+1))^(1/(2p))) u^4 exp(u^4/nu^3).
+# Per filter family: `main`, the prefactor (c, d) of the energy bound
+# c / (nu d) u^4 exp(u^4/nu^3), of (spec, C, order); `defect`, the bound on
+# half_norm^2, of (spec, u_h1, order); None where the paper gives none.
+_Bounds = namedtuple("_Bounds", "main defect")
+
+
+def _power_main(spec, constant: float, order):
+    return (14.0 * constant * spec.mu * math.sqrt(spec.m),
+            (4.0 * (order + 1)) ** (0.5 / spec.m))
+
+
+_BOUNDS = {
+    Helmholtz: _Bounds(
+        lambda spec, constant, order: (
+            16.0 * constant * spec.alpha,
+            (2.0 * spec.p * (order + 1)) ** (0.5 / spec.p)),
+        lambda spec, u_h1, order: defect_bound(u_h1, spec.alpha, spec.p,
+                                               order)),
+    Gaussian: _Bounds(None, None),
+    GaussianApprox: _Bounds(_power_main, None),  # through spec.mu
+    HelmholtzPower: _Bounds(_power_main, None),
+}
+
+
+def _bounds(spec) -> _Bounds:
+    if type(spec) not in _BOUNDS:
+        raise TypeError(f"not a filter spec: {spec!r}")
+    return _BOUNDS[type(spec)]
+
+
+def bound_main(u_l4h1: float, nu: float, constant: float, spec: FilterSpec,
+               order: int) -> Optional[LogValue]:
+    """c / (nu d) u^4 exp(u^4/nu^3): (c, d) is (16 C alpha,
+    (2p(order+1))^(1/(2p))) for Helmholtz and (14 C mu sqrt(m),
+    (4(order+1))^(1/(2m))) for the power families.
 
     Dominates the model-error energy (squared norms plus the viscous
-    time integral).  Returned as a LogValue; the Gronwall exponential makes
-    the plain value overflow for any realistically small nu.  nu and
+    time integral).  Returned as a LogValue, since the Gronwall exponential
+    makes the plain value overflow for any realistically small nu; None
+    for the Gaussian, for which the paper proves no bound.  nu and
     constant must be finite and > 0 (ValueError naming the argument).
     """
     _check_constant(nu, "the viscosity nu")
     _check_constant(constant)
+    main = _bounds(spec).main
+    if main is None:
+        return None
     if u_l4h1 == 0.0:
         return LogValue(-math.inf)
-    pref = 16.0 * constant * alpha / (
-        nu * (2.0 * p * (order + 1)) ** (0.5 / p))
+    c, d = main(spec, constant, order)
     return LogValue(
-        math.log10(pref) + 4.0 * math.log10(u_l4h1)
+        math.log10(c / (nu * d)) + 4.0 * math.log10(u_l4h1)
         + _gronwall_exp_log10(u_l4h1, nu)
-    )
-
-
-def bound_main_helmholtz_power(u_l4h1: float, nu: float, constant: float,
-                               mu: float, m: int, order: int) -> PowerBound:
-    """Model-error bound for the m-th power of the Helmholtz filter.
-
-    main: 14 C mu sqrt(m) / (nu (4(order+1))^(1/(2m))) u^4 exp(u^4/nu^3).
-    limit: the m-uniform companion 70 C alpha / (same denominator) with
-    alpha = mu sqrt(24 m), the Gaussian length this family approximates.
-    nu and constant must be finite and > 0, m >= 1 (ValueError).
-    """
-    _check_constant(nu, "the viscosity nu")
-    _check_constant(constant)
-    if m < 1:
-        raise ValueError(f"power must be >= 1: {m}")
-    if u_l4h1 == 0.0:
-        return PowerBound(LogValue(-math.inf), LogValue(-math.inf))
-    denom = nu * (4.0 * (order + 1)) ** (0.5 / m)
-    tail = 4.0 * math.log10(u_l4h1) + _gronwall_exp_log10(u_l4h1, nu)
-    alpha = mu * math.sqrt(24.0 * m)
-    return PowerBound(
-        main=LogValue(
-            math.log10(14.0 * constant * mu * math.sqrt(m) / denom) + tail),
-        limit=LogValue(
-            math.log10(70.0 * constant * alpha / denom) + tail),
     )
 
 
@@ -395,8 +393,7 @@ def error_report(output: ExperimentOutput,
     spec = cfg.spec
     nu = cfg.nu
     weight, s_level = energy_weight(spec)
-    is_helm = isinstance(spec, Helmholtz)
-    is_power = isinstance(spec, (HelmholtzPower, GaussianApprox))
+    defect = _bounds(spec).defect
 
     u_h1 = output.dns.u_h1
     u_l4h1 = float(np.trapezoid(u_h1 ** 4, times)) ** 0.25 if len(times) > 1 \
@@ -416,8 +413,8 @@ def error_report(output: ExperimentOutput,
     grad_int = _cumulative_trapezoid(
         times, stack("eps_grad_l2") ** 2 + weight * stack("eps_grad_hs") ** 2)
     energy_lhs = eps_l2 ** 2 + weight * eps_hs ** 2 + nu * grad_int
-    bound_fin = defect_bound(u_h1, spec.alpha, spec.p, orders[:, None]) \
-        if is_helm else np.full(eps_l2.shape, math.nan)
+    bound_fin = np.full(eps_l2.shape, math.nan) if defect is None \
+        else defect(spec, u_h1, orders[:, None])
     bound_tau = math.sqrt(2.0 * constant) * u_h1 * half_norm
     columns = {
         "order": np.repeat(orders, len(times)), "t": stack("times"),
@@ -435,14 +432,8 @@ def error_report(output: ExperimentOutput,
     for run, lhs_row in zip(runs, energy_lhs):
         tau_sq_int = float(np.trapezoid(run.tau_l2 ** 2, run.times)) \
             if len(run.times) > 1 else 0.0
-        if is_helm:
-            bm = bound_main(u_l4h1, nu, constant, spec.alpha, spec.p,
-                            run.N).log10
-        elif is_power:
-            bm = bound_main_helmholtz_power(u_l4h1, nu, constant, spec.mu,
-                                            spec.m, run.N).main.log10
-        else:
-            bm = math.nan
+        bm = bound_main(u_l4h1, nu, constant, spec, run.N)
+        bm = math.nan if bm is None else bm.log10
         lhs_max = float(np.max(lhs_row))
         passed = None if bm != bm else bool(_log10_or_ninf(lhs_max) <= bm)
         summaries.append(ReportSummary(

@@ -974,9 +974,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         for j, (N, c) in enumerate(zip(cfg.N_list, states))
     ]
     u_final = SpectralField(lattice, _full(u, n), divergence_free=True)
-    g_full = filter_symbol(cfg.spec, lattice.k_squared)
-    ubar_final = SpectralField(lattice, g_full * u_final.coeffs,
-                               divergence_free=True)
+    ubar_final = SpectralField(lattice, _full(g * u, n), divergence_free=True)
     return ExperimentOutput(
         config=cfg, lattice=lattice, dns=dns, runs=runs,
         u_final=u_final, ubar_final=ubar_final, courant_max=courant_max,

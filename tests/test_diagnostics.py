@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
-from admles import diagnostics, solvers
+from admles import diagnostics, filters, solvers
 from admles.deconvolution import _defect_weight
 from admles.diagnostics import (
     LogValue,
     ReportRow,
     bound_main,
-    bound_main_helmholtz_power,
     bound_residual,
     calibrate_sobolev_constant,
     defect_bound,
@@ -261,48 +260,30 @@ def test_bound_residual_pinned():
 
 def test_bound_main_pinned():
     # 16/(2*2)^(1/2) = 8 times e^1 at unit inputs with order 1
-    b = bound_main(1.0, 1.0, 1.0, 1.0, 1.0, 1)
+    b = bound_main(1.0, 1.0, 1.0, Helmholtz(alpha=1.0, p=1.0), 1)
     assert b.value() == pytest.approx(8.0 * math.e, rel=1e-12)
-    assert bound_main(0.0, 1.0, 1.0, 1.0, 1.0, 1).value() == 0.0
+    assert bound_main(0.0, 1.0, 1.0, Helmholtz(alpha=1.0, p=1.0),
+                      1).value() == 0.0
     with pytest.raises(ValueError):
-        bound_main(1.0, 0.0, 1.0, 1.0, 1.0, 1)
+        bound_main(1.0, 0.0, 1.0, Helmholtz(alpha=1.0, p=1.0), 1)
     # decreasing in the deconvolution order, increasing in the radius
-    logs = [bound_main(1.0, 1.0, 2.0, 0.7, 1.0, N).log10 for N in (0, 1, 4, 16)]
+    logs = [bound_main(1.0, 1.0, 2.0, Helmholtz(alpha=0.7, p=1.0), N).log10
+            for N in (0, 1, 4, 16)]
     assert all(b < a for a, b in zip(logs, logs[1:]))
-    assert bound_main(1.0, 1.0, 2.0, 0.9, 1.0, 0).log10 \
-        > bound_main(1.0, 1.0, 2.0, 0.7, 1.0, 0).log10
+    assert bound_main(1.0, 1.0, 2.0, Helmholtz(alpha=0.9, p=1.0), 0).log10 \
+        > bound_main(1.0, 1.0, 2.0, Helmholtz(alpha=0.7, p=1.0), 0).log10
 
 
 def test_bound_main_power_pinned():
     # 14/(4(0+1))^(1/2) = 7 times e^1 at unit inputs
-    b = bound_main_helmholtz_power(1.0, 1.0, 1.0, 1.0, 1, 0)
-    assert b.main.value() == pytest.approx(7.0 * math.e, rel=1e-12)
-    # the m-uniform companion swaps 14 mu sqrt(m) for 70 alpha with
-    # alpha = mu sqrt(24 m): a fixed log-space offset of 5 sqrt(24)
-    for m in (1, 2, 8, 32):
-        bb = bound_main_helmholtz_power(1.0, 1.0, 1.0, 1.0, m, 3)
-        assert bb.limit.log10 - bb.main.log10 == pytest.approx(
-            math.log10(5.0 * math.sqrt(24.0)), rel=1e-12)
-    assert bound_main_helmholtz_power(0.0, 1.0, 1.0, 1.0, 1, 0).main.value() == 0.0
+    b = bound_main(1.0, 1.0, 1.0, HelmholtzPower(mu=1.0, m=1), 0)
+    assert b.value() == pytest.approx(7.0 * math.e, rel=1e-12)
+    assert bound_main(0.0, 1.0, 1.0, HelmholtzPower(mu=1.0, m=1),
+                      0).value() == 0.0
     with pytest.raises(ValueError):
-        bound_main_helmholtz_power(1.0, -1.0, 1.0, 1.0, 1, 0)
-    with pytest.raises(ValueError):
-        bound_main_helmholtz_power(1.0, 1.0, 1.0, 1.0, 0, 0)
-
-
-def test_bound_main_power_limit_converges():
-    # with alpha held fixed the companion approaches 70 C alpha / nu times
-    # the Gronwall tail as m grows
-    alpha, C, nu, order = 1.5, 2.0, 1.0, 3
-    tail = 4.0 * math.log10(1.0) + 1.0 / math.log(10.0)
-    target = math.log10(70.0 * C * alpha / nu) + tail
-    gaps = []
-    for m in (1, 4, 16, 64):
-        mu = alpha / math.sqrt(24.0 * m)
-        b = bound_main_helmholtz_power(1.0, nu, C, mu, m, order)
-        gaps.append(abs(b.limit.log10 - target))
-    assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] < 0.01
+        bound_main(1.0, -1.0, 1.0, HelmholtzPower(mu=1.0, m=1), 0)
+    with pytest.raises(ValueError):  # m < 1, refused by the spec
+        bound_main(1.0, 1.0, 1.0, HelmholtzPower(mu=1.0, m=0), 0)
 
 
 def test_gronwall_log10_values():
@@ -488,6 +469,63 @@ def test_error_report_power_family_has_verdict():
         assert math.isfinite(s.bound_main_log10)
 
 
+def bound_main_closed_form(spec, u, nu, constant, order):
+    """log10 of the paper's energy bound prefactor times u^4 exp(u^4/nu^3)
+    (Helmholtz: 16 C alpha / (nu (2p(N+1))^(1/(2p))); power families:
+    14 C mu sqrt(m) / (nu (4(N+1))^(1/(2m))))."""
+    if isinstance(spec, Helmholtz):
+        pref = 16.0 * constant * spec.alpha / (
+            nu * (2.0 * spec.p * (order + 1)) ** (0.5 / spec.p))
+    else:
+        pref = 14.0 * constant * spec.mu * math.sqrt(spec.m) / (
+            nu * (4.0 * (order + 1)) ** (0.5 / spec.m))
+    return math.log10(pref) + 4.0 * math.log10(u) \
+        + u ** 4 / (nu ** 3 * math.log(10.0))
+
+
+@pytest.mark.parametrize("spec", [Helmholtz(alpha=0.5, p=1.5),
+                                  HelmholtzPower(mu=0.25, m=2),
+                                  GaussianApprox(alpha=0.5, m=3),
+                                  Gaussian(alpha=0.5)],
+                         ids=["helmholtz", "helmholtz_power",
+                              "gaussian_approx", "gaussian"])
+def test_error_report_bound_main_per_family(spec):
+    cfg = SimConfig(n=8, nu=0.05, spec=spec, T=0.03, dt=0.01,
+                    N_list=(0, 1, 3, 6))
+    output = run_experiment(cfg, progress=False)
+    report = error_report(output, constant=0.7)
+    assert [s.order for s in report.summaries] == [0, 1, 3, 6]
+    for s in report.summaries:
+        if isinstance(spec, Gaussian):  # no bound in the paper
+            assert math.isnan(s.bound_main_log10) and s.passed is None
+            continue
+        want = bound_main_closed_form(spec, report.u_l4h1, 0.05, 0.7,
+                                      s.order)
+        assert s.bound_main_log10 == pytest.approx(want, rel=1e-15)
+        if isinstance(spec, Helmholtz):
+            assert struct_bits(s.bound_main_log10) == struct_bits(want)
+        assert s.passed is True
+    if isinstance(spec, GaussianApprox):
+        # the same bound as the HelmholtzPower form of the approximant
+        twin = dataclasses.replace(
+            cfg, spec=HelmholtzPower(mu=spec.alpha / np.sqrt(24.0 * spec.m),
+                                     m=spec.m))
+        other = error_report(run_experiment(twin, progress=False),
+                             constant=0.7)
+        assert [s.bound_main_log10 for s in other.summaries] == \
+            [s.bound_main_log10 for s in report.summaries]
+
+
+def test_bounds_table_matches_the_filter_families():
+    # one bounds entry per filter family; a spec of no family is refused
+    # as filters refuses it
+    assert set(diagnostics._BOUNDS) == set(filters._FAMILIES)
+    with pytest.raises(TypeError, match="not a filter spec"):
+        bound_main(1.0, 1.0, 1.0, object(), 0)
+    with pytest.raises(TypeError, match="not a filter spec"):
+        filters._family(object())
+
+
 # ---------------------------------------------------------------------------
 # the ledger's columns against the scalar formulas
 # ---------------------------------------------------------------------------
@@ -549,8 +587,10 @@ def test_error_report_rows_match_scalar_build_tg16(tg16_output):
 
 
 @pytest.mark.parametrize("spec", [Gaussian(alpha=0.5),
-                                  HelmholtzPower(mu=0.25, m=2)],
-                         ids=["gaussian", "helmholtz_power"])
+                                  HelmholtzPower(mu=0.25, m=2),
+                                  GaussianApprox(alpha=0.5, m=3)],
+                         ids=["gaussian", "helmholtz_power",
+                              "gaussian_approx"])
 def test_error_report_rows_match_scalar_build_nan_bounds(spec):
     cfg = SimConfig(n=8, nu=0.05, spec=spec, T=0.05, dt=0.01,
                     N_list=(0, 1, 3))
@@ -604,14 +644,15 @@ def test_error_report_columns_are_read_only(small_output):
 def test_bounds_refuse_bad_viscosity_and_constant(bad):
     nu_msg = f"viscosity nu must be finite and positive: {bad}"
     c_msg = f"product constant must be finite and positive: {bad}"
+    helm, power = Helmholtz(alpha=0.5, p=1.0), HelmholtzPower(mu=0.25, m=2)
     for u in (1.0, 0.0):
         with pytest.raises(ValueError, match=nu_msg):
-            bound_main(u, bad, 2.0, 0.5, 1.0, 0)
+            bound_main(u, bad, 2.0, helm, 0)
         with pytest.raises(ValueError, match=c_msg):
-            bound_main(u, 0.05, bad, 0.5, 1.0, 0)
+            bound_main(u, 0.05, bad, helm, 0)
         with pytest.raises(ValueError, match=nu_msg):
-            bound_main_helmholtz_power(u, bad, 2.0, 0.25, 2, 0)
+            bound_main(u, bad, 2.0, power, 0)
         with pytest.raises(ValueError, match=c_msg):
-            bound_main_helmholtz_power(u, 0.05, bad, 0.25, 2, 0)
+            bound_main(u, 0.05, bad, power, 0)
         with pytest.raises(ValueError, match=nu_msg):
             gronwall_log10(u, bad)

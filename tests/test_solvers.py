@@ -801,6 +801,25 @@ def test_final_sample_matches_full_spectrum_norms(spec):
             sobolev_norm(run.final_field, 0.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("spec", [H, HelmholtzPower(mu=0.3, m=2),
+                                  GaussianApprox(alpha=0.5, m=3),
+                                  Gaussian(alpha=0.5)],
+                         ids=["helmholtz", "helmholtz_power",
+                              "gaussian_approx", "gaussian"])
+def test_ubar_final_is_the_filtered_u_final(spec):
+    # ubar_final is G u_final, zero signs included: its m3 < 0 planes are
+    # conjugate partners, as in u_final, not products with G on the full
+    # layout (which turn -0.0 imaginary parts into +0.0)
+    cfg = small_cfg(spec=spec, n=8, T=0.03, dt=0.01, N_list=(0,),
+                    init=RandomSpectrumInit(decay=1.5, seed=4))
+    out = run_experiment(cfg, progress=False)
+    u = out.u_final.coeffs
+    g = filter_symbol(spec, out.lattice.k_squared)
+    assert np.array_equal(out.ubar_final.coeffs, g * u)
+    assert np.array_equal(np.signbit(out.ubar_final.coeffs.view(np.float64)),
+                          np.signbit(u.view(np.float64)))
+
+
 def test_experiment_peak_memory_stays_small():
     # no per-sample store of reference fields: the traced peak stays far
     # below the 101 full 16^3 samples (about 20 MB) of a stored reference
