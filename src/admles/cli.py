@@ -45,7 +45,7 @@ from .solvers import (
     run_experiment,
     write_outputs,
     _FILTER_KINDS,
-    _kind_from_dict,
+    _from_dict,
 )
 from .spectral import WaveLattice
 
@@ -232,8 +232,8 @@ def _parse_orders(text: str) -> list:
 @main.command()
 @click.option("--filter", "filter_name", default="helmholtz",
               show_default=True,
-              type=click.Choice(["helmholtz", "gaussian", "gaussian-approx",
-                                 "helmholtz-power"]))
+              type=click.Choice([kind.replace("_", "-")
+                                 for kind in _FILTER_KINDS]))
 @click.option("--alpha", default=1.0, show_default=True)
 @click.option("--p", default=1.0, show_default=True)
 @click.option("--mu", default=1.0, show_default=True)
@@ -248,13 +248,11 @@ def _parse_orders(text: str) -> list:
 def symbols(filter_name, alpha, p, mu, m, orders_text, kmax, points,
             csv_path) -> None:
     """Tabulate filter, inverse, and deconvolution symbols over k^2."""
-    kind = filter_name.replace("-", "_")
+    cls = _FILTER_KINDS[filter_name.replace("-", "_")]
     given = {"alpha": alpha, "p": p, "mu": mu, "m": m}
     try:
-        spec = _kind_from_dict(_FILTER_KINDS, "filter", {
-            "kind": kind,
-            **{f.name: given[f.name] for f in fields(_FILTER_KINDS[kind])},
-        })
+        spec = _from_dict(cls, "filter",
+                          {f.name: given[f.name] for f in fields(cls)})
     except ValueError as e:
         raise click.UsageError(str(e))
     orders = _parse_orders(orders_text)
@@ -382,7 +380,8 @@ def rates(config_path, out, constant) -> None:
          for s in report.summaries],
     )
     for s in report.summaries:
-        verdict = "ok" if s.passed is not False else "FAIL"
+        verdict = ("n/a" if s.passed is None
+                   else "ok" if s.passed else "FAIL")
         click.echo(
             f"{verdict} N={s.order}: energy_lhs_max={s.energy_lhs_max:.6e} "
             f"bound_main_log10={s.bound_main_log10:.6g}")

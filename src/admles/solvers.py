@@ -71,7 +71,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral
 from pathlib import Path
 from typing import Optional, Union
@@ -156,149 +156,6 @@ class CflError(ValueError):
     """The configured step size violates the advective CFL condition."""
 
 
-@dataclass(frozen=True)
-class TaylorGreenInit:
-    amplitude: float = 1.0
-
-
-@dataclass(frozen=True)
-class RandomSpectrumInit:
-    decay: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class SnapshotInit:
-    path: str
-
-
-@dataclass(frozen=True)
-class SnapshotForcing:
-    path: str
-
-
-InitSpec = Union[TaylorGreenInit, RandomSpectrumInit, SnapshotInit]
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Full description of one experiment; JSON-serializable."""
-
-    n: int
-    nu: float
-    spec: FilterSpec
-    T: float
-    dt: float
-    N_list: tuple = (0,)
-    L: float = 2.0 * np.pi
-    init: InitSpec = TaylorGreenInit()
-    forcing: Optional[SnapshotForcing] = None
-    output_dir: Optional[str] = None
-    sample_every: int = 1
-
-    def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
-        if not self.T > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.T}")
-        if not 0.0 < self.dt <= self.T:
-            raise ValueError(
-                f"step size must satisfy 0 < dt <= T, got dt={self.dt} T={self.T}"
-            )
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        object.__setattr__(self, "N_list",
-                           tuple(_as_int("N_list", N) for N in self.N_list))
-        if any(N < 0 for N in self.N_list) or not self.N_list:
-            raise ValueError(f"N_list must be nonempty, all >= 0: {self.N_list}")
-        if len(set(self.N_list)) != len(self.N_list):
-            raise ValueError(f"N_list has duplicate orders: {self.N_list}")
-        WaveLattice(self.n, self.L)  # validates n and L
-
-    # -- JSON round trip ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "L": self.L,
-            "nu": self.nu,
-            "filter": _kind_to_dict(_FILTER_KINDS, "filter", self.spec),
-            "N_list": list(self.N_list),
-            "T": self.T,
-            "dt": self.dt,
-            "init": _kind_to_dict(_INIT_KINDS, "initial condition",
-                                  self.init),
-            "forcing": (
-                _kind_to_dict(_FORCING_KINDS, "forcing", self.forcing)
-                if self.forcing else None
-            ),
-            "output_dir": self.output_dir,
-            "sample_every": self.sample_every,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        known = {
-            "n", "L", "nu", "filter", "N_list", "T", "dt", "init",
-            "forcing", "output_dir", "sample_every",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("n", "nu", "filter", "T", "dt"):
-            if key not in data:
-                raise ValueError(f"config is missing required key '{key}'")
-        forcing = data.get("forcing")
-        output_dir = data.get("output_dir")
-        for key, kind in (("filter", dict), ("init", dict),
-                          ("forcing", dict), ("N_list", list)):
-            entry = data.get(key, kind())
-            if not isinstance(entry, kind) and not (key == "forcing"
-                                                    and entry is None):
-                noun = "array" if kind is list else "object"
-                raise ValueError(f"config key '{key}' must be a JSON "
-                                 f"{noun}, got {type(entry).__name__}")
-        return cls(
-            n=_as_int("n", data["n"]),
-            L=_as_float("L", data.get("L", 2.0 * np.pi)),
-            nu=_as_float("nu", data["nu"]),
-            spec=_kind_from_dict(_FILTER_KINDS, "filter", data["filter"]),
-            N_list=tuple(data.get("N_list", [0])),
-            T=_as_float("T", data["T"]),
-            dt=_as_float("dt", data["dt"]),
-            init=_kind_from_dict(_INIT_KINDS, "initial condition",
-                                 data.get("init", {"kind": "taylor_green"})),
-            forcing=(
-                None if forcing is None
-                else _kind_from_dict(_FORCING_KINDS, "forcing", forcing)
-            ),
-            output_dir=(None if output_dir is None
-                        else _as_str("output_dir", output_dir)),
-            sample_every=_as_int("sample_every", data.get("sample_every", 1)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimConfig":
-        return cls.from_dict(json.loads(text))
-
-
-_FILTER_KINDS = {
-    "helmholtz": Helmholtz,
-    "gaussian": Gaussian,
-    "gaussian_approx": GaussianApprox,
-    "helmholtz_power": HelmholtzPower,
-}
-_INIT_KINDS = {
-    "taylor_green": TaylorGreenInit,
-    "random_spectrum": RandomSpectrumInit,
-    "snapshot": SnapshotInit,
-}
-_FORCING_KINDS = {"snapshot": SnapshotForcing}
-
-
 def _as_int(key: str, value) -> int:
     """int(value) of an integer (numpy's too) or an integral float; any
     other value, a string or a boolean included, raises ValueError."""
@@ -330,42 +187,206 @@ def _as_str(key: str, value) -> str:
     return value
 
 
+def _as_ints(key: str, value) -> tuple:
+    """The tuple of _as_int of each entry of a list or tuple; any other
+    value, a string included, raises ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"'{key}' must be an array of integers, got "
+                         f"{value!r}")
+    return tuple(_as_int(key, v) for v in value)
+
+
+def _as_object(label: str, value) -> dict:
+    """A dict value; any other raises ValueError naming label and the
+    type."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{label} must be a JSON object, got "
+                         f"{type(value).__name__}")
+    return value
+
+
 # Field annotations are strings here (postponed evaluation of annotations).
-_COERCE = {"float": _as_float, "int": _as_int, "str": _as_str}
+# A field annotated Optional[...] may also hold None.
+_COERCE = {"float": _as_float, "int": _as_int, "str": _as_str,
+           "Optional[str]": _as_str, "tuple": _as_ints}
 
 
-def _kind_to_dict(kinds: dict, noun: str, spec) -> dict:
-    """{"kind": <key in kinds>, <field>: <value>, ...} of a spec dataclass."""
-    for kind, cls in kinds.items():
-        if isinstance(spec, cls):
-            return {"kind": kind,
-                    **{f.name: getattr(spec, f.name) for f in fields(cls)}}
-    raise TypeError(f"{noun} spec expected, got {spec!r}")
+def _check_fields(obj) -> None:
+    """Check every field of a config dataclass where it is built: a simple
+    value is replaced by its _COERCE form, and a kind must be an instance
+    of its table (_KINDS)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.type.startswith("Optional["):
+            continue
+        if f.type in _KINDS:
+            kinds, noun = _KINDS[f.type]
+            if not isinstance(value, tuple(kinds.values())):
+                raise TypeError(f"{noun} spec expected, got {value!r}")
+        else:
+            object.__setattr__(obj, f.name, _COERCE[f.type](f.name, value))
 
 
-def _kind_from_dict(kinds: dict, noun: str, data: dict):
-    """Inverse of _kind_to_dict.  Fields with a default may be omitted;
-    every value is coerced to its field's float/int/str type.  A missing or
-    unknown kind, a missing required field and an unknown field raise
-    ValueError naming the key."""
-    if "kind" not in data:
+@dataclass(frozen=True)
+class TaylorGreenInit:
+    amplitude: float = 1.0
+
+    __post_init__ = _check_fields
+
+
+@dataclass(frozen=True)
+class RandomSpectrumInit:
+    decay: float
+    seed: int
+
+    __post_init__ = _check_fields
+
+
+@dataclass(frozen=True)
+class SnapshotInit:
+    path: str
+
+    __post_init__ = _check_fields
+
+
+@dataclass(frozen=True)
+class SnapshotForcing:
+    path: str
+
+    __post_init__ = _check_fields
+
+
+InitSpec = Union[TaylorGreenInit, RandomSpectrumInit, SnapshotInit]
+
+_FILTER_KINDS = {
+    "helmholtz": Helmholtz,
+    "gaussian": Gaussian,
+    "gaussian_approx": GaussianApprox,
+    "helmholtz_power": HelmholtzPower,
+}
+_INIT_KINDS = {
+    "taylor_green": TaylorGreenInit,
+    "random_spectrum": RandomSpectrumInit,
+    "snapshot": SnapshotInit,
+}
+_FORCING_KINDS = {"snapshot": SnapshotForcing}
+# The kind table and noun of a field that holds a kind, by annotation.
+_KINDS = {
+    "FilterSpec": (_FILTER_KINDS, "filter"),
+    "InitSpec": (_INIT_KINDS, "initial condition"),
+    "Optional[SnapshotForcing]": (_FORCING_KINDS, "forcing"),
+}
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Full description of one experiment; JSON-serializable.  Every field
+    is checked here, however the config is built (_check_fields)."""
+
+    n: int
+    nu: float
+    spec: FilterSpec = field(metadata={"key": "filter"})
+    T: float
+    dt: float
+    N_list: tuple = (0,)
+    L: float = 2.0 * np.pi
+    init: InitSpec = TaylorGreenInit()
+    forcing: Optional[SnapshotForcing] = None
+    output_dir: Optional[str] = None
+    sample_every: int = 1
+
+    def __post_init__(self):
+        _check_fields(self)
+        if not self.nu > 0.0:
+            raise ValueError(f"viscosity must be positive, got {self.nu}")
+        if not self.T > 0.0:
+            raise ValueError(f"horizon must be positive, got {self.T}")
+        if not 0.0 < self.dt <= self.T:
+            raise ValueError(
+                f"step size must satisfy 0 < dt <= T, got dt={self.dt} T={self.T}"
+            )
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+        if any(N < 0 for N in self.N_list) or not self.N_list:
+            raise ValueError(f"N_list must be nonempty, all >= 0: {self.N_list}")
+        if len(set(self.N_list)) != len(self.N_list):
+            raise ValueError(f"N_list has duplicate orders: {self.N_list}")
+        WaveLattice(self.n, self.L)  # validates n and L
+
+    # -- JSON round trip ----------------------------------------------------
+
+    def to_dict(self) -> dict:
+        return _to_dict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimConfig":
+        return _from_dict(cls, "config", data)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "SimConfig":
+        return cls.from_dict(json.loads(text))
+
+
+def _key(f) -> str:
+    """The JSON key of a field: its metadata "key", else its name."""
+    return f.metadata.get("key", f.name)
+
+
+def _to_dict(obj) -> dict:
+    """The JSON object of a config dataclass: each field under its key, a
+    tuple as a list and a kind as {"kind": <name in its table>, <field>:
+    <value>, ...}."""
+    data = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _KINDS and value is not None:
+            kinds = _KINDS[f.type][0]
+            kind = next(k for k, c in kinds.items() if isinstance(value, c))
+            value = {"kind": kind, **_to_dict(value)}
+        elif isinstance(value, tuple):
+            value = list(value)
+        data[_key(f)] = value
+    return data
+
+
+def _from_dict(cls, label: str, data):
+    """Inverse of _to_dict: cls built from the JSON object data, which
+    heads each error about it as label.  A field with a default may be
+    omitted; a simple value is coerced by its annotation (_COERCE), and a
+    kind is read through its table.  A non-object, an unknown key, a
+    missing required key and a missing or unknown kind raise ValueError
+    naming it."""
+    keys = {_key(f): f for f in fields(cls)}
+    unknown = set(_as_object(label, data)) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
+    values = {}
+    for key, f in keys.items():
+        if key not in data:
+            if f.default is MISSING:
+                raise ValueError(f"{label} is missing required key '{key}'")
+        elif data[key] is None and f.type.startswith("Optional["):
+            values[f.name] = None
+        elif f.type in _KINDS:
+            values[f.name] = _kind_from_dict(*_KINDS[f.type], key, data[key])
+        else:
+            values[f.name] = _COERCE[f.type](key, data[key])
+    return cls(**values)
+
+
+def _kind_from_dict(kinds: dict, noun: str, key: str, data):
+    """The kind the JSON object data names by its "kind" key, read from
+    the table kinds with _from_dict."""
+    if "kind" not in _as_object(f"config key '{key}'", data):
         raise ValueError(f"{noun} is missing required key 'kind'")
     kind = data["kind"]
     if kind not in kinds:
         raise ValueError(f"unknown {noun} kind: {kind!r}")
-    cls = kinds[kind]
-    unknown = set(data) - {"kind", *(f.name for f in fields(cls))}
-    if unknown:
-        raise ValueError(f"unknown {noun} keys for kind {kind!r}: "
-                         f"{sorted(unknown)}")
-    values = {}
-    for f in fields(cls):
-        if f.name in data:
-            values[f.name] = _COERCE[f.type](f.name, data[f.name])
-        elif f.default is MISSING:
-            raise ValueError(f"{noun} kind {kind!r} is missing required "
-                             f"key '{f.name}'")
-    return cls(**values)
+    return _from_dict(kinds[kind], f"{noun} {kind!r}",
+                      {k: v for k, v in data.items() if k != "kind"})
 
 
 def config_hash(cfg: SimConfig) -> str:

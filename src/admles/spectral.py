@@ -240,11 +240,16 @@ def _kept(a: np.ndarray, n: int) -> np.ndarray:
 def _full(kc: np.ndarray, n: int) -> np.ndarray:
     """Full-layout coefficients (..., n, n, n) of keep-set ones, zero
     outside the keep set; the m3 < 0 planes are the conjugate partners of
-    the m3 > 0 ones, from the partner of the planes 0..n/2-1 alone."""
+    the m3 > 0 ones, scattered from the keep set to the negated rows and
+    conjugated in place (every plane n/2+1..n-1, zeros included)."""
     full = np.zeros(kc.shape[:-3] + (n, n, n), dtype=np.complex128)
+    m = n // 3
     rows = _kept_rows(n)
-    full[..., rows[:, None], rows, : n // 3 + 1] = np.moveaxis(kc, -3, -1)
-    full[..., n // 2 + 1:] = _hermitian_partner(full[..., : n // 2])[..., 1:]
+    full[..., rows[:, None], rows, : m + 1] = np.moveaxis(kc, -3, -1)
+    neg = rows[-np.arange(2 * m + 1) % (2 * m + 1)]
+    full[..., neg[:, None], neg, n - m:] = np.moveaxis(kc[..., m:0:-1, :, :],
+                                                      -3, -1)
+    np.conj(full[..., n // 2 + 1:], out=full[..., n // 2 + 1:])
     return full
 
 

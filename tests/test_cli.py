@@ -24,7 +24,11 @@ from admles.solvers import (
     RandomSpectrumInit,
     SimConfig,
     SnapshotForcing,
+    TaylorGreenInit,
     config_hash,
+    read_outputs,
+    run_experiment,
+    write_outputs,
 )
 from admles.spectral import SpectralField, WaveLattice, random_solenoidal
 from test_deconvolution import VERIFY_K2, VERIFY_OPS, eager_property_rows
@@ -520,6 +524,37 @@ def test_rates_full_flow(runner, tmp_path):
                                  "--out", str(out)])
     assert again.exit_code == 0
     assert (out / "rates_summary.csv").read_text().splitlines() == summary
+
+
+def test_rates_reads_back_a_config_built_in_python(runner, tmp_path):
+    # integers and numpy scalars used to reach config.json unconverted:
+    # "nu": 1 hashes apart from the 1.0 read back, so read_outputs refused
+    # the run's own dns.csv as stale
+    cfg = SimConfig(n=np.int64(8), nu=1, spec=Helmholtz(alpha=1),
+                    T=np.float64(0.02), dt=0.01,
+                    N_list=(0, np.int64(1)), init=TaylorGreenInit(amplitude=1))
+    out = tmp_path / "out"
+    out.mkdir()
+    write_outputs(run_experiment(cfg), out)
+    assert read_outputs(out).config == cfg
+    result = runner.invoke(main, ["rates", "--config",
+                                  str(out / "config.json"),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "ok N=0" in result.output and "ok N=1" in result.output
+
+
+def test_rates_prints_n_a_for_an_order_without_a_verdict(runner, tmp_path):
+    # the paper gives no bound for the Gaussian, so no order is checked;
+    # its lines used to read "ok"
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path, spec=Gaussian(alpha=0.5))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["rates", "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "n/a N=0: " in result.output and "n/a N=1: " in result.output
+    assert "ok N=" not in result.output
 
 
 def test_rates_rejects_mismatched_outputs(runner, tmp_path):

@@ -192,6 +192,47 @@ def test_config_defaults_and_hash_sensitivity():
             == config_hash(SimConfig.from_dict({**minimal, **typed}))
 
 
+def _built_in_python(data: dict) -> SimConfig:
+    """The SimConfig constructor called on a config dict: each kind entry
+    built by its class, the other entries passed as they are."""
+    kw = {"spec" if key == "filter" else key: value
+          for key, value in data.items()}
+    for key, kinds in (("spec", solvers._FILTER_KINDS),
+                       ("init", solvers._INIT_KINDS)):
+        if key in kw:
+            entry = dict(kw[key])
+            kw[key] = kinds[entry.pop("kind")](**entry)
+    return SimConfig(**kw)
+
+
+def _refusal(key: str, data: dict, need: str, build) -> str:
+    """The message pattern of build's refusal of data's key: the JSON
+    loader's "'<key>' must be <need>" everywhere, and the filter's own
+    "<Family> <key> must be" from the constructor of a filter field."""
+    if build is _built_in_python and key in data.get("filter", {}):
+        return rf"^\w+ {key} must be "
+    return f"'{key}' must be {need}"
+
+
+def test_config_hash_of_known_configs_is_pinned():
+    # every CSV's "# config=" stamp is this hash: README's example config
+    # and the benchmark's tg16 and rs32 (seed 0) configs keep their digests
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"```json\n(\{\n  \"n\".*?\n\})\n```", readme,
+                        re.S).group(1)
+    shared = dict(nu=0.05, spec=Helmholtz(alpha=0.5, p=1.0))
+    tg16 = SimConfig(n=16, T=1.0, dt=0.005, N_list=(0, 1, 2, 4, 8),
+                     sample_every=1, **shared)
+    rs32 = SimConfig(n=32, T=0.08, dt=0.01, N_list=(0, 4), sample_every=4,
+                     init=RandomSpectrumInit(decay=2.5, seed=0), **shared)
+    assert [config_hash(SimConfig.from_json(example)), config_hash(tg16),
+            config_hash(rs32)] == [
+        "d78b385ee33481118631e0abe042d90f21863134d4bcfa0801251ec9e68df361",
+        "c981fab492987e3ec203196831ce9b2811ca998250cdbc4896c8b10d05251277",
+        "9badab16142a503d8177a0ba4b0e93693c54d774bc6010da2fa4d9eec608419a",
+    ]
+
+
 @pytest.mark.parametrize("key,patch", [
     ("m", {"filter": {"kind": "gaussian_approx", "alpha": 1.0, "m": 4.5}}),
     ("seed", {"init": {"kind": "random_spectrum", "decay": 2.0,
@@ -204,8 +245,11 @@ def test_config_rejects_non_integral_numbers(key, patch):
     # int() would truncate these to a different, plausible experiment
     minimal = {"n": 16, "nu": 0.1, "T": 0.1, "dt": 0.05,
                "filter": {"kind": "helmholtz", "alpha": 1.0}}
-    with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
-        SimConfig.from_dict({**minimal, **patch})
+    data = {**minimal, **patch}
+    for build in (SimConfig.from_dict, _built_in_python):
+        with pytest.raises(ValueError,
+                           match=_refusal(key, data, "an integer", build)):
+            build(data)
 
 
 @pytest.mark.parametrize("key,patch", [
@@ -247,11 +291,16 @@ def test_config_rejects_strings_booleans_and_non_arrays(key, patch):
 ])
 def test_config_rejects_non_numbers_and_non_finite_floats(key, patch):
     # float() used to accept these: "nu": true ran at nu = 1 and "L": "inf"
-    # built a lattice with an infinite dx
+    # built a lattice with an infinite dx; in Python, SimConfig(L=True) ran
+    # at L = 1 and nu=inf ended in a BlowUpError
     minimal = {"n": 16, "nu": 0.1, "T": 0.1, "dt": 0.05,
                "filter": {"kind": "helmholtz", "alpha": 1.0}}
-    with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
-        SimConfig.from_dict({**minimal, **patch})
+    data = {**minimal, **patch}
+    for build in (SimConfig.from_dict, _built_in_python):
+        with pytest.raises(ValueError, match=_refusal(key, data,
+                                                      "a finite number",
+                                                      build)):
+            build(data)
 
 
 def test_config_accepts_numpy_floats_and_integers_as_floats():
@@ -330,6 +379,17 @@ def test_config_rejects_non_object_entries(part, entry, type_name):
                        match=f"'{part}' must be a JSON object, got "
                              f"{type_name}"):
         SimConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("text,type_name", [
+    ("3", "int"), ("[]", "list"), ("null", "NoneType"), ('"n"', "str"),
+])
+def test_config_rejects_non_object_files(text, type_name):
+    # a config file holding 3 used to fail with "'int' object is not
+    # iterable"
+    with pytest.raises(ValueError, match=f"^config must be a JSON object, "
+                                         f"got {type_name}$"):
+        SimConfig.from_json(text)
 
 
 @pytest.mark.parametrize("key,patch", [
