@@ -365,20 +365,10 @@ def rates(config_path, out, constant) -> None:
         raise click.ClickException(str(e))
 
     token = config_hash(cfg)
-    _emit(out_dir / "rates_detail.csv", admio.csv_columns_text(
-        token, ["N" if name == "order" else name for name in report.columns],
-        report.columns.values()))
-    _emit_csv(
-        out_dir / "rates_summary.csv", token,
-        ["N", "eps_l2_final", "energy_lhs_max", "bound_main_log10",
-         "rhs_log10", "rhs_alt_log10", "passed", "beta", "beta_r2",
-         "constant", "nu", "u_l4h1", "gronwall_log10"],
-        [[s.order, s.eps_l2_final, s.energy_lhs_max, s.bound_main_log10,
-          s.rhs_log10, s.rhs_alt_log10, s.passed, report.beta,
-          report.beta_r2, report.constant, report.nu, report.u_l4h1,
-          report.gronwall_log10]
-         for s in report.summaries],
-    )
+    for name, table in (("rates_detail.csv", report.columns),
+                        ("rates_summary.csv", report.summary_columns)):
+        _emit(out_dir / name,
+              admio.csv_columns_text(token, table, table.values()))
     for s in report.summaries:
         verdict = ("n/a" if s.passed is None
                    else "ok" if s.passed else "FAIL")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,8 +51,15 @@ class DeconvOp:
     order: int
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
+        _check_order(self.order)
+
+
+def _check_order(order) -> None:
+    """Refuse an order that is not an integer >= 0 (numpy's integers too), a
+    boolean, a float or NaN included, with a ValueError."""
+    if isinstance(order, bool) or not isinstance(order, Integral) \
+            or order < 0:
+        raise ValueError(f"order must be >= 0 and an integer, got {order!r}")
 
 
 def deconv_symbol(op: DeconvOp, k2):

@@ -17,13 +17,17 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .deconvolution import DeconvOp, recovery_symbol, _defect_weight
+from .deconvolution import (
+    DeconvOp,
+    recovery_symbol,
+    _check_order,
+    _defect_weight,
+)
 from .filters import (
     FilterSpec,
     Gaussian,
@@ -33,7 +37,7 @@ from .filters import (
     energy_weight,
 )
 from .kernels import _scalar_map
-from .solvers import ExperimentOutput
+from .solvers import ExperimentOutput, _key
 from .spectral import (
     SpectralField,
     WaveLattice,
@@ -50,7 +54,6 @@ from .spectral import (
 
 __all__ = [
     "LogValue",
-    "ReportRow",
     "ReportSummary",
     "ErrorReport",
     "residual_stress_norm",
@@ -119,7 +122,9 @@ def half_norm_defect(u: SpectralField, spec: FilterSpec, order: int) -> float:
     there.  The weight is evaluated on the lattice's keep set
     (WaveLattice.keep) and summed by the code of run_experiment's
     half_norm series (spectral._mode_sum), so the two agree bit for bit.
+    order must be an integer >= 0 (ValueError).
     """
+    _check_order(order)
     lattice, keep = u.lattice, u.lattice.keep
     row = _weight_row(keep, _defect_weight(spec, order, keep.ksq))
     return float(np.sqrt(_mode_sum(_mode_sq(_kept(u.coeffs, lattice.n)), row)))
@@ -197,10 +202,12 @@ def bound_main(u_l4h1: float, nu: float, constant: float, spec: FilterSpec,
     time integral).  Returned as a LogValue, since the Gronwall exponential
     makes the plain value overflow for any realistically small nu; None
     for the Gaussian, for which the paper proves no bound.  nu and
-    constant must be finite and > 0 (ValueError naming the argument).
+    constant must be finite and > 0 (ValueError naming the argument), and
+    order an integer >= 0 (ValueError).
     """
     _check_constant(nu, "the viscosity nu")
     _check_constant(constant)
+    _check_order(order)
     main = _bounds(spec).main
     if main is None:
         return None
@@ -290,31 +297,16 @@ def calibrate_sobolev_constant(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReportRow:
-    """One (order, sample time) record of the error-energy ledger."""
-
-    order: int
-    t: float
-    eps_l2: float
-    eps_hs: float
-    grad_integral: float
-    energy_lhs: float
-    tau_l2: float
-    half_norm: float
-    bound_fin: float
-    bound_tau: float
-
-
-@dataclass(frozen=True)
 class ReportSummary:
     """Per-order verdict: measured error energy against its a-priori bound.
 
     rhs_log10 is the Gronwall right-hand side (8/nu) exp(u^4/nu^3) int tau^2;
     rhs_alt_log10 the sharper-constant variant (4/nu) exp(27 u^4/nu^3) seen
-    in intermediate derivations, recorded for comparison only.
+    in intermediate derivations, recorded for comparison only.  The fields
+    are the first columns of rates_summary.csv, each under its _key.
     """
 
-    order: int
+    order: int = field(metadata={"key": "N"})
     eps_l2_final: float
     energy_lhs_max: float
     bound_main_log10: float
@@ -323,14 +315,21 @@ class ReportSummary:
     passed: Optional[bool]
 
 
+# The report scalars that rates_summary.csv repeats on each row, after the
+# ReportSummary fields.
+_SUMMARY_SCALARS = ("beta", "beta_r2", "constant", "nu", "u_l4h1",
+                    "gronwall_log10")
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorReport:
     """The error ledger of one experiment.
 
-    The per-(order, t) ledger is held as columns: `columns` maps each
-    ReportRow field name, in field order, to a read-only array with one
-    element per row, the rows ordered by order, then time.  `rows` builds
-    the ReportRow tuple from them when it is first read.
+    The per-(order, t) ledger is held as columns, the table of
+    rates_detail.csv: `columns` maps each of its column names, in order,
+    to a read-only array with one element per row, the rows ordered by
+    order (column N), then time.  summary_columns is the table of
+    rates_summary.csv.
     """
 
     constant: float
@@ -344,10 +343,16 @@ class ErrorReport:
     beta: float
     beta_r2: float
 
-    @cached_property
-    def rows(self) -> tuple:
-        return tuple(map(ReportRow, *(self.columns[f.name].tolist()
-                                      for f in fields(ReportRow))))
+    @property
+    def summary_columns(self) -> dict:
+        """{column name: column} of the summaries, one row per order: each
+        ReportSummary field under its _key, then each report scalar of
+        _SUMMARY_SCALARS."""
+        table = {_key(f): [getattr(s, f.name) for s in self.summaries]
+                 for f in fields(ReportSummary)}
+        for name in _SUMMARY_SCALARS:
+            table[name] = [getattr(self, name)] * len(self.summaries)
+        return table
 
     def passed(self) -> bool:
         return all(s.passed for s in self.summaries
@@ -417,7 +422,7 @@ def error_report(output: ExperimentOutput,
         else defect(spec, u_h1, orders[:, None])
     bound_tau = math.sqrt(2.0 * constant) * u_h1 * half_norm
     columns = {
-        "order": np.repeat(orders, len(times)), "t": stack("times"),
+        "N": np.repeat(orders, len(times)), "t": stack("times"),
         "eps_l2": eps_l2, "eps_hs": eps_hs, "grad_integral": grad_int,
         "energy_lhs": energy_lhs, "tau_l2": stack("tau_l2"),
         "half_norm": half_norm, "bound_fin": bound_fin,
@@ -425,7 +430,7 @@ def error_report(output: ExperimentOutput,
     }
     for name, col in columns.items():
         columns[name] = col = col.ravel()
-        col.flags.writeable = False  # so rows, built later, match them
+        col.flags.writeable = False  # the report is frozen, so are they
 
     summaries = []
     finals = []

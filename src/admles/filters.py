@@ -54,11 +54,15 @@ class NonInvertibleFilterError(ValueError):
 
 def _require(spec, name: str, ok, need: str) -> None:
     """ValueError naming the field unless its value is a finite number,
-    not a boolean, for which ok holds; the field then holds float(v), or
-    int(v) for the integer m."""
+    not a boolean or an integer beyond the float range, for which ok
+    holds; the field then holds float(v), or int(v) for the integer m."""
     v = getattr(spec, name)
-    if not (isinstance(v, Real) and not isinstance(v, bool)
-            and math.isfinite(v) and ok(v)):
+    try:
+        good = (isinstance(v, Real) and not isinstance(v, bool)
+                and math.isfinite(v) and ok(v))
+    except OverflowError:  # math.isfinite of an int beyond the float range
+        good = False
+    if not good:
         raise ValueError(
             f"{type(spec).__name__} {name} must be {need}, got {v!r}")
     object.__setattr__(spec, name, int(v) if name == "m" else float(v))

@@ -79,7 +79,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import io as admio
-from .deconvolution import DeconvOp, deconv_symbol, _defect_weight
+from . import kernels
+from .deconvolution import _check_order, _defect_weight
 from .filters import (
     FilterSpec,
     Gaussian,
@@ -331,7 +332,8 @@ class SimConfig:
 
 
 def _key(f) -> str:
-    """The JSON key of a field: its metadata "key", else its name."""
+    """The JSON or CSV key of a field: its metadata "key", else its
+    name."""
     return f.metadata.get("key", f.name)
 
 
@@ -383,7 +385,7 @@ def _kind_from_dict(kinds: dict, noun: str, key: str, data):
     if "kind" not in _as_object(f"config key '{key}'", data):
         raise ValueError(f"{noun} is missing required key 'kind'")
     kind = data["kind"]
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {noun} kind: {kind!r}")
     return _from_dict(kinds[kind], f"{noun} {kind!r}",
                       {k: v for k, v in data.items() if k != "kind"})
@@ -510,14 +512,14 @@ def _build_steppers(cfg: SimConfig, lattice: WaveLattice,
     symbol D_N before the product, filter symbol G after it).
 
     Returns the steppers, G and the D_N (None for the reference), the
-    symbols evaluated on the lattice's keep set (WaveLattice.keep).  The
-    forcing snapshot is loaded once and gathered onto the keep set.
+    symbols evaluated on the lattice's keep set (WaveLattice.keep): G once,
+    and each D_N formed from it.  The forcing snapshot is loaded once and
+    gathered onto the keep set.
     """
     ws = _Workspace(lattice)
     keep = lattice.keep
     g = np.asarray(filter_symbol(cfg.spec, keep.ksq))
-    pres = [None if N is None
-            else np.asarray(deconv_symbol(DeconvOp(cfg.spec, N), keep.ksq))
+    pres = [None if N is None else kernels.deconv_from_g(g, N)
             for N in orders]
     dns_forcing = model_forcing = None
     if cfg.forcing is not None:
@@ -590,8 +592,10 @@ def adm_step(state: SolverState, cfg: SimConfig, N: int) -> SolverState:
 
     N = 0 is the simplified closure with the deconvolution equal to the
     identity: the filtered product of the unmodified state.  Like dns_step,
-    it projects the state onto the 2/3-rule keep set first.
+    it projects the state onto the 2/3-rule keep set first.  N must be an
+    integer >= 0 (ValueError).
     """
+    _check_order(N)
     (stepper,), _, _ = _build_steppers(cfg, state.field.lattice, (N,))
     return _advance_state(state, stepper, cfg.dt)
 
@@ -602,7 +606,10 @@ def adm_step(state: SolverState, cfg: SimConfig, N: int) -> SolverState:
 
 @dataclass
 class DnsSeries:
-    times: np.ndarray
+    """The reference's sampled series.  Its fields are the columns of
+    dns.csv, in order, each under its _key."""
+
+    times: np.ndarray = field(metadata={"key": "t"})
     u_l2: np.ndarray
     u_h1: np.ndarray
     energy: np.ndarray
@@ -615,11 +622,13 @@ class RunSeries:
     eps_* compare the filtered reference against the model state; *_hs uses
     the filter's natural higher-order level s (energy_weight).  half_norm is
     the interpolation-level deconvolution defect of the unfiltered
-    reference (half_norm_defect), for every filter family.
+    reference (half_norm_defect), for every filter family.  N and the
+    array fields are the columns of series.csv, in order, each under its
+    _key.
     """
 
     N: int
-    times: np.ndarray
+    times: np.ndarray = field(metadata={"key": "t"})
     eps_l2: np.ndarray
     eps_hs: np.ndarray
     eps_grad_l2: np.ndarray
@@ -666,9 +675,11 @@ def _progress(tag: str, step: int, t: float, e: float) -> None:
     print(f"[{tag}] step={step} t={t:.6g} E={e:.6g}", file=sys.stderr)
 
 
-_DNS = ("t", "u_l2", "u_h1", "energy")
-_SERIES = ("eps_l2", "eps_hs", "eps_grad_l2", "eps_grad_hs", "tau_l2",
-           "half_norm", "w_l2")
+_DNS = tuple(map(_key, fields(DnsSeries)))
+# The sampled fields of RunSeries, its arrays: the times, then the series
+# of _SERIES.  series.csv holds N and these, each under its _key.
+_SAMPLED = tuple(f for f in fields(RunSeries) if f.type == "np.ndarray")
+_SERIES = tuple(f.name for f in _SAMPLED[1:])
 
 # A child runs ahead of the caller's reads by as many exchange steps as its
 # pipe holds, so it does not stall while the caller records a sample.  The
@@ -916,7 +927,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     energy_row = _weight_row(keep, 0.5)
     rhos = [d * g for d in d_syms]
 
-    dns_cols = np.empty((3, len(samples)))
+    dns_cols = np.empty((3, len(samples)))  # the DnsSeries after times
     table = np.full((len(_SERIES), len(cfg.N_list), len(samples)), np.nan)
     series = dict(zip(_SERIES, table))
     div_max = np.zeros(len(cfg.N_list))
@@ -984,8 +995,7 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         _lockstep([dns_stepper, *steppers[:own]], [u, *states[:own]],
                   n_steps, cfg.dt, on_step)
 
-    dns = DnsSeries(times=times, u_l2=dns_cols[0], u_h1=dns_cols[1],
-                    energy=dns_cols[2])
+    dns = DnsSeries(times, *dns_cols)
     runs = [
         RunSeries(N=N, times=times,
                   **{name: series[name][j] for name in _SERIES},
@@ -1018,18 +1028,16 @@ def write_outputs(output: ExperimentOutput, out_dir) -> dict:
     dns_path = out / "dns.csv"
     admio.write_csv_columns(
         dns_path, token, _DNS,
-        [output.dns.times, output.dns.u_l2, output.dns.u_h1,
-         output.dns.energy],
-    )
+        [getattr(output.dns, f.name) for f in fields(DnsSeries)])
 
     # one row per (order, sample), the orders one after another
     runs = output.runs
     series_path = out / "series.csv"
     admio.write_csv_columns(
-        series_path, token, ["N", "t", *_SERIES],
+        series_path, token, ["N", *map(_key, _SAMPLED)],
         [np.repeat([run.N for run in runs], [len(run.times) for run in runs]),
-         *(np.concatenate([getattr(run, name) for run in runs])
-           for name in ("times", *_SERIES))],
+         *(np.concatenate([getattr(run, f.name) for run in runs])
+           for f in _SAMPLED)],
     )
 
     snap_dir = out / "snapshots"
@@ -1066,12 +1074,12 @@ def read_outputs(out_dir) -> ExperimentOutput:
     lattice = WaveLattice(cfg.n, cfg.L)
     token = config_hash(cfg)
 
-    cols = admio.read_columns(out / "dns.csv", token, _DNS)
-    dns = DnsSeries(times=cols["t"], u_l2=cols["u_l2"], u_h1=cols["u_h1"],
-                    energy=cols["energy"])
+    dns = DnsSeries(
+        *admio.read_columns(out / "dns.csv", token, _DNS).values())
 
     series_path = out / "series.csv"
-    cols = admio.read_columns(series_path, token, ("N", "t", *_SERIES))
+    cols = admio.read_columns(series_path, token,
+                              ("N", *map(_key, _SAMPLED)))
     orders = cols["N"]
     stray = np.sort(orders[~np.isin(orders, cfg.N_list)])
     if stray.size:
@@ -1085,8 +1093,7 @@ def read_outputs(out_dir) -> ExperimentOutput:
             raise admio.SnapshotFormatError(
                 f"{series_path}: no rows for order N={N}")
         runs.append(RunSeries(
-            N=N, times=cols["t"][sel],
-            **{name: cols[name][sel] for name in _SERIES},
+            N=N, **{f.name: cols[_key(f)][sel] for f in _SAMPLED},
             div_ratio_max=float("nan"),
         ))
     return ExperimentOutput(config=cfg, lattice=lattice, dns=dns, runs=runs)

@@ -334,6 +334,19 @@ def test_simulate_thread_env(runner, tmp_path):
         assert result.exit_code == 2, args
 
 
+def test_unhashable_kind_is_a_config_error(runner, tmp_path):
+    # it used to print "unhashable type: 'list'", naming neither key nor kind
+    cfg_path = tmp_path / "c.json"
+    data = json.loads(write_config(cfg_path).to_json())
+    data["filter"]["kind"] = ["helmholtz"]
+    cfg_path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == (f"Error: bad config {cfg_path}: unknown filter "
+                             "kind: ['helmholtz']\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "rates"])
 def test_non_string_output_dir_is_a_config_error(runner, tmp_path, command):
     # it used to end in a TypeError traceback from the path join
@@ -495,6 +508,31 @@ def test_simulate_bytes_do_not_depend_on_threads(runner, tmp_path,
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------
+
+
+# The header line of each output table, spelled out, so that a change to a
+# table's declaration shows here as a deliberate edit.
+HEADERS = {
+    "dns.csv": "t,u_l2,u_h1,energy",
+    "series.csv": ("N,t,eps_l2,eps_hs,eps_grad_l2,eps_grad_hs,tau_l2,"
+                   "half_norm,w_l2"),
+    "rates_detail.csv": ("N,t,eps_l2,eps_hs,grad_integral,energy_lhs,"
+                         "tau_l2,half_norm,bound_fin,bound_tau"),
+    "rates_summary.csv": ("N,eps_l2_final,energy_lhs_max,bound_main_log10,"
+                          "rhs_log10,rhs_alt_log10,passed,beta,beta_r2,"
+                          "constant,nu,u_l4h1,gronwall_log10"),
+}
+
+
+def test_table_headers_are_pinned(runner, tmp_path):
+    cfg_path = tmp_path / "c.json"
+    write_config(cfg_path)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["rates", "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert {name: (out / name).read_text().splitlines()[1]
+            for name in HEADERS} == HEADERS
 
 
 def test_rates_full_flow(runner, tmp_path):

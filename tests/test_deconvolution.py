@@ -93,6 +93,21 @@ def test_order_validation():
         DeconvOp(H11, -1)
 
 
+@pytest.mark.parametrize("order", [2.5, math.nan, True, False, 1.0, "1"])
+def test_order_must_be_an_integer(order):
+    # a float, NaN or boolean order used to be accepted, and deconv_symbol
+    # then gave a value that is no van Cittert symbol
+    with pytest.raises(ValueError,
+                       match="^order must be >= 0 and an integer, got "):
+        DeconvOp(H11, order)
+
+
+def test_order_accepts_numpy_integers():
+    k2 = np.array([0.0, 0.5, 40.0])
+    assert np.array_equal(deconv_symbol(DeconvOp(H11, np.int64(3)), k2),
+                          deconv_symbol(DeconvOp(H11, 3), k2))
+
+
 # ---------------------------------------------------------------------------
 # recovery symbol (fraction of a mode surviving filter + deconvolution)
 # ---------------------------------------------------------------------------

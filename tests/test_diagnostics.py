@@ -11,7 +11,6 @@ from admles import diagnostics, filters, solvers
 from admles.deconvolution import _defect_weight
 from admles.diagnostics import (
     LogValue,
-    ReportRow,
     bound_main,
     bound_residual,
     calibrate_sobolev_constant,
@@ -371,20 +370,18 @@ def test_error_report_invariants(small_output):
     assert report.u_l4h1 > 0.0
     assert math.isfinite(report.gronwall_log10)
 
-    by_order = {}
-    for row in report.rows:
-        by_order.setdefault(row.order, []).append(row)
-        # defect bound dominates the squared half-norm at every sample
-        assert row.half_norm ** 2 <= row.bound_fin * (1 + 1e-12)
-        # residual stress stays below its defect-product bound at C = 2
-        assert row.tau_l2 <= row.bound_tau * (1 + 1e-12)
-        assert row.energy_lhs >= 0.0
-    assert set(by_order) == {0, 1, 2, 4}
-    for rows in by_order.values():
-        ts = [r.t for r in rows]
+    cols = report.columns
+    # defect bound dominates the squared half-norm at every sample
+    assert np.all(cols["half_norm"] ** 2 <= cols["bound_fin"] * (1 + 1e-12))
+    # residual stress stays below its defect-product bound at C = 2
+    assert np.all(cols["tau_l2"] <= cols["bound_tau"] * (1 + 1e-12))
+    assert np.all(cols["energy_lhs"] >= 0.0)
+    assert set(cols["N"].tolist()) == {0, 1, 2, 4}
+    for N in (0, 1, 2, 4):
+        ts = cols["t"][cols["N"] == N].tolist()
         assert ts == sorted(ts)
         # the viscous integral is cumulative, hence nondecreasing
-        gi = [r.grad_integral for r in rows]
+        gi = cols["grad_integral"][cols["N"] == N].tolist()
         assert all(a <= b + 1e-15 for a, b in zip(gi, gi[1:]))
 
     assert len(report.summaries) == 4
@@ -400,6 +397,20 @@ def test_error_report_invariants(small_output):
     # error decreases with order
     finals = [s.eps_l2_final for s in report.summaries]
     assert finals[-1] < finals[0]
+
+
+@pytest.mark.parametrize("order", [1.5, math.nan, True, -3])
+def test_snapshot_diagnostics_and_bound_main_refuse_bad_orders(order):
+    # half_norm_defect(u, spec, 1.5) returned a number, and bound_main with
+    # order -3 raised "TypeError: must be real number, not complex"
+    u = random_solenoidal(WaveLattice(8), decay=1.0, seed=3)
+    spec = Helmholtz(alpha=0.5, p=1.0)
+    for call in (lambda: half_norm_defect(u, spec, order),
+                 lambda: residual_stress_norm(u, spec, order),
+                 lambda: bound_main(1.0, 0.05, 2.0, spec, order)):
+        with pytest.raises(ValueError,
+                           match="^order must be >= 0 and an integer, got "):
+            call()
 
 
 def test_error_report_rejects_bad_constant(small_output):
@@ -438,9 +449,9 @@ def test_error_report_non_helmholtz_bound_tau_is_finite():
     cfg = SimConfig(n=16, nu=0.05, spec=Gaussian(alpha=0.5),
                     T=0.02, dt=0.01, N_list=(0,))
     report = error_report(run_experiment(cfg, progress=False))
-    assert all(math.isnan(r.bound_fin) for r in report.rows)
-    assert all(math.isfinite(r.bound_tau) and r.bound_tau > 0.0
-               for r in report.rows)
+    assert np.all(np.isnan(report.columns["bound_fin"]))
+    bound_tau = report.columns["bound_tau"]
+    assert np.all(np.isfinite(bound_tau) & (bound_tau > 0.0))
     assert all(s.passed is None for s in report.summaries)
     assert report.passed()  # vacuously: no decidable summary rows
 
@@ -531,14 +542,20 @@ def test_bounds_table_matches_the_filter_families():
 # ---------------------------------------------------------------------------
 
 
-def scalar_ledger_rows(output, constant):
+# The columns of the ledger, as rates_detail.csv names them.
+LEDGER = ("N", "t", "eps_l2", "eps_hs", "grad_integral", "energy_lhs",
+          "tau_l2", "half_norm", "bound_fin", "bound_tau")
+
+
+def scalar_ledger_columns(output, constant):
     """The ledger built one row at a time, each bound from the scalar
-    formulas: the reference for the column form of error_report."""
+    formulas, as {column name: list}: the reference for the column form of
+    error_report."""
     spec = output.config.spec
     nu = output.config.nu
     weight, _ = solvers.energy_weight(spec)
     u_h1 = output.dns.u_h1
-    rows = []
+    cols = {name: [] for name in LEDGER}
     for run in output.runs:
         grad_sq = run.eps_grad_l2 ** 2 + weight * run.eps_grad_hs ** 2
         grad_int = np.zeros_like(grad_sq)
@@ -555,15 +572,13 @@ def scalar_ledger_rows(output, constant):
             else:
                 b_fin = math.nan
             b_tau = math.sqrt(2.0 * constant) * u_h1[i] * run.half_norm[i]
-            rows.append(ReportRow(
-                order=run.N, t=float(t), eps_l2=float(run.eps_l2[i]),
-                eps_hs=float(run.eps_hs[i]),
-                grad_integral=float(grad_int[i]),
-                energy_lhs=float(energy_lhs[i]),
-                tau_l2=float(run.tau_l2[i]),
-                half_norm=float(run.half_norm[i]),
-                bound_fin=b_fin, bound_tau=b_tau))
-    return rows
+            row = (run.N, float(t), float(run.eps_l2[i]),
+                   float(run.eps_hs[i]), float(grad_int[i]),
+                   float(energy_lhs[i]), float(run.tau_l2[i]),
+                   float(run.half_norm[i]), b_fin, b_tau)
+            for name, value in zip(LEDGER, row, strict=True):
+                cols[name].append(value)
+    return cols
 
 
 def struct_bits(value) -> bytes:
@@ -571,14 +586,16 @@ def struct_bits(value) -> bytes:
 
 
 def assert_rows_match_scalar_build(output, constant):
-    got = error_report(output, constant=constant).rows
-    want = scalar_ledger_rows(output, constant)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g.order) is int and g.order == w.order
-        for field in dataclasses.fields(ReportRow)[1:]:
-            assert struct_bits(getattr(g, field.name)) == \
-                struct_bits(getattr(w, field.name)), (w, field.name)
+    got = error_report(output, constant=constant).columns
+    want = scalar_ledger_columns(output, constant)
+    assert list(got) == list(want)
+    for name in LEDGER:
+        assert len(got[name]) == len(want[name]), name
+    for g, w in zip(got["N"].tolist(), want["N"]):
+        assert type(g) is int and g == w
+    for name in LEDGER[1:]:
+        for i, (g, w) in enumerate(zip(got[name].tolist(), want[name])):
+            assert struct_bits(g) == struct_bits(w), (name, i, w)
 
 
 def test_error_report_rows_match_scalar_build_tg16(tg16_output):
@@ -625,12 +642,12 @@ def test_error_report_bound_fin_keeps_the_scalar_square():
 
 
 def test_error_report_columns_are_read_only(small_output):
-    # rows are built from the columns when first read
+    # the report is frozen, and so are the columns it holds
     report = error_report(small_output)
-    assert list(report.columns) == [f.name for f in
-                                    dataclasses.fields(ReportRow)]
+    assert list(report.columns) == list(LEDGER)
+    n_rows = sum(len(run.times) for run in small_output.runs)
     for col in report.columns.values():
-        assert len(col) == len(report.rows)
+        assert len(col) == n_rows
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 0
 

@@ -258,13 +258,16 @@ def test_sandwich_orders(mu, m):
     (lambda: HelmholtzPower(mu=1.0, m=math.nan), "m"),
     (lambda: Helmholtz(alpha=True), "alpha"),
     (lambda: HelmholtzPower(mu=1.0, m=True), "m"),
+    (lambda: Helmholtz(alpha=10 ** 400), "alpha"),
+    (lambda: HelmholtzPower(mu=1.0, m=10 ** 400), "m"),
 ], ids=["h_alpha_nan", "h_alpha_inf", "h_p_nan", "h_p_inf", "h_alpha_str",
         "g_alpha_inf", "g_alpha_nan", "ga_alpha_nan", "ga_m_half",
         "ga_m_inf", "hp_mu_inf", "hp_m_half", "hp_m_nan", "h_alpha_bool",
-        "hp_m_bool"])
+        "hp_m_bool", "h_alpha_huge_int", "hp_m_huge_int"])
 def test_spec_refuses_non_finite_and_non_integral_fields(make, field):
     # each of these once gave a nan symbol or a symbol of 0 everywhere, or
-    # (a boolean) ran as 0 or 1
+    # (a boolean) ran as 0 or 1, or (an integer beyond the float range)
+    # raised an OverflowError that named no field
     with pytest.raises(ValueError, match=rf"^\w+ {field} must be "):
         make()
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 from admles import io as admio
-from admles import solvers
+from admles import filters, solvers
 from admles.deconvolution import DeconvOp, deconv_symbol
 from admles.diagnostics import half_norm_defect
 from admles.filters import (
@@ -354,10 +354,13 @@ def test_config_rejects_unknown_and_missing_keys():
     ("filter", {"kind": "helmholtz", "alpha": 0.5, "pp": 2.0}, "pp"),
     ("filter", {"kind": "gaussian", "alpha": 0.5, "p": 2.0}, "p"),
     ("init", {"kind": "taylor_green", "amplitude": 1.0, "seed": 3}, "seed"),
+    ("filter", {"kind": ["helmholtz"], "alpha": 0.5}, "helmholtz"),
 ])
 def test_config_rejects_bad_spec_entries(part, entry, key):
     # an unknown or missing kind or an unknown field would otherwise run a
-    # plausible experiment other than the one written down
+    # plausible experiment other than the one written down; an unhashable
+    # kind used to end in "TypeError: unhashable type", naming neither the
+    # key nor the kind
     data = {"n": 16, "nu": 0.1, "T": 1.0, "dt": 0.5,
             "filter": {"kind": "helmholtz", "alpha": 1.0}, part: entry}
     with pytest.raises(ValueError, match=f"'{key}'"):
@@ -471,6 +474,33 @@ def test_taylor_green_energy_decays():
         cur = sobolev_norm(st.field, 0.0)
         assert cur <= prev
         prev = cur
+
+
+def test_run_experiment_evaluates_g_once(monkeypatch):
+    # every D_N is formed from the run's G; evaluating each D_N through
+    # deconv_symbol evaluated G again, K + 1 times for K orders
+    calls = []
+    row = filters._FAMILIES[Helmholtz]
+
+    def symbol(spec, k2):
+        calls.append(k2.shape)
+        return row.symbol(spec, k2)
+
+    monkeypatch.setitem(filters._FAMILIES, Helmholtz,
+                        row._replace(symbol=symbol))
+    cfg = SimConfig(n=8, nu=0.05, spec=Helmholtz(alpha=0.5, p=1.0),
+                    T=0.02, dt=0.01, N_list=(0, 1, 2, 4))
+    run_experiment(cfg, progress=False)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", [1.5, True, -1])
+def test_adm_step_refuses_a_bad_order(N):
+    cfg = SimConfig(n=8, nu=0.05, spec=Helmholtz(alpha=0.5, p=1.0),
+                    T=0.02, dt=0.01)
+    u0 = initial_field(cfg, WaveLattice(8))
+    with pytest.raises(ValueError, match="^order must be >= 0 and an integer"):
+        adm_step(SolverState(field=u0), cfg, N)
 
 
 def test_adm_step_matches_textbook_oracle():
