@@ -39,7 +39,6 @@ from .filters import (
 )
 from .deconvolution import (
     DeconvOp,
-    PropertyCheck,
     PropertyReport,
     deconv_symbol,
     recovery_symbol,

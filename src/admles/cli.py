@@ -17,6 +17,7 @@ parameters that produced it.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import sys
 from dataclasses import fields
@@ -65,11 +66,6 @@ def _writing(path):
             f"cannot write {e.filename or path}: {e.strerror or e}")
 
 
-def _emit_csv(csv_path, token: str, header, rows) -> None:
-    """Print or write the CSV of rows, as _emit does."""
-    _emit(csv_path, admio.csv_text(token, header, rows))
-
-
 def _emit(csv_path, text: str) -> None:
     """Print CSV text, or write it to csv_path; a failed write is an error
     (exit 1) that names csv_path."""
@@ -78,6 +74,20 @@ def _emit(csv_path, text: str) -> None:
         return
     with _writing(csv_path):
         admio.write_atomic(csv_path, text)
+
+
+def _emit_table(csv_path, token: str, table: dict) -> None:
+    """_emit the CSV of a {CSV name: column} table."""
+    _emit(csv_path, admio.csv_columns_text(token, table, table.values()))
+
+
+def _first_failure(table: dict, passed: str):
+    """The first row of a table whose `passed` column is False, as
+    {CSV name: Python value}, or None when every row passed."""
+    bad = np.flatnonzero(np.logical_not(table[passed]))
+    if not bad.size:
+        return None
+    return {name: col.item(bad[0]) for name, col in table.items()}
 
 
 @click.group()
@@ -95,85 +105,108 @@ def _fail(label: str, detail: str) -> None:
     sys.exit(1)
 
 
-def _verify_sweeps(names, dense, rows) -> None:
+# The columns of the verify summary, one row per check.
+_SUMMARY = ("family", "check", "n_cases", "min_margin", "passed")
+
+
+def _summarize(summary: dict, family: str, check: str, n_cases: int,
+               min_margin: float = math.nan, failure=None) -> None:
+    """Append a check's row to the summary table, then print its `ok` line
+    or, for a failure (label, detail), its FAIL line and exit 1."""
+    row = (family, check, n_cases, min_margin, failure is None)
+    for col, value in zip(summary.values(), row):
+        col.append(value)
+    if failure is not None:
+        _fail(*failure)
+    margin = "" if math.isnan(min_margin) else f" min_margin={min_margin:.3e}"
+    click.echo(f"ok {family} {check}: cases={n_cases}{margin}")
+
+
+def _verify_sweeps(names, dense, summary) -> None:
     for name in names:
         result = sweep(name, dense=dense)
-        rows.append(["inequality", name, result.n_cases,
-                     result.min_margin, result.passed])
+        failure = None
         if not result.passed:
             c = result.failures[0]
-            _fail(f"inequality {name}",
-                  f"params={c.params} lhs={c.lhs!r} rhs={c.rhs!r} "
-                  f"margin={c.margin!r}")
-        click.echo(f"ok inequality {name}: cases={result.n_cases} "
-                   f"min_margin={result.min_margin:.3e}")
+            failure = (f"inequality {name}",
+                       f"params={c.params} lhs={c.lhs!r} rhs={c.rhs!r} "
+                       f"margin={c.margin!r}")
+        _summarize(summary, "inequality", name, result.n_cases,
+                   result.min_margin, failure)
 
 
-def _verify_deconvolution(rows, reports) -> None:
+def _verify_deconvolution(summary, reports) -> None:
     k2_grid = np.logspace(-2.0, 14.0, 33)
-    n_rows = 0
-    for p in (0.75, 1.0, 2.0, 4.0):
-        for alpha in (0.1, 1.0):
-            for report in property_reports(Helmholtz(alpha=alpha, p=p),
-                                           (0, 1, 2, 4, 8, 16, 32), k2_grid):
-                reports.append(report)
-                n_rows += report.n_rows
-                if not report.passed:
-                    c = report.failures()[0]
-                    _fail("deconvolution properties",
-                          f"alpha={alpha} p={p} order={report.op.order} "
-                          f"property={c.name} k2={c.k2!r} lhs={c.lhs!r} "
-                          f"rhs={c.rhs!r}")
-    rows.append(["deconvolution", "symbol_properties", n_rows, math.nan,
-                 True])
-    click.echo(f"ok deconvolution symbol_properties: cases={n_rows}")
+    n_cases = 0
+    for p, alpha in itertools.product((0.75, 1.0, 2.0, 4.0), (0.1, 1.0)):
+        for report in property_reports(Helmholtz(alpha=alpha, p=p),
+                                       (0, 1, 2, 4, 8, 16, 32), k2_grid):
+            reports.append(report)
+            n_cases += len(report.columns["pass"])
+            c = _first_failure(report.columns, "pass")
+            if c is not None:
+                _summarize(summary, "deconvolution", "symbol_properties",
+                           n_cases, failure=(
+                               "deconvolution properties",
+                               f"alpha={alpha} p={p} order={report.op.order} "
+                               f"property={c['property']} k2={c['k2']!r} "
+                               f"lhs={c['lhs']!r} rhs={c['rhs']!r}"))
+    _summarize(summary, "deconvolution", "symbol_properties", n_cases)
 
 
-def _gaussian_approx_rows(alpha: float, m_max: int, k2) -> list:
-    """[m, sup_error, bound, passed] for m = 1..m_max: the sup-mode distance
-    of the power approximants to the Gaussian symbol against 2/m.
+def _gaussian_approx_table(alpha: float, m_max: int, k2) -> dict:
+    """The columns m, sup_error, bound and passed for m = 1..m_max: the
+    sup-mode distance of the power approximants to the Gaussian symbol
+    against 2/m.
 
     The indices go in as one column per block of _M_BLOCK, so an
     evaluation holds at most _M_BLOCK rows of len(k2) modes.
     """
-    rows = []
-    for start in range(1, m_max + 1, _M_BLOCK):
-        ms = np.arange(start, min(start + _M_BLOCK, m_max + 1))
-        err = np.max(gaussian_approx_error(alpha, ms[:, None], k2), axis=1)
-        bound = 2.0 / ms
-        rows += map(list, zip(ms.tolist(), err.tolist(), bound.tolist(),
-                              (err <= bound).tolist()))
-    return rows
+    m = np.arange(1, m_max + 1)
+    err = np.concatenate([
+        np.max(gaussian_approx_error(alpha, m[i:i + _M_BLOCK, None], k2),
+               axis=1)
+        for i in range(0, m_max, _M_BLOCK)])
+    bound = 2.0 / m
+    return {"m": m, "sup_error": err, "bound": bound,
+            "passed": err <= bound}
 
 
-def _verify_filters(rows) -> None:
+def _gaussian_approx_failure(alpha: float, table: dict):
+    """The FAIL detail of a gaussian-approx table's first failing row, or
+    None."""
+    c = _first_failure(table, "passed")
+    return None if c is None else (
+        f"alpha={alpha} m={c['m']} sup_error={c['sup_error']!r} "
+        f"bound={c['bound']!r}")
+
+
+def _verify_filters(summary) -> None:
     k2 = np.unique(WaveLattice(16).k_squared)
-    n_rows = 0
-    for mu in (0.5, 1.0):
-        for m in range(1, 9):
-            lo, mid, hi = helmholtz_power_sandwich(mu, m, k2)
-            slack = _SANDWICH_SLACK * np.maximum(1.0, hi)
-            bad = (mid < lo - slack) | (mid > hi + slack)
-            n_rows += len(k2)
-            if np.any(bad):
-                i = int(np.flatnonzero(bad)[0])
-                _fail("filter sandwich",
-                      f"mu={mu} m={m} k2={k2[i]!r} lo={lo[i]!r} "
-                      f"mid={mid[i]!r} hi={hi[i]!r}")
-    rows.append(["filters", "power_sandwich", n_rows, math.nan, True])
-    click.echo(f"ok filters power_sandwich: cases={n_rows}")
+    n_cases = 0
+    for mu, m in itertools.product((0.5, 1.0), range(1, 9)):
+        lo, mid, hi = helmholtz_power_sandwich(mu, m, k2)
+        slack = _SANDWICH_SLACK * np.maximum(1.0, hi)
+        bad = (mid < lo - slack) | (mid > hi + slack)
+        n_cases += len(k2)
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            _summarize(summary, "filters", "power_sandwich", n_cases,
+                       failure=("filter sandwich",
+                                f"mu={mu} m={m} k2={k2[i]!r} lo={lo[i]!r} "
+                                f"mid={mid[i]!r} hi={hi[i]!r}"))
+    _summarize(summary, "filters", "power_sandwich", n_cases)
 
     k2 = np.unique(WaveLattice(32).k_squared)
-    n_rows = 0
+    n_cases = 0
     for alpha in (0.5, 1.0, 2.0):
-        for m, err, bound, ok in _gaussian_approx_rows(alpha, 32, k2):
-            n_rows += 1
-            if not ok:
-                _fail("filter gaussian_approx",
-                      f"alpha={alpha} m={m} sup_error={err!r} "
-                      f"bound={bound!r}")
-    rows.append(["filters", "gaussian_approx", n_rows, math.nan, True])
-    click.echo(f"ok filters gaussian_approx: cases={n_rows}")
+        table = _gaussian_approx_table(alpha, 32, k2)
+        n_cases += len(table["m"])
+        detail = _gaussian_approx_failure(alpha, table)
+        if detail is not None:
+            _summarize(summary, "filters", "gaussian_approx", n_cases,
+                       failure=("filter gaussian_approx", detail))
+    _summarize(summary, "filters", "gaussian_approx", n_cases)
 
 
 @main.command()
@@ -190,27 +223,25 @@ def verify(ineq: str, dense: bool, csv_path) -> None:
     if ineq != "all" and ineq not in NAMES:
         raise click.UsageError(
             f"--ineq must be 'all' or one of {', '.join(NAMES)}")
-    rows: list = []
+    summary = {name: [] for name in _SUMMARY}
     reports: list = []
     token = admio.sha256_token({"command": "verify", "ineq": ineq,
                                 "dense": dense})
     try:
-        _verify_sweeps(NAMES if ineq == "all" else (ineq,), dense, rows)
+        _verify_sweeps(NAMES if ineq == "all" else (ineq,), dense, summary)
         if ineq == "all":
-            _verify_deconvolution(rows, reports)
-            _verify_filters(rows)
+            _verify_deconvolution(summary, reports)
+            _verify_filters(summary)
     finally:
         if csv_path is not None:
-            _emit_csv(csv_path, token,
-                      ["family", "check", "n_cases", "min_margin", "passed"],
-                      rows)
+            _emit_table(csv_path, token, summary)
             if reports:
                 path = Path(csv_path)
-                _emit_csv(path.with_name(path.stem + "_properties.csv"),
-                          token,
-                          ["property", "k2", "lhs", "rhs", "pass"],
-                          [[c.name, c.k2, c.lhs, c.rhs, c.passed]
-                           for report in reports for c in report.rows])
+                _emit_table(path.with_name(path.stem + "_properties.csv"),
+                            token,
+                            {name: np.concatenate([r.columns[name]
+                                                   for r in reports])
+                             for name in reports[0].columns})
     click.echo("all checks passed")
 
 
@@ -226,6 +257,8 @@ def _parse_orders(text: str) -> list:
                                f"list, got {text!r}")
     if not orders or any(N < 0 for N in orders):
         raise click.UsageError(f"--N entries must be >= 0, got {text!r}")
+    if len(set(orders)) < len(orders):  # one column per order
+        raise click.UsageError(f"--N entries must be distinct, got {text!r}")
     return orders
 
 
@@ -256,25 +289,28 @@ def symbols(filter_name, alpha, p, mu, m, orders_text, kmax, points,
     except ValueError as e:
         raise click.UsageError(str(e))
     orders = _parse_orders(orders_text)
-    if not (math.isfinite(kmax) and kmax > 0) or points < 2:
-        raise click.UsageError(
-            "--kmax must be finite and > 0 and --points >= 2")
-    k2 = np.concatenate(
-        ([0.0], np.logspace(-2.0, math.log10(kmax ** 2), points)))
-    g = np.asarray(filter_symbol(spec, k2))
     try:
-        a_col = np.asarray(inverse_symbol(spec, k2))
+        k2_max = kmax ** 2
+    except OverflowError:  # a square beyond the float range
+        k2_max = math.inf
+    if not (kmax > 0 and 0.0 < k2_max < math.inf) or points < 2:
+        raise click.UsageError(
+            "--kmax must be > 0 with a finite, nonzero square and "
+            "--points >= 2")
+    k2 = np.concatenate(
+        ([0.0], np.logspace(-2.0, math.log10(k2_max), points)))
+    table = {"k2": k2, "G_hat": np.asarray(filter_symbol(spec, k2))}
+    try:
+        table["A_hat"] = np.asarray(inverse_symbol(spec, k2))
     except NonInvertibleFilterError:
-        a_col = [""] * len(k2)
-    d_cols = [np.asarray(deconv_symbol(DeconvOp(spec, N), k2))
-              for N in orders]
-    header = ["k2", "G_hat", "A_hat"] + [f"D{N}_hat" for N in orders]
+        table["A_hat"] = [""] * len(k2)
+    for N in orders:
+        table[f"D{N}_hat"] = np.asarray(deconv_symbol(DeconvOp(spec, N), k2))
     token = admio.sha256_token({
         "command": "symbols", "filter": filter_name, "alpha": alpha, "p": p,
         "mu": mu, "m": m, "N": orders, "kmax": kmax, "points": points,
     })
-    _emit(csv_path,
-          admio.csv_columns_text(token, header, [k2, g, a_col, *d_cols]))
+    _emit_table(csv_path, token, table)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +401,8 @@ def rates(config_path, out, constant) -> None:
         raise click.ClickException(str(e))
 
     token = config_hash(cfg)
-    for name, table in (("rates_detail.csv", report.columns),
-                        ("rates_summary.csv", report.summary_columns)):
-        _emit(out_dir / name,
-              admio.csv_columns_text(token, table, table.values()))
+    _emit_table(out_dir / "rates_detail.csv", token, report.columns)
+    _emit_table(out_dir / "rates_summary.csv", token, report.summary_columns)
     for s in report.summaries:
         verdict = ("n/a" if s.passed is None
                    else "ok" if s.passed else "FAIL")
@@ -407,15 +441,13 @@ def gaussian_approx(alpha, m_max, n, csv_path) -> None:
         k2 = np.unique(WaveLattice(n).k_squared)
     except ValueError as e:
         raise click.UsageError(str(e))
-    rows = _gaussian_approx_rows(alpha, m_max, k2)
+    table = _gaussian_approx_table(alpha, m_max, k2)
     token = admio.sha256_token({"command": "gaussian-approx",
                                 "alpha": alpha, "m_max": m_max, "n": n})
-    _emit_csv(csv_path, token, ["m", "sup_error", "bound", "passed"], rows)
-    bad = [row for row in rows if not row[3]]
-    if bad:
-        m, err, bound, _ = bad[0]
-        _fail("gaussian-approx",
-              f"alpha={alpha} m={m} sup_error={err!r} bound={bound!r}")
+    _emit_table(csv_path, token, table)
+    detail = _gaussian_approx_failure(alpha, table)
+    if detail is not None:
+        _fail("gaussian-approx", detail)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ wavenumbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .spectral import SpectralField
 
 __all__ = [
     "DeconvOp",
-    "PropertyCheck",
     "PropertyReport",
     "deconv_symbol",
     "recovery_symbol",
@@ -100,17 +98,10 @@ def apply_deconv(op: DeconvOp, f: SpectralField) -> SpectralField:
                          divergence_free=f.divergence_free)
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    k2: float
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-# The checks made at every grid point, in row order.
-_PER_POINT = ("range_low", "range_high", "below_inverse")
+# The columns of a property table, keyed by their CSV names, and their
+# dtypes.
+_COLUMNS = {"property": object, "k2": float, "lhs": float, "rhs": float,
+            "pass": bool}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,45 +117,18 @@ class PropertyReport:
     Diagnostic (never asserted): tail_deviation, the relative deviation of
     D_hat from (order+1)(1+x)/x at the largest grid point.
 
-    The per-point checks are held as arrays with one row per name of
-    _PER_POINT and one column per grid point; `rows` builds the
-    PropertyCheck tuple from them when it is first read.
+    `columns` is the table of the checks, read-only arrays keyed by the
+    names of _COLUMNS: range_low, range_high and below_inverse of each grid
+    point in turn, in grid order, then the saturation row if any.
     """
 
     op: DeconvOp
-    k2: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    ok: np.ndarray
-    saturation: Optional[PropertyCheck]
+    columns: dict
     tail_deviation: float
 
     @property
     def passed(self) -> bool:
-        return bool(self.ok.all()) and (
-            self.saturation is None or self.saturation.passed)
-
-    @property
-    def n_rows(self) -> int:
-        """len(rows), without building them."""
-        return self.ok.size + (self.saturation is not None)
-
-    @cached_property
-    def rows(self) -> tuple:
-        """Every check, point by point in grid order (the _PER_POINT checks
-        of each point in turn), then the saturation row if any."""
-        rows = [
-            PropertyCheck(name, k2, lhs, rhs, ok)
-            for k2, *point in zip(self.k2.tolist(), self.lhs.T.tolist(),
-                                  self.rhs.T.tolist(), self.ok.T.tolist())
-            for name, lhs, rhs, ok in zip(_PER_POINT, *point)
-        ]
-        if self.saturation is not None:
-            rows.append(self.saturation)
-        return tuple(rows)
-
-    def failures(self):
-        return [r for r in self.rows if not r.passed]
+        return bool(self.columns["pass"].all())
 
 
 def check_properties(op: DeconvOp, k2_grid: Sequence[float]) -> PropertyReport:
@@ -204,34 +168,41 @@ def property_reports(spec: FilterSpec, orders: Sequence[int],
         np.asarray(filter_symbol(spec, k2), dtype=np.float64), order_col)
     a = np.asarray(inverse_symbol(spec, k2))
     tol = 1e-12
-    # (order, check, point), the checks in _PER_POINT order
-    lhs = np.stack([np.ones_like(d), d, d], axis=1)
-    rhs = np.stack([d, np.broadcast_to(tops, d.shape),
-                    np.broadcast_to(a, d.shape)], axis=1)
-    ok = np.stack([d >= 1.0 - tol, d <= tops * (1.0 + tol),
-                   d <= a * (1.0 + tol)], axis=1)
-    for arr in (k2, lhs, rhs, ok):  # so rows, built later, match them
-        arr.flags.writeable = False
-
     k2_max = float(k2[-1])
+    saturates = k2_max > _SATURATION_K2
+    n_point = 3 * k2.size
+    checks = [  # where the check's rows sit, then its value per column
+        (np.s_[0:n_point:3], "range_low", k2, 1.0, d, d >= 1.0 - tol),
+        (np.s_[1:n_point:3], "range_high", k2, d, tops,
+         d <= tops * (1.0 + tol)),
+        (np.s_[2:n_point:3], "below_inverse", k2, d, a,
+         d <= a * (1.0 + tol)),
+    ]
+    if saturates:
+        gap = np.abs(d[:, -1:] - tops)
+        bound = _SATURATION_REL * tops
+        checks.append((np.s_[n_point:], "saturation", k2_max, gap, bound,
+                       gap <= bound))
+    # row i holds the table of order orders[i]
+    shape = (len(ops), n_point + saturates)
+    columns = {name: np.empty(shape, dtype)
+               for name, dtype in _COLUMNS.items()}
+    for where, *values in checks:
+        for col, value in zip(columns.values(), values):
+            col[:, where] = value
+    for col in columns.values():  # the reports are frozen, so are they
+        col.flags.writeable = False
+
     x_max = float(_helmholtz_x(spec, k2_max))
     reports = []
     for i, op in enumerate(ops):
-        top = float(op.order + 1)
         d_max = float(d[i, -1])
-        saturation = None
-        if k2_max > _SATURATION_K2:
-            gap = abs(d_max - top)
-            saturation = PropertyCheck(
-                "saturation", k2_max, gap, _SATURATION_REL * top,
-                gap <= _SATURATION_REL * top,
-            )
         if x_max > 0.0:
-            equiv = top * (1.0 + x_max) / x_max
+            equiv = float(op.order + 1) * (1.0 + x_max) / x_max
             tail_dev = abs(d_max / equiv - 1.0)
         else:
             tail_dev = float("nan")
         reports.append(PropertyReport(
-            op=op, k2=k2, lhs=lhs[i], rhs=rhs[i], ok=ok[i],
-            saturation=saturation, tail_deviation=tail_dev))
+            op=op, columns={name: col[i] for name, col in columns.items()},
+            tail_deviation=tail_dev))
     return tuple(reports)

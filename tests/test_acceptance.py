@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import oracles
-from admles import inequalities
+from admles import cli, inequalities
 from admles.deconvolution import (
     DeconvOp,
     check_properties,
@@ -88,10 +88,10 @@ def test_criterion_2_deconvolution_symbol_properties():
                 op = DeconvOp(spec, order)
                 rep = check_properties(op, k2)
                 if not rep.passed:
-                    row = rep.failures()[0]
+                    row = cli._first_failure(rep.columns, "pass")
                     problems.append(
-                        f"{row.name} fails at p={p} alpha={alpha} "
-                        f"N={order} k2={row.k2:g}")
+                        f"{row['property']} fails at p={p} alpha={alpha} "
+                        f"N={order} k2={row['k2']:g}")
                 d = np.asarray(deconv_symbol(op, k2))
                 # term-by-term partial sum of the inverse expansion; every
                 # term is positive so the sum itself is cancellation-free

@@ -16,10 +16,11 @@ import pytest
 from click.testing import CliRunner
 
 from admles import io as admio
-from admles import cli, solvers
+from admles import cli, deconvolution, solvers
 from admles.cli import main
 from admles.deconvolution import DeconvOp, deconv_symbol
 from admles.filters import Gaussian, Helmholtz, HelmholtzPower
+from admles.inequalities import IneqCase
 from admles.solvers import (
     RandomSpectrumInit,
     SimConfig,
@@ -109,9 +110,10 @@ def test_verify_names_the_first_failing_property(runner, monkeypatch):
         reports = real(spec, orders, k2_grid)
         if spec != Helmholtz(alpha=0.1, p=0.75):
             return reports
-        ok = reports[3].ok.copy()
-        ok[1, 5] = False
-        return (*reports[:3], dataclasses.replace(reports[3], ok=ok),
+        columns = dict(reports[3].columns)
+        columns["pass"] = columns["pass"].copy()
+        columns["pass"][3 * 5 + 1] = False
+        return (*reports[:3], dataclasses.replace(reports[3], columns=columns),
                 *reports[4:])
 
     monkeypatch.setattr(cli, "property_reports", one_failure)
@@ -124,13 +126,162 @@ def test_verify_names_the_first_failing_property(runner, monkeypatch):
         f"property=range_high k2={k2!r} lhs={d!r} rhs=5.0")
 
 
+def _sweep_failing(monkeypatch, name):
+    """Make the sweep of family name report one failing case."""
+    real = cli.sweep
+
+    def sweep(family, dense=False):
+        result = real(family, dense=dense)
+        if family != name:
+            return result
+        case = IneqCase(name, (0.5, 2.0), lhs=1.5, rhs=1.0)
+        return dataclasses.replace(result, failures=(case,))
+
+    monkeypatch.setattr(cli, "sweep", sweep)
+
+
+def _sandwich_failing(monkeypatch):
+    """Push mid above hi at the 5th mode of mu=1.0, m=3."""
+    real = cli.helmholtz_power_sandwich
+
+    def sandwich(mu, m, k2):
+        lo, mid, hi = real(mu, m, k2)
+        if (mu, m) == (1.0, 3):
+            mid = mid.copy()
+            mid[4] = hi[4] + 1.0
+        return lo, mid, hi
+
+    monkeypatch.setattr(cli, "helmholtz_power_sandwich", sandwich)
+    return real
+
+
+def _gaussian_approx_failing(monkeypatch):
+    """Add 10 to every mode's distance of approximant m=5 at alpha=1.0."""
+    real = cli.gaussian_approx_error
+
+    def error(alpha, m, k2):
+        out = real(alpha, m, k2)
+        return out + 10.0 * (np.asarray(m) == 5) if alpha == 1.0 else out
+
+    monkeypatch.setattr(cli, "gaussian_approx_error", error)
+    return real
+
+
+def _properties_failing(monkeypatch):
+    """Zero the inverse symbol at the 6th grid point of the first filter, so
+    order 0 fails below_inverse there."""
+    real = deconvolution.inverse_symbol
+
+    def inverse(spec, k2):
+        out = np.asarray(real(spec, k2))
+        if spec == Helmholtz(alpha=0.1, p=0.75):
+            out = out.copy()
+            out[5] = 0.0
+        return out
+
+    monkeypatch.setattr(deconvolution, "inverse_symbol", inverse)
+
+
+def test_verify_names_the_failing_sweep_case(runner, monkeypatch):
+    _sweep_failing(monkeypatch, "highpass_ratio")
+    result = runner.invoke(main, ["verify", "--ineq", "highpass_ratio"])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines()[-1] == (
+        "FAIL inequality highpass_ratio: params=(0.5, 2.0) lhs=1.5 rhs=1.0 "
+        "margin=-0.5")
+
+
+def test_verify_names_the_failing_sandwich_mode(runner, monkeypatch):
+    real = _sandwich_failing(monkeypatch)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1, result.output
+    k2 = np.unique(WaveLattice(16).k_squared)
+    lo, _, hi = (v[4] for v in real(1.0, 3, k2))
+    assert result.output.splitlines()[-1] == (
+        f"FAIL filter sandwich: mu=1.0 m=3 k2={k2[4]!r} lo={lo!r} "
+        f"mid={hi + 1.0!r} hi={hi!r}")
+
+
+def test_verify_names_the_failing_gaussian_approximant(runner, monkeypatch):
+    real = _gaussian_approx_failing(monkeypatch)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1, result.output
+    k2 = np.unique(WaveLattice(32).k_squared)
+    err = float(np.max(real(1.0, np.arange(1, 33)[:, None], k2) + 10.0,
+                       axis=1)[4])
+    assert result.output.splitlines()[-1] == (
+        f"FAIL filter gaussian_approx: alpha=1.0 m=5 sup_error={err!r} "
+        f"bound=0.4")
+
+
+def test_gaussian_approx_names_the_first_failing_index(runner, monkeypatch,
+                                                       tmp_path):
+    real = _gaussian_approx_failing(monkeypatch)
+    k2 = np.unique(WaveLattice(32).k_squared)
+    err = float(np.max(real(1.0, np.arange(1, 9)[:, None], k2) + 10.0,
+                       axis=1)[4])
+    out = tmp_path / "ga.csv"
+    for args in ([], ["--csv", str(out)]):
+        result = runner.invoke(main, ["gaussian-approx", "--m-max", "8",
+                                      *args])
+        assert result.exit_code == 1, result.output
+        lines = result.output.splitlines()
+        assert lines[-1] == (
+            f"FAIL gaussian-approx: alpha=1.0 m=5 sup_error={err!r} "
+            f"bound=0.4")
+        table = out.read_text().splitlines() if args else lines[:-1]
+        assert len(table) == 2 + 8
+        assert table[2 + 4] == f"5,{err!r},0.4,False"
+
+
+@pytest.mark.parametrize("check", [
+    "inequality", "symbol_properties", "power_sandwich", "gaussian_approx"])
+def test_failed_verify_summary_ends_with_the_failing_check(
+        runner, monkeypatch, tmp_path, check):
+    k2_16 = len(np.unique(WaveLattice(16).k_squared))
+    # the cases of every table evaluated up to and including the failing
+    # one: a whole sweep, one property report (100 rows), the sandwich
+    # modes of (mu, m) = (0.5, 1..8) and (1.0, 1..3), and the 32
+    # approximants of alpha = 0.5 and of 1.0
+    if check == "inequality":
+        _sweep_failing(monkeypatch, "highpass_ratio")
+        n_cases = cli.sweep("highpass_ratio").n_cases
+        last = f"inequality,highpass_ratio,{n_cases},"
+    elif check == "symbol_properties":
+        _properties_failing(monkeypatch)
+        last = "deconvolution,symbol_properties,100,nan,False"
+    elif check == "power_sandwich":
+        _sandwich_failing(monkeypatch)
+        last = f"filters,power_sandwich,{11 * k2_16},nan,False"
+    else:
+        _gaussian_approx_failing(monkeypatch)
+        last = "filters,gaussian_approx,64,nan,False"
+    csv_path = tmp_path / "all.csv"
+    result = runner.invoke(main, ["verify", "--csv", str(csv_path)])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines()[-1].startswith("FAIL ")
+    rows = csv_path.read_text().splitlines()[2:]
+    assert rows[-1].startswith(last) and rows[-1].endswith(",False")
+    assert all(row.endswith(",True") for row in rows[:-1])
+
+
+def test_verify_names_the_failing_property_of_a_report(runner, monkeypatch):
+    _properties_failing(monkeypatch)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1, result.output
+    k2 = float(VERIFY_K2[5])
+    assert result.output.splitlines()[-1] == (
+        f"FAIL deconvolution properties: alpha=0.1 p=0.75 order=0 "
+        f"property=below_inverse k2={k2!r} lhs=1.0 rhs=0.0")
+
+
 def test_verify_property_csv_matches_eager_rows(runner, tmp_path):
     csv_path = tmp_path / "all.csv"
     result = runner.invoke(main, ["verify", "--csv", str(csv_path)])
     assert result.exit_code == 0, result.output
     header, rows = admio.read_csv(tmp_path / "all_properties.csv")
     assert header == ["property", "k2", "lhs", "rhs", "pass"]
-    expected = [[c.name, repr(c.k2), repr(c.lhs), repr(c.rhs),
+    expected = [[c.property, repr(c.k2), repr(c.lhs), repr(c.rhs),
                  str(bool(c.passed))]
                 for op in VERIFY_OPS
                 for c in eager_property_rows(op, VERIFY_K2)]
@@ -183,6 +334,9 @@ def test_symbols_bad_orders(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["symbols", "--N", "a,b"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["symbols", "--N", "0,2,0"])
+    assert result.exit_code == 2
+    assert "distinct" in result.output
     result = runner.invoke(main, ["symbols", "--kmax", "0"])
     assert result.exit_code == 2
 
@@ -207,6 +361,16 @@ def test_symbols_non_finite_option_is_usage_error(runner, option, value):
     result = runner.invoke(main, ["symbols", option, value])
     assert result.exit_code == 2, result.output
     assert option.lstrip("-") in result.output
+
+
+@pytest.mark.parametrize("kmax", ["1e-200", "1e200", "-64"])
+def test_symbols_kmax_with_a_zero_or_infinite_square_is_usage_error(
+        runner, kmax):
+    # log10(kmax^2) sets the grid's far end; it used to fail as a math
+    # domain error (square 0) or an OverflowError traceback
+    result = runner.invoke(main, ["symbols", "--kmax", kmax])
+    assert result.exit_code == 2, result.output
+    assert "--kmax" in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +697,26 @@ def test_table_headers_are_pinned(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert {name: (out / name).read_text().splitlines()[1]
             for name in HEADERS} == HEADERS
+
+
+# The header line of each table the checking commands write.
+CHECK_HEADERS = {
+    "verify": "family,check,n_cases,min_margin,passed",
+    "verify_properties": "property,k2,lhs,rhs,pass",
+    "gaussian-approx": "m,sup_error,bound,passed",
+    "symbols": "k2,G_hat,A_hat,D0_hat,D2_hat",
+}
+
+
+def test_check_table_headers_are_pinned(runner, tmp_path):
+    commands = {"verify": [], "gaussian-approx": ["--m-max", "2"],
+                "symbols": ["--N", "0,2", "--points", "4"]}
+    for command, args in commands.items():
+        result = runner.invoke(main, [command, *args, "--csv",
+                                      str(tmp_path / f"{command}.csv")])
+        assert result.exit_code == 0, result.output
+    assert {name: (tmp_path / f"{name}.csv").read_text().splitlines()[1]
+            for name in CHECK_HEADERS} == CHECK_HEADERS
 
 
 def test_rates_full_flow(runner, tmp_path):

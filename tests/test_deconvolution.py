@@ -3,6 +3,7 @@ range/saturation structure, and the survived-fraction identity."""
 
 import math
 import struct
+from collections import namedtuple
 
 import mpmath
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admles import cli
 from admles.deconvolution import (
     DeconvOp,
-    PropertyCheck,
     apply_deconv,
     check_properties,
     deconv_symbol,
@@ -236,24 +237,25 @@ def test_check_properties_passes():
     grid = np.logspace(-2, 14, 100)
     report = check_properties(op, grid)
     assert report.passed
-    assert not report.failures()
-    names = {r.name for r in report.rows}
+    assert all(r.passed for r in report_rows(report))
+    assert list(report.columns) == ["property", "k2", "lhs", "rhs", "pass"]
+    names = {r.property for r in report_rows(report)}
     assert names == {"range_low", "range_high", "below_inverse", "saturation"}
     # three pointwise rows per grid point plus the single saturation row
-    assert len(report.rows) == 3 * 100 + 1
+    assert len(report_rows(report)) == 3 * 100 + 1
     assert report.tail_deviation < 1e-6
 
 
 def test_check_properties_no_saturation_row_on_small_grid():
     report = check_properties(DeconvOp(H11, 2), [0.1, 1.0, 10.0])
-    assert {r.name for r in report.rows} == {
+    assert {r.property for r in report_rows(report)} == {
         "range_low", "range_high", "below_inverse"}
     assert report.passed
 
 
 def test_check_properties_sorts_grid():
     report = check_properties(DeconvOp(H11, 1), [10.0, 0.1, 1.0])
-    ks = [r.k2 for r in report.rows if r.name == "range_low"]
+    ks = [r.k2 for r in report_rows(report) if r.property == "range_low"]
     assert ks == sorted(ks)
 
 
@@ -267,14 +269,25 @@ def test_check_properties_rejects_bad_input():
 def test_below_inverse_row_uses_inverse_symbol():
     spec = Helmholtz(alpha=0.5, p=1.5)
     report = check_properties(DeconvOp(spec, 5), [4.0])
-    row = [r for r in report.rows if r.name == "below_inverse"][0]
+    row = [r for r in report_rows(report)
+           if r.property == "below_inverse"][0]
     assert row.rhs == pytest.approx(inverse_symbol(spec, 4.0), rel=1e-15)
     assert row.lhs <= row.rhs
 
 
+# One row of a property table, its columns in CSV order.
+Row = namedtuple("Row", "property k2 lhs rhs passed")
+
+
+def report_rows(report):
+    """The rows of a report's columns, as Python values."""
+    return [Row(*row) for row in zip(*(col.tolist()
+                                       for col in report.columns.values()))]
+
+
 def eager_property_rows(op, k2_grid):
-    """The property rows built point by point, one PropertyCheck at a time:
-    the reference for the array form of check_properties."""
+    """The property rows built point by point, one Row at a time: the
+    reference for the array form of check_properties."""
     k2 = np.sort(np.asarray(list(k2_grid), dtype=np.float64))
     d = np.asarray(deconv_symbol(op, k2))
     a = np.asarray(inverse_symbol(op.spec, k2))
@@ -282,16 +295,16 @@ def eager_property_rows(op, k2_grid):
     tol = 1e-12
     rows = []
     for k2i, di, ai in zip(k2, d, a):
-        rows.append(PropertyCheck("range_low", float(k2i), 1.0, float(di),
-                                  di >= 1.0 - tol))
-        rows.append(PropertyCheck("range_high", float(k2i), float(di), top,
-                                  di <= top * (1.0 + tol)))
-        rows.append(PropertyCheck("below_inverse", float(k2i), float(di),
-                                  float(ai), di <= ai * (1.0 + tol)))
+        rows.append(Row("range_low", float(k2i), 1.0, float(di),
+                        di >= 1.0 - tol))
+        rows.append(Row("range_high", float(k2i), float(di), top,
+                        di <= top * (1.0 + tol)))
+        rows.append(Row("below_inverse", float(k2i), float(di), float(ai),
+                        di <= ai * (1.0 + tol)))
     if k2[-1] > 1e12:
         gap = abs(float(d[-1]) - top)
-        rows.append(PropertyCheck("saturation", float(k2[-1]), gap,
-                                  1e-6 * top, gap <= 1e-6 * top))
+        rows.append(Row("saturation", float(k2[-1]), gap, 1e-6 * top,
+                        gap <= 1e-6 * top))
     return rows
 
 
@@ -307,10 +320,11 @@ def test_check_properties_rows_match_eager_build():
         for grid in (VERIFY_K2, [10.0, 0.0, 0.5]):
             report = check_properties(op, grid)
             expected = eager_property_rows(op, grid)
-            assert report.rows == tuple(expected), op
-            assert report.n_rows == len(expected)
+            rows = report_rows(report)
+            assert rows == expected, op
+            assert len(report.columns["pass"]) == len(expected)
             assert report.passed == all(r.passed for r in expected)
-            for got, want in zip(report.rows, expected):
+            for got, want in zip(rows, expected):
                 for field in ("k2", "lhs", "rhs"):
                     assert struct.pack("<d", getattr(got, field)) == \
                         struct.pack("<d", getattr(want, field))
@@ -326,12 +340,13 @@ def test_check_properties_rejects_nan_and_negative_k2(bad):
 
 
 def test_property_report_arrays_are_read_only():
-    # rows are built from the arrays when first read, so the arrays must
-    # not change under them
-    report = check_properties(DeconvOp(H11, 2), [0.1, 1.0])
-    for arr in (report.k2, report.lhs, report.rhs, report.ok):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[..., 0] = 0
+    # the report is frozen, and the reports of one filter share the
+    # arrays their columns are rows of, so no column may change
+    for grid in ([0.1, 1.0], VERIFY_K2):
+        report = check_properties(DeconvOp(H11, 2), grid)
+        for arr in report.columns.values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0] = 0
 
 
 def eager_tail_deviation(op, k2_grid):
@@ -357,13 +372,16 @@ def test_property_reports_match_one_order_at_a_time():
             for order, report in zip(VERIFY_ORDERS, reports):
                 op = DeconvOp(spec, order)
                 expected = eager_property_rows(op, grid)
+                rows = report_rows(report)
                 assert report.op == op
-                assert report.rows == tuple(expected), op
-                assert report.n_rows == len(expected)
+                assert rows == expected, op
+                assert len(report.columns["pass"]) == len(expected)
                 assert report.passed == all(r.passed for r in expected)
-                assert report.failures() == \
-                    [r for r in expected if not r.passed]
-                for got, want in zip(report.rows, expected):
+                failing = [dict(zip(report.columns, r))
+                           for r in expected if not r.passed]
+                assert cli._first_failure(report.columns, "pass") == \
+                    (failing[0] if failing else None)
+                for got, want in zip(rows, expected):
                     for field in ("k2", "lhs", "rhs"):
                         assert struct.pack("<d", getattr(got, field)) == \
                             struct.pack("<d", getattr(want, field))

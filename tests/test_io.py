@@ -223,7 +223,8 @@ def _write_config_json(path):
 _WRITERS = {
     "save_field": lambda path: io.save_field(zero_field(WaveLattice(4)), path),
     "write_csv": lambda path: io.write_csv(path, "t", ["a"], [[1.0]]),
-    "emit_csv": lambda path: cli._emit_csv(path, "t", ["a"], [[1.0]]),
+    "emit_csv": lambda path: cli._emit(path,
+                                       io.csv_text("t", ["a"], [[1.0]])),
     "config_json": _write_config_json,
 }
 
