@@ -55,6 +55,13 @@ _SANDWICH_SLACK = 1e-13
 _M_BLOCK = 64
 
 
+def _echo(text: str, nl: bool = True) -> None:
+    """click.echo to the current sys.stdout.  Naming the stream keeps click
+    from caching it: click's cache of its default stream holds each
+    redirected sys.stdout (an io.StringIO, say) alive for good."""
+    click.echo(text, file=sys.stdout, nl=nl)
+
+
 @contextlib.contextmanager
 def _writing(path):
     """An OSError inside becomes a click error (exit 1) naming its file
@@ -70,7 +77,7 @@ def _emit(csv_path, text: str) -> None:
     """Print CSV text, or write it to csv_path; a failed write is an error
     (exit 1) that names csv_path."""
     if csv_path is None:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
         return
     with _writing(csv_path):
         admio.write_atomic(csv_path, text)
@@ -101,7 +108,7 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 def _fail(label: str, detail: str) -> None:
-    click.echo(f"FAIL {label}: {detail}")
+    _echo(f"FAIL {label}: {detail}")
     sys.exit(1)
 
 
@@ -119,7 +126,7 @@ def _summarize(summary: dict, family: str, check: str, n_cases: int,
     if failure is not None:
         _fail(*failure)
     margin = "" if math.isnan(min_margin) else f" min_margin={min_margin:.3e}"
-    click.echo(f"ok {family} {check}: cases={n_cases}{margin}")
+    _echo(f"ok {family} {check}: cases={n_cases}{margin}")
 
 
 def _verify_sweeps(names, dense, summary) -> None:
@@ -191,10 +198,11 @@ def _verify_filters(summary) -> None:
         n_cases += len(k2)
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
+            k2_i, lo_i, mid_i, hi_i = (a[i].item() for a in (k2, lo, mid, hi))
             _summarize(summary, "filters", "power_sandwich", n_cases,
                        failure=("filter sandwich",
-                                f"mu={mu} m={m} k2={k2[i]!r} lo={lo[i]!r} "
-                                f"mid={mid[i]!r} hi={hi[i]!r}"))
+                                f"mu={mu} m={m} k2={k2_i!r} lo={lo_i!r} "
+                                f"mid={mid_i!r} hi={hi_i!r}"))
     _summarize(summary, "filters", "power_sandwich", n_cases)
 
     k2 = np.unique(WaveLattice(32).k_squared)
@@ -242,7 +250,7 @@ def verify(ineq: str, dense: bool, csv_path) -> None:
                             {name: np.concatenate([r.columns[name]
                                                    for r in reports])
                              for name in reports[0].columns})
-    click.echo("all checks passed")
+    _echo("all checks passed")
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +370,10 @@ def simulate(config_path, out, threads) -> None:
     out_dir = _resolve_out(cfg, out)
     output, paths = _run(cfg, out_dir, threads)
     for run in output.runs:
-        click.echo(f"N={run.N}: final error {float(run.eps_l2[-1])!r}, "
-                   f"max divergence ratio {run.div_ratio_max:.3e}")
-    click.echo(f"wrote {paths['config']}, {paths['dns']}, {paths['series']} "
-               f"and {len(output.runs) + 2} snapshots")
+        _echo(f"N={run.N}: final error {float(run.eps_l2[-1])!r}, "
+              f"max divergence ratio {run.div_ratio_max:.3e}")
+    _echo(f"wrote {paths['config']}, {paths['dns']}, {paths['series']} "
+          f"and {len(output.runs) + 2} snapshots")
 
 
 @main.command()
@@ -406,12 +414,12 @@ def rates(config_path, out, constant) -> None:
     for s in report.summaries:
         verdict = ("n/a" if s.passed is None
                    else "ok" if s.passed else "FAIL")
-        click.echo(
+        _echo(
             f"{verdict} N={s.order}: energy_lhs_max={s.energy_lhs_max:.6e} "
             f"bound_main_log10={s.bound_main_log10:.6g}")
     if not math.isnan(report.beta):
-        click.echo(f"fitted rate beta={report.beta:.4f} "
-                   f"(r2={report.beta_r2:.4f})")
+        _echo(f"fitted rate beta={report.beta:.4f} "
+              f"(r2={report.beta_r2:.4f})")
     failed = [s for s in report.summaries if s.passed is False]
     if failed:
         s = failed[0]

@@ -58,22 +58,28 @@ class SnapshotFormatError(ValueError):
     """Raised when a snapshot file does not parse as ADMF version 1."""
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write data (str as UTF-8) to path through a temporary file in the
-    same directory and os.replace.
+def write_atomic(path, data) -> None:
+    """Write data to path through a temporary file in the same directory
+    and os.replace.  data is a str (written as UTF-8), bytes, or a
+    sequence of bytes-like parts written one after another from their own
+    buffers (a C-contiguous numpy array is one such part).
 
     A reader sees the previous file or the complete new one, never a
-    partial one; if the write fails, the previous file is left as it was
-    and the temporary file is removed.  An OSError names path, not the
-    temporary file.  There is no fsync, so this guards against a failing
-    or interrupted writer, not against power loss.
+    partial one; if the write fails, a part that is not bytes-like
+    included, the previous file is left as it was and the temporary file
+    is removed.  An OSError names path, not the temporary file.  There is
+    no fsync, so this guards against a failing or interrupted writer, not
+    against power loss.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
+    parts = (data,) if isinstance(data, bytes) else data
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException as e:
         tmp.unlink(missing_ok=True)
@@ -83,34 +89,41 @@ def write_atomic(path, data: str | bytes) -> None:
 
 
 def save_field(f: SpectralField, path) -> None:
+    """Write f as an ADMF snapshot, the payload straight from the buffer
+    of its coefficients (no copy for a C-contiguous complex128 array on a
+    little-endian machine)."""
     flags = 1 if f.divergence_free else 0
     header = _HEADER.pack(MAGIC, VERSION, f.lattice.n, f.lattice.L, flags)
-    payload = np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
-    write_atomic(path, header + payload)
+    write_atomic(path, (header, np.ascontiguousarray(f.coeffs, dtype="<c16")))
 
 
 def load_field(path) -> SpectralField:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise SnapshotFormatError(f"{path}: truncated header")
-    magic, version, n, L, flags = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported version {version}")
-    try:
-        lattice = WaveLattice(n=int(n), L=float(L))
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: bad header: {exc}") from exc
-    expected = _HEADER.size + 3 * n ** 3 * 16
-    if len(raw) != expected:
-        raise SnapshotFormatError(
-            f"{path}: payload is {len(raw) - _HEADER.size} bytes, "
-            f"expected {expected - _HEADER.size}"
-        )
-    coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    coeffs = coeffs.reshape(3, n, n, n).astype(np.complex128)
-    return SpectralField(lattice, coeffs, divergence_free=bool(flags & 1))
+    """Read an ADMF snapshot: the header, then the payload into one new
+    array.  The payload length is checked against the file's size before
+    the array is allocated."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise SnapshotFormatError(f"{path}: truncated header")
+        magic, version, n, L, flags = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise SnapshotFormatError(f"{path}: unsupported version {version}")
+        try:
+            lattice = WaveLattice(n=int(n), L=float(L))
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: bad header: {exc}") from exc
+        expected = 3 * n ** 3 * 16
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size == expected:
+            coeffs = np.empty((3, n, n, n), "<c16")
+            size = fh.readinto(coeffs)  # less if the file shrank meanwhile
+        if size != expected:
+            raise SnapshotFormatError(
+                f"{path}: payload is {size} bytes, expected {expected}")
+    return SpectralField(lattice, coeffs.astype(np.complex128, copy=False),
+                         divergence_free=bool(flags & 1))
 
 
 def _float_text(value) -> str:

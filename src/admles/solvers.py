@@ -893,10 +893,32 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
     numpy's BLAS on one thread during the time loop, and the caller's
     thread count is restored afterwards.  Deterministic for a fixed config,
     and the same bit for bit for any `threads`.
+
+    The time loop runs in _time_loop, and the final snapshots are built
+    after it has returned: its workspace and sampling buffers are freed
+    by then, so a run's peak memory is the loop's working set.  During
+    the loop only the keep-set part of the initial field is held.
     """
     lattice = WaveLattice(cfg.n, cfg.L)
     n = cfg.n
-    u0 = initial_field(cfg, lattice)
+    u = _kept(initial_field(cfg, lattice).coeffs, n)
+    output, u, states, g = _time_loop(cfg, lattice, u, threads, progress)
+    for run, c in zip(output.runs, states):
+        run.final_field = SpectralField(lattice, _full(c, n),
+                                        divergence_free=True)
+    output.u_final = SpectralField(lattice, _full(u, n), divergence_free=True)
+    output.ubar_final = SpectralField(lattice, _full(g * u, n),
+                                      divergence_free=True)
+    return output
+
+
+def _time_loop(cfg: SimConfig, lattice: WaveLattice, u: np.ndarray,
+               threads: int, progress: bool) -> tuple:
+    """run_experiment's time loop from the keep-set initial field u:
+    (the run's series as an ExperimentOutput without snapshots, the final
+    keep-set states of the reference and of each order, G on the keep
+    set).  Everything else it builds, the steppers and their workspace
+    included, is freed when it returns."""
     n_steps = _steps_of(cfg)
     samples = _sample_steps(n_steps, cfg.sample_every)
     times = np.array([s * cfg.dt for s in samples])
@@ -963,7 +985,6 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
             series["w_l2"][j, idx] = norms[1, 0]
             div_max[j] = max(div_max[j], _div_ratio(c, keep.k, keep.kmag))
 
-    u = _kept(u0.coeffs, n)
     # One initial array for every order: a step never writes into its input.
     states = [g * u] * len(steppers)
     record(0, 0, 0.0, u, states)
@@ -995,21 +1016,14 @@ def run_experiment(cfg: SimConfig, threads: int = 1,
         _lockstep([dns_stepper, *steppers[:own]], [u, *states[:own]],
                   n_steps, cfg.dt, on_step)
 
-    dns = DnsSeries(times, *dns_cols)
-    runs = [
-        RunSeries(N=N, times=times,
-                  **{name: series[name][j] for name in _SERIES},
-                  div_ratio_max=float(div_max[j]),
-                  final_field=SpectralField(lattice, _full(c, n),
-                                            divergence_free=True))
-        for j, (N, c) in enumerate(zip(cfg.N_list, states))
-    ]
-    u_final = SpectralField(lattice, _full(u, n), divergence_free=True)
-    ubar_final = SpectralField(lattice, _full(g * u, n), divergence_free=True)
-    return ExperimentOutput(
-        config=cfg, lattice=lattice, dns=dns, runs=runs,
-        u_final=u_final, ubar_final=ubar_final, courant_max=courant_max,
-    )
+    runs = [RunSeries(N=N, times=times,
+                      **{name: series[name][j] for name in _SERIES},
+                      div_ratio_max=float(div_max[j]))
+            for j, N in enumerate(cfg.N_list)]
+    output = ExperimentOutput(config=cfg, lattice=lattice,
+                              dns=DnsSeries(times, *dns_cols), runs=runs,
+                              courant_max=courant_max)
+    return output, u, states, g
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Exit-code contract: 0 all checks pass, 1 a numerical check failed (first
 offending tuple reported), 2 usage errors.
 """
 
+import contextlib
 import dataclasses
+import gc
+import io
 import json
 import os
 import shutil
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -196,10 +200,24 @@ def test_verify_names_the_failing_sandwich_mode(runner, monkeypatch):
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1, result.output
     k2 = np.unique(WaveLattice(16).k_squared)
-    lo, _, hi = (v[4] for v in real(1.0, 3, k2))
+    lo, _, hi = (v[4].item() for v in real(1.0, 3, k2))
     assert result.output.splitlines()[-1] == (
-        f"FAIL filter sandwich: mu=1.0 m=3 k2={k2[4]!r} lo={lo!r} "
+        f"FAIL filter sandwich: mu=1.0 m=3 k2={k2[4].item()!r} lo={lo!r} "
         f"mid={hi + 1.0!r} hi={hi!r}")
+
+
+def test_redirected_stdout_is_not_kept_alive():
+    # click caches the stream of an echo without file= in a weak-key
+    # dictionary whose value is the key itself, so a redirected stdout
+    # would outlive the call for good
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["verify", "--ineq", "highpass_ratio"], standalone_mode=False)
+    assert "all checks passed" in out.getvalue()
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_names_the_failing_gaussian_approximant(runner, monkeypatch):

@@ -84,6 +84,29 @@ def test_load_rejects_garbage(tmp_path):
         io.load_field(bad_size)
 
 
+def test_load_rejects_a_short_payload(tmp_path):
+    # a complete header, then one coefficient less than it promises
+    lat = WaveLattice(4)
+    good = tmp_path / "good.admf"
+    io.save_field(zero_field(lat), good)
+    short = tmp_path / "short.admf"
+    short.write_bytes(good.read_bytes()[:-16])
+    payload = 3 * 4 ** 3 * 16
+    with pytest.raises(io.SnapshotFormatError,
+                       match=f"payload is {payload - 16} bytes, "
+                             f"expected {payload}"):
+        io.load_field(short)
+
+
+def test_save_field_bytes_are_header_then_coefficients(tmp_path):
+    lat = WaveLattice(8, L=1.5)
+    f = random_solenoidal(lat, decay=0.7, seed=3)
+    path = tmp_path / "f.admf"
+    io.save_field(f, path)
+    header = struct.pack("<4sIIdB", b"ADMF", 1, 8, 1.5, 1)
+    assert path.read_bytes() == header + f.coeffs.tobytes()
+
+
 def test_csv_roundtrip(tmp_path):
     header = ["N", "t", "value"]
     rows = [[0, 0.1, 1.0 / 3.0], [1, 0.2, 1e-17], [2, 0.30000000000000004, -0.0]]
@@ -258,6 +281,15 @@ def test_write_atomic_replaces_whole_file(tmp_path):
     io.write_atomic(target, "new\n")
     assert target.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
+def test_write_atomic_part_that_fails_keeps_previous_file(tmp_path):
+    target = tmp_path / "f.bin"
+    target.write_bytes(b"previous contents\n")
+    with pytest.raises(TypeError):
+        io.write_atomic(target, (b"header", object()))
+    assert target.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
 
 
 @pytest.mark.parametrize("target, error", [

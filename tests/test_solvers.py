@@ -959,6 +959,44 @@ def test_samples_allocate_no_stacked_states(monkeypatch, threads, bound):
     assert len(peaks) == 1 and peaks[0] < bound, peaks
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workspace_is_freed_before_the_final_snapshots(monkeypatch, threads):
+    # The final snapshots are built after the time loop has returned, so
+    # its transform workspace is not live beside them; reference counting
+    # alone frees it, so the run is made with the cycle collector off.
+    import gc
+    import weakref
+
+    built = []
+
+    class Recorded(solvers._Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    real_full = solvers._full
+    alive_at_full = []
+
+    def full(c, n):
+        alive_at_full.append(sum(ref() is not None for ref in built))
+        return real_full(c, n)
+
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    monkeypatch.setattr(solvers, "_Workspace", Recorded)
+    monkeypatch.setattr(solvers, "_full", full)
+    cfg = small_cfg(n=8, T=0.02, dt=0.01, N_list=(0, 2))
+    gc.disable()
+    try:
+        out = run_experiment(cfg, threads=threads, progress=False)
+    finally:
+        gc.enable()
+    assert len(built) == 1
+    # u_final, ubar_final and one snapshot per order
+    assert alive_at_full == [0] * (len(cfg.N_list) + 2)
+    assert out.u_final is not None and out.ubar_final is not None
+    assert all(run.final_field is not None for run in out.runs)
+
+
 def test_single_step_horizon_has_two_samples():
     cfg = small_cfg(T=0.01, dt=0.01, N_list=(0,))
     out = run_experiment(cfg, progress=False)
