@@ -301,6 +301,8 @@ def sweep(name: str, grid: Optional[GridSpec] = None,
             min_rel_margin = float(row_min[j])
             worst_params = (float(xs[i_min[j]]), *combos[j])
         bad = (margin < -_SLACK * scale) | np.logical_not(side_ok)
+        if not bad.any():
+            continue
         for k in np.flatnonzero(np.broadcast_to(bad, rel.shape)):
             row, i = divmod(int(k), len(xs))
             failures.append(_check(name, float(xs[i]), *combos[row]))

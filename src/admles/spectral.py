@@ -48,10 +48,17 @@ buffers of the transforms; it is cheap to build, and callers that may run
 at the same time each build their own.  The keep-set transform pair,
 _kinverse and _kforward, multiplies by the keep set's matrices and writes
 into a workspace's buffers through the `out=` argument of np.matmul
-(numpy >= 2.0).  Each transform makes three passes, one matmul
-call each.  The real pass along m3 (x3) is one product for all
-components; each complex pass is one product per component, on an
-operand reshaped to a matrix and transposed as a view, without a copy.
+(numpy >= 2.0).  Each transform makes three passes.  Each complex
+pass is one product per component, on an operand reshaped to a matrix
+and transposed as a view, without a copy.  The real pass along m3 (x3)
+is one product for all components, made in blocks of rows (_row_blocks)
+of at most _SMALL_GEMM = 1e6 multiply-adds each, because numpy's bundled
+OpenBLAS runs a dgemm under that size through its small-matrix kernel,
+about twice as fast per row at 32^3 as its packed path above it.  Up to
+20^3 every pass is under the limit and stays one product.  Against one
+product per pass, the blocked pair's output is bit-identical at 30^3 and
+32^3 and differs by rounding (<= 7e-16 of the largest value) at 24^3,
+36^3, 40^3, 48^3 and 64^3.
 The inverse goes along m2, m1, m3 and the forward along x3, x1, x2, so
 the contracted axis is always an operand's first or last.  A pass over
 one line costs (2M+1) n multiply-adds and never touches the zero lines.
@@ -361,17 +368,42 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
+# numpy's bundled OpenBLAS (0.3.31) runs a dgemm through its unpacked
+# small-matrix kernel only while M*N*K <= 1e6.  On a 2-core SkylakeX guest
+# an (M, 32) @ (32, 22) product, the real pass at 32^3, took 23 ns per row
+# at M*N*K = 999,680 and 53 ns per row at 1,006,720.
+_SMALL_GEMM = 10 ** 6
+
+
+def _row_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b for 2-D C-contiguous a and out: one product when it
+    is at most _SMALL_GEMM multiply-adds, else one per block of rows, the
+    fewest blocks under the limit, all of one row count, a multiple of 8
+    (so each starts on a cache line, as the workspace buffers do), but the
+    last."""
+    rows = len(a)
+    if rows * b.size <= _SMALL_GEMM:
+        np.matmul(a, b, out=out)
+        return
+    cap = max(8, _SMALL_GEMM // b.size // 8 * 8)
+    blocks = -(-rows // cap)
+    step = -(-rows // (8 * blocks)) * 8
+    for i in range(0, rows, step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+
+
 def _kinverse(kc: np.ndarray, ws: _Workspace,
               out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of keep-set coefficients (3, M+1, 2M+1, 2M+1), written
     into out, a contiguous float (3, n, n, n), or ws.grid when it is None;
     _inverse of _full(kc) to within rounding.
 
-    Three matmul calls with the DFT matrices restricted to the keep set:
-    Fi (n, 2M+1) along m2 into ws.lines and then along m1 into ws.planes,
+    Three passes with the DFT matrices restricted to the keep set: Fi
+    (n, 2M+1) along m2 into ws.lines and then along m1 into ws.planes,
     each one product per component with the coefficients transposed as a
     view, and the real R (2(M+1), n) on the interleaved Re/Im float view
-    along m3, one dgemm.
+    along m3, one dgemm per block of rows under OpenBLAS's small-matrix
+    limit (_row_blocks).
     """
     n, keep = ws.n, ws.keep
     h, k = kc.shape[-3], kc.shape[-1]
@@ -380,8 +412,8 @@ def _kinverse(kc: np.ndarray, ws: _Workspace,
     b = np.matmul(keep.Fi, a.reshape(3, n * h, k).mT,
                   out=ws.planes[:3].reshape(3, n, n * h))
     out = ws.grid if out is None else out
-    np.matmul(b.view(np.float64).reshape(3 * n * n, 2 * h), keep.R,
-              out=out.reshape(3 * n * n, n))
+    _row_blocks(b.view(np.float64).reshape(3 * n * n, 2 * h), keep.R,
+                out.reshape(3 * n * n, n))
     return out
 
 
@@ -390,17 +422,18 @@ def _kforward(samples: np.ndarray, ws: _Workspace) -> np.ndarray:
     (c, n, n, n), c <= 6, in the first c components of ws.kspec;
     _kept(_forward(samples)) to within rounding, for any samples.
 
-    Three matmul calls with the DFT matrices restricted to the keep set:
-    the real Wr (n, 2(M+1)) along x3 into the float view of ws.planes, one
-    dgemm, then Ff^T (n, 2M+1) along x1 into ws.lines (m1 lands last) and
-    along x2, each one product per component with the samples transposed
-    as a view.
+    Three passes with the DFT matrices restricted to the keep set: the
+    real Wr (n, 2(M+1)) along x3 into the float view of ws.planes, one
+    dgemm per block of rows under OpenBLAS's small-matrix limit
+    (_row_blocks), then Ff^T (n, 2M+1) along x1 into ws.lines (m1 lands
+    last) and along x2, each one product per component with the samples
+    transposed as a view.
     """
     n, keep, c = ws.n, ws.keep, samples.shape[0]
     h, k = ws.kspec.shape[-3], ws.kspec.shape[-1]
     p, lines, out = ws.planes[:c], ws.lines[:c], ws.kspec[:c]
-    np.matmul(samples.reshape(-1, n), keep.Wr,
-              out=p.view(np.float64).reshape(-1, 2 * h))
+    _row_blocks(samples.reshape(-1, n), keep.Wr,
+                p.view(np.float64).reshape(-1, 2 * h))
     np.matmul(p.reshape(c, n, n * h).mT, keep.Ff.T,
               out=lines.reshape(c, n * h, k))
     np.matmul(lines.reshape(c, n, h * k).mT, keep.Ff.T,

@@ -11,8 +11,10 @@ in tests/oracles.py (the stepper on truncated spectra, the norm on
 truncated spectra and on the truncations of spectra that are not, so the
 2/3-rule mask is active), pin the keep-set pair to the full-layout pair
 _inverse / _forward within 1e-13 of the largest value, pin the keep-set
-layout (m3, m1, m2) and the pair's structure (3 matmul calls per
-transform, none stacking more products than there are components), check
+layout (m3, m1, m2) and the pair's structure (each complex pass one
+matmul call stacking no more products than there are components, the
+real pass row blocks under OpenBLAS's small-matrix limit, 3 calls per
+transform at 8^3 and 16^3), check
 that the full layout has that one pair (no real-input FFT is called),
 pin the transforms of one step, check that the workspace buffers are
 64-byte aligned and that the pair writes into them, check that stepping
@@ -103,7 +105,7 @@ def _close(got, want):
         np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 24, 32, 48])
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 24, 32, 40, 48, 64])
 def test_pruned_pair_matches_full_transforms(n):
     lat, c, samples = _pair_inputs(n, seed=40 + n)
     ws = _Workspace(lat)
@@ -120,38 +122,57 @@ def test_pruned_pair_matches_full_transforms(n):
 
 
 class _CountingNumpy:
-    """numpy as admles.spectral sees it, with every np.matmul call's `out`
-    shape recorded; a call without `out=` fails."""
+    """numpy as admles.spectral sees it, with every np.matmul call's
+    operand shapes and `out` recorded; a call without `out=` fails."""
 
     def __init__(self):
-        self.shapes = []
+        self.calls = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def matmul(self, a, b, *, out):
-        self.shapes.append(out.shape)
+        self.calls.append((a.shape, b.shape, out))
         return np.matmul(a, b, out=out)
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("n", [8, 16, 30, 32, 48])
 @pytest.mark.parametrize("comps", [3, 5, 6])
 def test_pruned_pair_makes_one_product_per_component_per_pass(
         monkeypatch, n, comps):
-    # each transform is 3 matmul calls, one per pass, and no call stacks
-    # more products than there are components: no pass loops over a mode
-    # axis
+    # Each complex pass is one matmul call, and no call stacks more
+    # products than there are components: no pass loops over a mode axis.
+    # The real pass (m3 last in the inverse, x3 first in the forward) is
+    # row blocks of at most 1e6 multiply-adds each, OpenBLAS's small-matrix
+    # limit, that cover its rows once, in order, all of one row count, a
+    # multiple of 8, but the last; a pass under the limit is one call, so
+    # each transform is 3 calls at 8^3 and 16^3.  n = 30 has a row count
+    # that is not a multiple of 8.
     lat, c, samples = _pair_inputs(n, seed=n)
     ws = _Workspace(lat)
     counting = _CountingNumpy()
     monkeypatch.setattr(spectral, "np", counting)
-    for transform, arg, batch in ((_kinverse, _kept(c, n), 3),
-                                  (_kforward, samples[:comps], comps)):
-        counting.shapes.clear()
+    for transform, arg, batch, base, real in (
+            (_kinverse, _kept(c, n), 3, ws.grid, slice(2, None)),
+            (_kforward, samples[:comps], comps, ws.planes, slice(None, -2))):
+        counting.calls.clear()
         transform(arg, ws)
-        assert len(counting.shapes) == 3
-        assert all(int(np.prod(shape[:-2])) <= batch
-                   for shape in counting.shapes), counting.shapes
+        calls = counting.calls
+        assert all(int(np.prod(out.shape[:-2])) <= batch
+                   for _, _, out in calls), [out.shape for *_, out in calls]
+        blocks = calls[real]
+        assert len(calls) - len(blocks) == 2
+        assert all(out.ndim == 2 for _, _, out in blocks)
+        assert all(a[0] * a[1] * b[1] <= 10 ** 6 for a, b, _ in blocks)
+        rows = [out.shape[0] for _, _, out in blocks]
+        assert len(set(rows[:-1])) <= 1 and rows[-1] <= rows[0]
+        assert len(rows) == 1 or rows[0] % 8 == 0
+        starts = [(out.ctypes.data - base.ctypes.data) // out.strides[0]
+                  for _, _, out in blocks]
+        assert starts == [sum(rows[:i]) for i in range(len(rows))]
+        assert sum(rows) == batch * n * n
+        if n <= 16:
+            assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n", [6, 8, 16])
@@ -242,7 +263,7 @@ def test_pruned_pair_second_call_matches_fresh_workspace(n):
 _BUFFERS = ("grid", "prod", "lines", "planes", "kspec")
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 16])
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
 def test_workspace_buffers_are_aligned_and_written_in_place(n):
     # every buffer starts on a 64-byte boundary, and every matmul pass
     # writes into its buffer: a reshape that copied would leave the
