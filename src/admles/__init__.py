@@ -29,11 +29,9 @@ from .filters import (
     HelmholtzPower,
     FilterSpec,
     NonInvertibleFilterError,
-    as_helmholtz_power,
     filter_symbol,
     inverse_symbol,
     apply_filter,
-    apply_inverse,
     gaussian_approx_error,
     helmholtz_power_sandwich,
 )
@@ -67,7 +65,6 @@ from .diagnostics import (
     residual_stress_norm,
     half_norm_defect,
     defect_bound,
-    bound_residual,
     bound_main,
     gronwall_log10,
     fit_rate,

@@ -3,11 +3,11 @@ a-priori error bounds with their Gronwall prefactors, and rate fitting.
 
 The bounds come in two flavors.  Pointwise-in-field quantities
 (residual_stress_norm, half_norm_defect, defect_bound) are exact mode sums
-over one snapshot.  A-priori bounds (bound_residual, bound_main,
-gronwall_log10) are scalar formulas in the configuration and a
-time-integrated velocity norm; their Gronwall factor exp(u^4/nu^3)
-overflows float64 for any realistic viscosity, so they are computed in
-log10 space and only exponentiated when representable.
+over one snapshot.  A-priori bounds (bound_main, gronwall_log10) are
+scalar formulas in the configuration and a time-integrated velocity
+norm; their Gronwall factor exp(u^4/nu^3) overflows float64 for any
+realistic viscosity, so they are computed in log10 space and only
+exponentiated when representable.
 
 Each filter family's a-priori bounds are one entry of _BOUNDS, which
 bound_main and error_report read; None where the paper gives no bound.
@@ -59,7 +59,6 @@ __all__ = [
     "residual_stress_norm",
     "half_norm_defect",
     "defect_bound",
-    "bound_residual",
     "bound_main",
     "gronwall_log10",
     "fit_rate",
@@ -141,14 +140,6 @@ def defect_bound(u_h1, alpha: float, p: float, order):
     e = -0.5 / p
     return alpha * _scalar_map(lambda v: v ** e, 2.0 * p * (order + 1)) \
         * _scalar_map(lambda v: v ** 2, u_h1)
-
-
-def bound_residual(u_h1: float, constant: float, alpha: float, p: float,
-                   order: int) -> float:
-    """2 C u_h1^2 defect_bound = 2 C alpha (2p(order+1))^(-1/(2p)) u_h1^4,
-    dominating the integrated squared residual stress."""
-    _check_constant(constant)
-    return 2.0 * constant * u_h1 ** 2 * defect_bound(u_h1, alpha, p, order)
 
 
 def _check_constant(value: float, name: str = "the product constant") -> None:

@@ -14,20 +14,25 @@ symbol uniformly at rate 2/m as m grows.
 Each family's math is written once, as one row of ``_FAMILIES``: the
 symbol G, the complement power (1 - G)^e, the inverse (where the family
 has one) and the energy weight.
+
+Each spec declares the domain of its fields beside them, in the field
+metadata: alpha >= 0 and p >= 3/4 for Helmholtz, alpha > 0 for the
+Gaussian and its approximants, mu > 0, and an integer index m >= 1.
+``spectral._check_fields`` checks them where the spec is built, as it
+checks the run config, and refuses a bad value with a ValueError
+"'<field>' must be <need>, got <value>".
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from dataclasses import dataclass
-from numbers import Real
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from . import kernels
-from .spectral import SpectralField
+from .spectral import SpectralField, _check_fields
 
 __all__ = [
     "Helmholtz",
@@ -41,35 +46,13 @@ __all__ = [
     "inverse_symbol",
     "energy_weight",
     "apply_filter",
-    "apply_inverse",
     "gaussian_approx_error",
     "helmholtz_power_sandwich",
-    "as_helmholtz_power",
 ]
 
 
 class NonInvertibleFilterError(ValueError):
     """Inversion requested for a filter without a usable inverse."""
-
-
-def _require(spec, name: str, ok, need: str) -> None:
-    """ValueError naming the field unless its value is a finite number,
-    not a boolean or an integer beyond the float range, for which ok
-    holds; the field then holds float(v), or int(v) for the integer m."""
-    v = getattr(spec, name)
-    try:
-        good = (isinstance(v, Real) and not isinstance(v, bool)
-                and math.isfinite(v) and ok(v))
-    except OverflowError:  # math.isfinite of an int beyond the float range
-        good = False
-    if not good:
-        raise ValueError(
-            f"{type(spec).__name__} {name} must be {need}, got {v!r}")
-    object.__setattr__(spec, name, int(v) if name == "m" else float(v))
-
-
-def _is_index(v) -> bool:
-    return v >= 1 and v == int(v)
 
 
 @dataclass(frozen=True)
@@ -80,32 +63,27 @@ class Helmholtz:
     everywhere); the theory-side bounds all hold trivially there.
     """
 
-    alpha: float
-    p: float = 1.0
+    alpha: float = field(metadata={"min": 0})
+    p: float = field(default=1.0, metadata={"min": 0.75})
 
-    def __post_init__(self):
-        _require(self, "alpha", lambda v: v >= 0.0, "finite and >= 0")
-        _require(self, "p", lambda v: v >= 0.75, "finite and >= 3/4")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class Gaussian:
-    alpha: float
+    alpha: float = field(metadata={"above": 0})
 
-    def __post_init__(self):
-        _require(self, "alpha", lambda v: v > 0.0, "finite and > 0")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class GaussianApprox:
     """m-th rational approximant of the Gaussian filter."""
 
-    alpha: float
-    m: int
+    alpha: float = field(metadata={"above": 0})
+    m: int = field(metadata={"min": 1})
 
-    def __post_init__(self):
-        _require(self, "alpha", lambda v: v > 0.0, "finite and > 0")
-        _require(self, "m", _is_index, "an integer >= 1")
+    __post_init__ = _check_fields
 
     @property
     def mu(self) -> float:
@@ -117,20 +95,13 @@ class GaussianApprox:
 class HelmholtzPower:
     """m-th power of the second-order Helmholtz filter (I - mu^2 Laplace)^(-m)."""
 
-    mu: float
-    m: int
+    mu: float = field(metadata={"above": 0})
+    m: int = field(metadata={"min": 1})
 
-    def __post_init__(self):
-        _require(self, "mu", lambda v: v > 0.0, "finite and > 0")
-        _require(self, "m", _is_index, "an integer >= 1")
+    __post_init__ = _check_fields
 
 
 FilterSpec = Union[Helmholtz, Gaussian, GaussianApprox, HelmholtzPower]
-
-
-def as_helmholtz_power(spec: GaussianApprox) -> HelmholtzPower:
-    """The HelmholtzPower form of a Gaussian approximant (same symbol)."""
-    return HelmholtzPower(mu=spec.mu, m=spec.m)
 
 
 def _helmholtz_x(spec: Helmholtz, k2: np.ndarray) -> np.ndarray:
@@ -235,17 +206,6 @@ def apply_filter(spec: FilterSpec, f: SpectralField) -> SpectralField:
     """Multiply every coefficient by the filter symbol."""
     g = filter_symbol(spec, f.lattice.k_squared)
     return SpectralField(f.lattice, f.coeffs * g,
-                         divergence_free=f.divergence_free)
-
-
-def apply_inverse(spec: FilterSpec, f: SpectralField) -> SpectralField:
-    """Multiply by A_hat = 1/G_hat.  Errors for Gaussian-family specs.
-
-    Composition apply_inverse(spec, apply_filter(spec, f)) recovers f to
-    roundoff on the truncated lattice.
-    """
-    a = inverse_symbol(spec, f.lattice.k_squared)
-    return SpectralField(f.lattice, f.coeffs * a,
                          divergence_free=f.divergence_free)
 
 

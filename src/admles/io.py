@@ -111,7 +111,7 @@ def load_field(path) -> SpectralField:
         if version != VERSION:
             raise SnapshotFormatError(f"{path}: unsupported version {version}")
         try:
-            lattice = WaveLattice(n=int(n), L=float(L))
+            lattice = WaveLattice(n=n, L=L)
         except ValueError as exc:
             raise SnapshotFormatError(f"{path}: bad header: {exc}") from exc
         expected = 3 * n ** 3 * 16

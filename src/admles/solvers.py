@@ -58,6 +58,15 @@ every sample.  Each process then runs numpy's BLAS on one thread, so the
 processes use no more threads than there are CPUs; a serial run keeps
 the caller's BLAS setting.  Each order's arithmetic is the same in any
 process, so the outputs do not depend on W.
+
+A run is described by a SimConfig, whose filter, initial condition and
+forcing are kinds: frozen dataclasses named in a config by their entry in
+a {kind: class} table.  Every input dataclass checks its fields where it
+is built, with one checker (spectral._check_fields) that reads each
+field's annotation and metadata, so a config built in Python and one read
+from JSON are checked alike and refuse a bad value with the same
+message.  The JSON form is one mapper pair, _to_dict / _from_dict, that
+reads the same fields and metadata.
 """
 
 from __future__ import annotations
@@ -66,13 +75,11 @@ import contextlib
 import ctypes
 import functools
 import json
-import math
 import os
 import pickle
 import signal
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from numbers import Integral
 from pathlib import Path
 from typing import Optional, Union
 
@@ -101,6 +108,7 @@ from .spectral import (
     validate_field,
     _SYM_WEIGHTS,
     _TF_ROWS,
+    _check_fields,
     _contract,
     _div_ratio,
     _full,
@@ -157,46 +165,6 @@ class CflError(ValueError):
     """The configured step size violates the advective CFL condition."""
 
 
-def _as_int(key: str, value) -> int:
-    """int(value) of an integer (numpy's too) or an integral float; any
-    other value, a string or a boolean included, raises ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, (Integral, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"'{key}' must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(key: str, value) -> float:
-    """float(value) of a finite integer or float (numpy's too); any other
-    value, a string, a boolean, NaN, an infinity or an integer beyond the
-    float range included, raises ValueError."""
-    try:
-        finite = (not isinstance(value, bool)
-                  and isinstance(value, (Integral, float, np.floating))
-                  and math.isfinite(value))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_str(key: str, value) -> str:
-    """A string value; any other, a number included, raises ValueError."""
-    if not isinstance(value, str):
-        raise ValueError(f"'{key}' must be a string, got {value!r}")
-    return value
-
-
-def _as_ints(key: str, value) -> tuple:
-    """The tuple of _as_int of each entry of a list or tuple; any other
-    value, a string included, raises ValueError."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"'{key}' must be an array of integers, got "
-                         f"{value!r}")
-    return tuple(_as_int(key, v) for v in value)
-
-
 def _as_object(label: str, value) -> dict:
     """A dict value; any other raises ValueError naming label and the
     type."""
@@ -204,28 +172,6 @@ def _as_object(label: str, value) -> dict:
         raise ValueError(f"{label} must be a JSON object, got "
                          f"{type(value).__name__}")
     return value
-
-
-# Field annotations are strings here (postponed evaluation of annotations).
-# A field annotated Optional[...] may also hold None.
-_COERCE = {"float": _as_float, "int": _as_int, "str": _as_str,
-           "Optional[str]": _as_str, "tuple": _as_ints}
-
-
-def _check_fields(obj) -> None:
-    """Check every field of a config dataclass where it is built: a simple
-    value is replaced by its _COERCE form, and a kind must be an instance
-    of its table (_KINDS)."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is None and f.type.startswith("Optional["):
-            continue
-        if f.type in _KINDS:
-            kinds, noun = _KINDS[f.type]
-            if not isinstance(value, tuple(kinds.values())):
-                raise TypeError(f"{noun} spec expected, got {value!r}")
-        else:
-            object.__setattr__(obj, f.name, _COERCE[f.type](f.name, value))
 
 
 @dataclass(frozen=True)
@@ -271,43 +217,37 @@ _INIT_KINDS = {
     "snapshot": SnapshotInit,
 }
 _FORCING_KINDS = {"snapshot": SnapshotForcing}
-# The kind table and noun of a field that holds a kind, by annotation.
-_KINDS = {
-    "FilterSpec": (_FILTER_KINDS, "filter"),
-    "InitSpec": (_INIT_KINDS, "initial condition"),
-    "Optional[SnapshotForcing]": (_FORCING_KINDS, "forcing"),
-}
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one experiment; JSON-serializable.  Every field
-    is checked here, however the config is built (_check_fields)."""
+    is checked here, however the config is built: each against its type
+    and declared domain by _check_fields (n and L by the lattice), and
+    here only what spans fields or entries, dt <= T and N_list
+    nonempty, non-negative and distinct."""
 
     n: int
-    nu: float
-    spec: FilterSpec = field(metadata={"key": "filter"})
-    T: float
-    dt: float
+    nu: float = field(metadata={"above": 0})
+    spec: FilterSpec = field(
+        metadata={"key": "filter", "kinds": (_FILTER_KINDS, "filter")})
+    T: float = field(metadata={"above": 0})
+    dt: float = field(metadata={"above": 0})
     N_list: tuple = (0,)
     L: float = 2.0 * np.pi
-    init: InitSpec = TaylorGreenInit()
-    forcing: Optional[SnapshotForcing] = None
+    init: InitSpec = field(
+        default=TaylorGreenInit(),
+        metadata={"kinds": (_INIT_KINDS, "initial condition")})
+    forcing: Optional[SnapshotForcing] = field(
+        default=None, metadata={"kinds": (_FORCING_KINDS, "forcing")})
     output_dir: Optional[str] = None
-    sample_every: int = 1
+    sample_every: int = field(default=1, metadata={"min": 1})
 
     def __post_init__(self):
         _check_fields(self)
-        if not self.nu > 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
-        if not self.T > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.T}")
-        if not 0.0 < self.dt <= self.T:
+        if self.dt > self.T:
             raise ValueError(
-                f"step size must satisfy 0 < dt <= T, got dt={self.dt} T={self.T}"
-            )
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+                f"step size must satisfy dt <= T, got dt={self.dt} T={self.T}")
         if any(N < 0 for N in self.N_list) or not self.N_list:
             raise ValueError(f"N_list must be nonempty, all >= 0: {self.N_list}")
         if len(set(self.N_list)) != len(self.N_list):
@@ -344,8 +284,8 @@ def _to_dict(obj) -> dict:
     data = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type in _KINDS and value is not None:
-            kinds = _KINDS[f.type][0]
+        if "kinds" in f.metadata and value is not None:
+            kinds = f.metadata["kinds"][0]
             kind = next(k for k, c in kinds.items() if isinstance(value, c))
             value = {"kind": kind, **_to_dict(value)}
         elif isinstance(value, tuple):
@@ -357,10 +297,10 @@ def _to_dict(obj) -> dict:
 def _from_dict(cls, label: str, data):
     """Inverse of _to_dict: cls built from the JSON object data, which
     heads each error about it as label.  A field with a default may be
-    omitted; a simple value is coerced by its annotation (_COERCE), and a
-    kind is read through its table.  A non-object, an unknown key, a
-    missing required key and a missing or unknown kind raise ValueError
-    naming it."""
+    omitted; a simple value goes to cls as it is, which checks it, and a
+    kind is read through its table (metadata "kinds").  A non-object, an
+    unknown key, a missing required key and a missing or unknown kind
+    raise ValueError naming it."""
     keys = {_key(f): f for f in fields(cls)}
     unknown = set(_as_object(label, data)) - set(keys)
     if unknown:
@@ -370,12 +310,12 @@ def _from_dict(cls, label: str, data):
         if key not in data:
             if f.default is MISSING:
                 raise ValueError(f"{label} is missing required key '{key}'")
-        elif data[key] is None and f.type.startswith("Optional["):
-            values[f.name] = None
-        elif f.type in _KINDS:
-            values[f.name] = _kind_from_dict(*_KINDS[f.type], key, data[key])
+        elif "kinds" not in f.metadata or (
+                data[key] is None and f.type.startswith("Optional[")):
+            values[f.name] = data[key]
         else:
-            values[f.name] = _COERCE[f.type](key, data[key])
+            values[f.name] = _kind_from_dict(*f.metadata["kinds"], key,
+                                             data[key])
     return cls(**values)
 
 

@@ -69,8 +69,9 @@ agrees with the full-layout one to within 1e-13 of the largest value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -102,19 +103,99 @@ class LatticeMismatchError(ValueError):
     """Two fields that must share a lattice do not."""
 
 
+def _as_int(key: str, value) -> int:
+    """int(value) of an integer (numpy's too) or an integral float within
+    the float range; any other value, a string, a boolean or an integer
+    beyond the float range included, raises ValueError."""
+    try:
+        integral = (not isinstance(value, bool)
+                    and isinstance(value, (Integral, float))
+                    and float(value).is_integer())
+    except OverflowError:  # float() of an int beyond the float range
+        integral = False
+    if not integral:
+        raise ValueError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float(key: str, value) -> float:
+    """float(value) of a finite integer or float (numpy's too); any other
+    value, a string, a boolean, NaN, an infinity or an integer beyond the
+    float range included, raises ValueError."""
+    try:
+        finite = (not isinstance(value, bool)
+                  and isinstance(value, (Integral, float, np.floating))
+                  and math.isfinite(value))
+    except OverflowError:  # math.isfinite of an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _as_str(key: str, value) -> str:
+    """A string value; any other, a number included, raises ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"'{key}' must be a string, got {value!r}")
+    return value
+
+
+def _as_ints(key: str, value) -> tuple:
+    """The tuple of _as_int of each entry of a list or tuple; any other
+    value, a string included, raises ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"'{key}' must be an array of integers, got "
+                         f"{value!r}")
+    return tuple(_as_int(key, v) for v in value)
+
+
+# Field annotations are strings here (postponed evaluation of annotations).
+# A field annotated Optional[...] may also hold None.
+_COERCE = {"float": _as_float, "int": _as_int, "str": _as_str,
+           "Optional[str]": _as_str, "tuple": _as_ints}
+
+
+def _check_fields(obj) -> None:
+    """Check every field of an input dataclass where it is built, however
+    it is built.  A kind field (metadata "kinds": its {kind: class} table
+    and noun) must hold an instance of a class of its table; any other
+    value is replaced by its _COERCE form, which must lie in the domain
+    the field's metadata declares, "min" (>=) or "above" (>).  Every
+    refusal of a value is one ValueError, "'<field>' must be <need>, got
+    <value!r>": the value as given for a wrong type, and its coerced form
+    outside the domain, so that a value coerced once (by the config) and
+    again (by the lattice) reads the same."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.type.startswith("Optional["):
+            continue
+        if "kinds" in f.metadata:
+            kinds, noun = f.metadata["kinds"]
+            if not isinstance(value, tuple(kinds.values())):
+                raise TypeError(f"{noun} spec expected, got {value!r}")
+            continue
+        coerced = _COERCE[f.type](f.name, value)
+        lo = f.metadata.get("min")
+        if lo is not None and not coerced >= lo:
+            raise ValueError(f"'{f.name}' must be >= {lo}, got {coerced!r}")
+        lo = f.metadata.get("above")
+        if lo is not None and not coerced > lo:
+            raise ValueError(f"'{f.name}' must be > {lo}, got {coerced!r}")
+        object.__setattr__(obj, f.name, coerced)
+
+
 @dataclass(frozen=True)
 class WaveLattice:
-    """Cubic Fourier lattice: n grid points per axis on a box of size L."""
+    """Cubic Fourier lattice: n grid points per axis, an even integer >= 4,
+    on a box of size L, a finite number > 0."""
 
-    n: int
-    L: float = 2.0 * np.pi
+    n: int = field(metadata={"min": 4})
+    L: float = field(default=2.0 * np.pi, metadata={"above": 0})
 
     def __post_init__(self):
-        if self.n % 2 != 0 or self.n < 4:
-            raise ValueError(f"grid size must be even and >= 4, got {self.n}")
-        if not (np.isfinite(self.L) and self.L > 0.0):
-            raise ValueError(
-                f"box size must be finite and positive, got {self.L}")
+        _check_fields(self)
+        if self.n % 2 != 0:
+            raise ValueError(f"grid size must be even, got {self.n}")
 
     @cached_property
     def modes(self) -> np.ndarray:

@@ -12,7 +12,6 @@ from admles.deconvolution import _defect_weight
 from admles.diagnostics import (
     LogValue,
     bound_main,
-    bound_residual,
     calibrate_sobolev_constant,
     defect_bound,
     error_report,
@@ -248,12 +247,12 @@ def test_defect_bound_values():
 # ---------------------------------------------------------------------------
 
 
-def test_bound_residual_pinned():
-    # 2 C alpha (2p(N+1))^(-1/(2p)) u^4 = 2/sqrt(4) = 1 at these inputs
-    assert bound_residual(1.0, 1.0, 1.0, 1.0, 1) == pytest.approx(1.0)
+def test_defect_bound_pinned():
+    # alpha (2p(N+1))^(-1/(2p)) u^2 = 1/sqrt(4) = 0.5 at these inputs
+    assert defect_bound(1.0, 1.0, 1.0, 1) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        bound_residual(1.0, 0.0, 1.0, 1.0, 1)
-    values = [bound_residual(1.0, 2.0, 1.0, 1.0, N) for N in (0, 1, 4, 16)]
+        bound_main(1.0, 1.0, 0.0, Helmholtz(alpha=1.0, p=1.0), 1)
+    values = [defect_bound(1.0, 1.0, 1.0, N) for N in (0, 1, 4, 16)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -425,7 +424,7 @@ def test_non_finite_constant_is_refused(small_output, constant):
     with pytest.raises(ValueError, match=f"finite and positive: {constant}"):
         error_report(small_output, constant=constant)
     with pytest.raises(ValueError, match=f"finite and positive: {constant}"):
-        bound_residual(1.0, constant, 1.0, 1.0, 1)
+        bound_main(1.0, 1.0, constant, Helmholtz(alpha=1.0, p=1.0), 1)
 
 
 def test_error_report_refuses_runs_sampled_off_the_reference(small_output):

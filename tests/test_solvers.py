@@ -56,6 +56,7 @@ from admles.solvers import (
 from admles.spectral import (
     SpectralField,
     WaveLattice,
+    _COERCE,
     _Workspace,
     _kept,
     random_solenoidal,
@@ -82,9 +83,9 @@ def small_cfg(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="viscosity"):
+    with pytest.raises(ValueError, match="^'nu' must be > 0"):
         small_cfg(nu=0.0)
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match="^'T' must be > 0"):
         small_cfg(T=-1.0)
     with pytest.raises(ValueError):
         small_cfg(dt=0.0)
@@ -205,13 +206,65 @@ def _built_in_python(data: dict) -> SimConfig:
     return SimConfig(**kw)
 
 
-def _refusal(key: str, data: dict, need: str, build) -> str:
-    """The message pattern of build's refusal of data's key: the JSON
-    loader's "'<key>' must be <need>" everywhere, and the filter's own
-    "<Family> <key> must be" from the constructor of a filter field."""
-    if build is _built_in_python and key in data.get("filter", {}):
-        return rf"^\w+ {key} must be "
-    return f"'{key}' must be {need}"
+_MINIMAL = {"n": 16, "nu": 0.1, "T": 0.1, "dt": 0.05,
+            "filter": {"kind": "helmholtz", "alpha": 1.0}}
+# Valid values of each kind's fields.
+_VALID = {
+    Helmholtz: {"alpha": 0.5, "p": 1.0},
+    Gaussian: {"alpha": 0.5},
+    GaussianApprox: {"alpha": 1.0, "m": 4},
+    HelmholtzPower: {"mu": 0.25, "m": 2},
+    TaylorGreenInit: {"amplitude": 1.0},
+    RandomSpectrumInit: {"decay": 2.0, "seed": 5},
+    SnapshotInit: {"path": "x.admf"},
+    SnapshotForcing: {"path": "f.admf"},
+}
+# Values of the wrong type per field annotation; 10**400 is beyond the
+# float range.
+_BAD = {"float": ["x", 10 ** 400], "int": [1.5, 10 ** 400], "str": [5],
+        "Optional[str]": [5], "tuple": [4]}
+
+
+def _input_dataclasses():
+    """(class, valid field values, the Python constructor on such values,
+    the config dict holding them) of every input dataclass: the config,
+    the lattice and every kind."""
+    yield SimConfig, _MINIMAL, _built_in_python, dict
+    yield (WaveLattice, {"n": 16, "L": 1.0}, lambda d: WaveLattice(**d),
+           lambda d: {**_MINIMAL, **d})
+    for part, kinds in (("filter", solvers._FILTER_KINDS),
+                        ("init", solvers._INIT_KINDS),
+                        ("forcing", solvers._FORCING_KINDS)):
+        for kind, cls in kinds.items():
+            yield (cls, _VALID[cls], lambda d, cls=cls: cls(**d),
+                   lambda d, part=part, kind=kind:
+                   {**_MINIMAL, part: {"kind": kind, **d}})
+
+
+_INPUTS = list(_input_dataclasses())
+
+
+@pytest.mark.parametrize("cls,good,build,config", _INPUTS,
+                         ids=[case[0].__name__ for case in _INPUTS])
+def test_every_input_field_is_checked_once(cls, good, build, config):
+    # every field is a kind or has a checker, so a new field cannot skip
+    # the check, and a bad value (of the wrong type, or outside the
+    # field's declared domain) gets one message from Python and from JSON
+    build(good)
+    SimConfig.from_dict(config(good))
+    for f in dataclasses.fields(cls):
+        if "kinds" in f.metadata:
+            continue
+        assert f.type in _COERCE, f.name
+        bounds = [f.metadata[k] for k in ("min", "above") if k in f.metadata]
+        for bad in _BAD[f.type] + [lo - 1 for lo in bounds]:
+            data = {**good, f.name: bad}
+            with pytest.raises(ValueError) as built:
+                build(data)
+            with pytest.raises(ValueError) as loaded:
+                SimConfig.from_dict(config(data))
+            assert str(built.value) == str(loaded.value)
+            assert str(built.value).startswith(f"'{f.name}' must be ")
 
 
 def test_config_hash_of_known_configs_is_pinned():
@@ -247,8 +300,7 @@ def test_config_rejects_non_integral_numbers(key, patch):
                "filter": {"kind": "helmholtz", "alpha": 1.0}}
     data = {**minimal, **patch}
     for build in (SimConfig.from_dict, _built_in_python):
-        with pytest.raises(ValueError,
-                           match=_refusal(key, data, "an integer", build)):
+        with pytest.raises(ValueError, match=f"^'{key}' must be an integer"):
             build(data)
 
 
@@ -297,9 +349,8 @@ def test_config_rejects_non_numbers_and_non_finite_floats(key, patch):
                "filter": {"kind": "helmholtz", "alpha": 1.0}}
     data = {**minimal, **patch}
     for build in (SimConfig.from_dict, _built_in_python):
-        with pytest.raises(ValueError, match=_refusal(key, data,
-                                                      "a finite number",
-                                                      build)):
+        with pytest.raises(ValueError,
+                           match=f"^'{key}' must be a finite number"):
             build(data)
 
 

@@ -5,10 +5,14 @@ The nonlinear term is checked against a brute-force truncated convolution
 matrix, so the FFT pipeline is never trusted to test itself.
 """
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
 import oracles
+from admles.io import SnapshotFormatError, load_field
 from admles.spectral import (
     FieldInvariantError,
     LatticeMismatchError,
@@ -58,6 +62,31 @@ def test_lattice_validation():
     for L in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             WaveLattice(8, L=L)
+    # an integral n of any type is the integer lattice, on which every
+    # operation runs; 8.0 used to make random_solenoidal raise a TypeError
+    assert WaveLattice(8.0) == WaveLattice(8)
+    assert type(WaveLattice(8.0).n) is int
+    random_solenoidal(WaveLattice(8.0), decay=1.0, seed=0)
+    assert WaveLattice(np.int64(16)) == WaveLattice(16)
+    # L=True used to build a box of size 1, and the others failed with
+    # numpy or format TypeErrors that named no field
+    for n in (8.5, "8", True, None, 10 ** 400):
+        with pytest.raises(ValueError, match="^'n' must be "):
+            WaveLattice(n)
+    for L in (True, "x", None, 10 ** 400):
+        with pytest.raises(ValueError, match="^'L' must be "):
+            WaveLattice(8, L=L)
+
+
+def test_bad_lattice_header_names_the_field(tmp_path):
+    path = tmp_path / "lattice.admf"
+    path.write_bytes(struct.pack("<4sIIdB", b"ADMF", 1, 8, math.inf, 0))
+    with pytest.raises(SnapshotFormatError,
+                       match="bad header: 'L' must be a finite number"):
+        load_field(path)
+    path.write_bytes(struct.pack("<4sIIdB", b"ADMF", 1, 7, 1.0, 0))
+    with pytest.raises(SnapshotFormatError, match="bad header: grid size"):
+        load_field(path)
 
 
 def test_modes_and_wavevectors():
